@@ -5,12 +5,12 @@ interference, jet-evaluated derivative sums) paired with a full-fading
 Monte Carlo simulator that validates every one of them.
 """
 
-from .analytic import (CoverageCurve, DivergenceError, QuadratureError,
-                       SystemParams, coverage_fixed_noris, coverage_fixed_ris,
+from .analytic import (DivergenceError, QuadratureError, SystemParams,
+                       coverage_fixed_noris, coverage_fixed_ris,
                        coverage_nearest, coverage_nearest_alpha4,
                        coverage_nearest_intlimited, default_threshold_grid,
-                       evaluate_coverage_curve, laplace_fixed, laplace_nearest,
-                       rate_fixed, rate_fixed_alpha4_intlim, rate_from_coverage,
+                       laplace_fixed, laplace_nearest, rate_fixed,
+                       rate_fixed_alpha4_intlim, rate_from_coverage,
                        rate_nearest)
 from .fading import (FadingParams, PathLossParams, db_to_linear, dbm_to_watts,
                      linear_to_db, pathloss_direct, pathloss_reflected,

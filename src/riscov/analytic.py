@@ -20,7 +20,6 @@ Two conventions used throughout:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -39,7 +38,6 @@ from .specfun import hyp2f1_cov
 
 __all__ = [
     "SystemParams",
-    "CoverageCurve",
     "QuadratureError",
     "DivergenceError",
     "laplace_fixed",
@@ -54,16 +52,7 @@ __all__ = [
     "rate_fixed_alpha4_intlim",
     "rate_nearest",
     "default_threshold_grid",
-    "evaluate_coverage_curve",
 ]
-
-log = logging.getLogger(__name__)
-
-# Estimated relative roundoff above which the derivative series is abandoned
-# for direct Monte Carlo evaluation of the expected gamma tail.
-SERIES_LOSS_LIMIT = 1e-6
-_FALLBACK_DRAWS = 1_000_000
-_FALLBACK_SEED = 0x5EED
 
 
 class QuadratureError(RuntimeError):
@@ -78,9 +67,9 @@ class DivergenceError(RuntimeError):
 class SystemParams:
     """Scalar model parameters of one network scenario.
 
-    Powers are linear watts; gains are linear.  lambda_u is carried for
-    config completeness but enters no expression (only the typical user at
-    the origin matters).
+    Powers are linear watts; gains are linear.  The user density enters no
+    expression (only the typical user at the origin matters), so it is not
+    a field.
     """
 
     lambda_t: float
@@ -92,7 +81,6 @@ class SystemParams:
     noise_w: float
     d_g0: float
     interference_limited: bool = False
-    lambda_u: float = 0.0
 
     def __post_init__(self):
         if self.lambda_t < 0.0:
@@ -156,22 +144,8 @@ class SystemParams:
             p_tx_w=dbm_to_watts(0.0),
             noise_w=dbm_to_watts(-70.0),
             d_g0=20.0,
-            lambda_u=1e-4,
         )
         return replace(base, **overrides) if overrides else base
-
-
-@dataclass(frozen=True)
-class CoverageCurve:
-    """Coverage values on a threshold grid, tagged with the producing method."""
-
-    thresholds: tuple[float, ...]
-    values: tuple[float, ...]
-    method: str
-
-    def __post_init__(self):
-        if len(self.thresholds) != len(self.values):
-            raise ValueError("threshold and value grids differ in length")
 
 
 def default_threshold_grid(n_points: int = 50, low_db: float = -20.0,
@@ -190,13 +164,13 @@ def _csc(x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _fixed_fit(params: SystemParams, exact_sr_moments: bool = False) -> GammaFit:
+def _fixed_fit(params: SystemParams) -> GammaFit:
     return signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading,
-                            params.n_elements, exact_sr_moments)
+                            params.n_elements)
 
 
 @lru_cache(maxsize=256)
-def _nearest_shape(params: SystemParams, exact_sr_moments: bool = False) -> GammaFit:
+def _nearest_shape(params: SystemParams) -> GammaFit:
     """Shape and normalized scale of the nearest-association signal fit.
 
     Feeding a unit direct gain makes the returned scale equal the
@@ -205,14 +179,30 @@ def _nearest_shape(params: SystemParams, exact_sr_moments: bool = False) -> Gamm
     """
     pl = params.path
     eta_ratio = (pl.c_r / pl.c_d) * pl.d0 ** -pl.alpha
-    return signal_gamma_fit(1.0, eta_ratio, params.fading, params.n_elements,
-                            exact_sr_moments)
+    return signal_gamma_fit(1.0, eta_ratio, params.fading, params.n_elements)
 
 
-def _interference_slope(params: SystemParams) -> float:
-    """Common factor 2 pi^2 lambda_t csc(2 pi / alpha) / alpha."""
+def _tiers(params: SystemParams) -> list[tuple[float, float]]:
+    """(weight, gain) of the surface-bearing and surface-free interferer tiers.
+
+    The weight is the tier's share of transmitters; the gain is the
+    effective interferer gain e1 or the bare direct gain c_d.  Empty tiers
+    are left out.
+    """
+    pairs = ((params.p, params.e1), (1.0 - params.p, params.path.c_d))
+    return [(weight, gain) for weight, gain in pairs if weight != 0.0]
+
+
+def _fixed_exponent(params: SystemParams, x: float) -> float:
+    """Whole-plane interference exponent k (p (e1 x)^d + (1-p) (c_d x)^d).
+
+    k = 2 pi^2 lambda_t csc(2 pi / alpha) / alpha and d = 2 / alpha, so
+    exp(-exponent) is the fixed-association Laplace transform at s = x.
+    """
     a = params.path.alpha
-    return 2.0 * math.pi**2 * params.lambda_t * _csc(2.0 * math.pi / a) / a
+    d = 2.0 / a
+    k = 2.0 * math.pi**2 * params.lambda_t * _csc(2.0 * math.pi / a) / a
+    return sum(k * weight * (gain * x) ** d for weight, gain in _tiers(params))
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +215,7 @@ def laplace_fixed(params: SystemParams, s: float) -> float:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if s == 0.0:
         return 1.0
-    d = 2.0 / params.path.alpha
-    k = _interference_slope(params)
-    expo = k * (params.p * (params.e1 * s) ** d
-                + (1.0 - params.p) * (params.path.c_d * s) ** d)
-    return math.exp(-expo)
+    return math.exp(-_fixed_exponent(params, s))
 
 
 def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
@@ -243,146 +229,42 @@ def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
     a = params.path.alpha
     base = math.pi * params.lambda_t * d_g0**2
     expo = 0.0
-    for weight, gain in ((params.p, params.e1), (1.0 - params.p, params.path.c_d)):
-        if weight == 0.0:
-            continue
+    for weight, gain in _tiers(params):
         expo += weight * (1.0 - hyp2f1_cov(a, -gain * d_g0 ** -a * s))
     return math.exp(base * expo)
-
-
-# ---------------------------------------------------------------------------
-# Series evaluation with Monte Carlo fallback
-# ---------------------------------------------------------------------------
-
-def _kanter_positive_stable(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive stable samples S with E[exp(-s S)] = exp(-s^delta)."""
-    u = rng.uniform(0.0, math.pi, n)
-    e = rng.standard_exponential(n)
-    a = (np.sin(delta * u) ** delta * np.sin((1.0 - delta) * u) ** (1.0 - delta)
-         / np.sin(u)) ** (1.0 / (1.0 - delta))
-    return (a / e) ** ((1.0 - delta) / delta)
-
-
-def _series_or_none(exp_jet: TaylorJet, diagnostics: dict | None,
-                    where: str) -> float | None:
-    """Alternating derivative sum, or None when roundoff loss is too large."""
-    value, cancel_ratio = alternating_tail_sum(exp_jet)
-    est_loss = np.finfo(float).eps * cancel_ratio
-    if diagnostics is not None:
-        diagnostics["cancel_ratio"] = cancel_ratio
-        diagnostics["method"] = "series"
-    if est_loss > SERIES_LOSS_LIMIT or not math.isfinite(value):
-        log.warning("%s: derivative series lost ~%.1e relative precision; "
-                    "switching to Monte Carlo fallback", where, est_loss)
-        if diagnostics is not None:
-            diagnostics["method"] = "mc_fallback"
-        return None
-    return min(max(value, 0.0), 1.0)
-
-
-def _fallback_fixed_mc(params: SystemParams, gamma_bar: float, fit: GammaFit,
-                       kappa_hat: int) -> float:
-    """E[regularized upper gamma(kappa_hat, X)] by exact sampling of X.
-
-    For fixed association the whole-plane interference is a positive stable
-    variable whose Laplace exponent matches laplace_fixed, so X can be drawn
-    exactly and the expectation estimated without the derivative series.
-    """
-    d = 2.0 / params.path.alpha
-    k = _interference_slope(params)
-    scale = k * (params.p * params.e1**d + (1.0 - params.p) * params.path.c_d**d)
-    scale *= (gamma_bar / fit.omega) ** d
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    total = 0.0
-    n_done = 0
-    chunk = 250_000
-    while n_done < _FALLBACK_DRAWS:
-        n = min(chunk, _FALLBACK_DRAWS - n_done)
-        x = scale ** (1.0 / d) * _kanter_positive_stable(d, n, rng)
-        x += gamma_bar * params.gamma_t_inv / fit.omega
-        total += _sp.gammaincc(kappa_hat, x).sum()
-        n_done += n
-    return total / _FALLBACK_DRAWS
-
-
-def _fallback_nearest_intlim_mc(params: SystemParams, gamma_bar: float,
-                                kappa_hat: int, chi_bar: float,
-                                annulus_factor: float = 8.0) -> float:
-    """Surface-served part of the interference-limited nearest coverage by MC.
-
-    Works in units of the serving distance: the scaled interference load is
-    built from a Poisson field on the annulus [1, annulus_factor], with the
-    mean of the truncated far field added back deterministically.
-    """
-    a = params.path.alpha
-    cd = params.path.c_d
-    gains = np.array([params.e1 / cd, 1.0]) * gamma_bar / chi_bar
-    weights = np.array([params.p, 1.0 - params.p])
-    mean_gain = float(np.dot(weights, gains))
-    q2 = annulus_factor**2
-    far_mean_unit = 2.0 * mean_gain * annulus_factor ** (2.0 - a) / (a - 2.0)
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    total = 0.0
-    n_done = 0
-    chunk = 20_000
-    while n_done < _FALLBACK_DRAWS:
-        n = min(chunk, _FALLBACK_DRAWS - n_done)
-        t = rng.standard_exponential(n)          # lambda pi d^2 of each draw
-        counts = rng.poisson(t * (q2 - 1.0))
-        m = int(counts.sum())
-        draw_id = np.repeat(np.arange(n), counts)
-        u2 = 1.0 + (q2 - 1.0) * rng.random(m)    # squared radius over d^2
-        ris = rng.random(m) < params.p
-        gain = np.where(ris, gains[0], gains[1])
-        marks = gain * rng.standard_exponential(m) * u2 ** (-0.5 * a)
-        x = np.bincount(draw_id, weights=marks, minlength=n)
-        x += t * far_mean_unit
-        total += _sp.gammaincc(kappa_hat, x).sum()
-        n_done += n
-    return total / _FALLBACK_DRAWS
 
 
 # ---------------------------------------------------------------------------
 # Coverage, fixed association
 # ---------------------------------------------------------------------------
 
-def coverage_fixed_ris(params: SystemParams, gamma_bar: float,
-                       exact_sr_moments: bool = False,
-                       diagnostics: dict | None = None) -> float:
+def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
     """Coverage of a fixed-distance serving link assisted by a surface.
 
     Evaluates the alternating derivative sum of exp(V(s)) at s = 1, where V
     collects the noise term and the two interference tiers scaled by the
-    fitted signal parameters.
+    fitted signal parameters.  exp(V) is completely monotone, so the sum's
+    terms share one sign and nothing cancels.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    fit = _fixed_fit(params, exact_sr_moments)
-    kappa_hat = _round_shape(fit.kappa)
-    order = kappa_hat - 1
-    d = 2.0 / params.path.alpha
-    k = _interference_slope(params)
+    fit = _fixed_fit(params)
+    order = _round_shape(fit.kappa) - 1
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
-    tier = (k * params.p * (params.e1 * gamma_bar / fit.omega) ** d
-            + k * (1.0 - params.p) * (params.path.c_d * gamma_bar / fit.omega) ** d)
+    tier = _fixed_exponent(params, gamma_bar / fit.omega)
+    d = 2.0 / params.path.alpha
     v = -noise_slope * jet_variable(order) - tier * jet_spow(d, order)
-    value = _series_or_none(jet_exp(v), diagnostics, "coverage_fixed_ris")
-    if value is not None:
-        return value
-    return _fallback_fixed_mc(params, gamma_bar, fit, kappa_hat)
+    value, _ = alternating_tail_sum(jet_exp(v))
+    return min(max(value, 0.0), 1.0)
 
 
 def coverage_fixed_noris(params: SystemParams, gamma_bar: float) -> float:
     """Coverage of a fixed-distance serving link without a surface (closed form)."""
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    d = 2.0 / params.path.alpha
-    k = _interference_slope(params)
     eta = params.eta_g0
-    expo = (gamma_bar * params.gamma_t_inv / eta
-            + k * params.p * (params.e1 * gamma_bar / eta) ** d
-            + k * (1.0 - params.p) * (params.path.c_d * gamma_bar / eta) ** d)
-    return math.exp(-expo)
+    return math.exp(-(gamma_bar * params.gamma_t_inv / eta
+                      + _fixed_exponent(params, gamma_bar / eta)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +293,17 @@ def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
     a = params.path.alpha
     cd = params.path.c_d
     j = jet_constant(0.0, order)
-    for weight, gain in ((params.p, params.e1 / cd), (1.0 - params.p, 1.0)):
-        if weight == 0.0:
-            continue
-        j = j + weight * jet_hyp2f1_cov(a, -gain * gamma_bar / chi_bar, order)
+    for weight, gain in _tiers(params):
+        j = j + weight * jet_hyp2f1_cov(a, -(gain / cd) * gamma_bar / chi_bar, order)
     return j
 
 
 def _nearest_hyp_scalar(params: SystemParams, gamma_bar: float) -> float:
-    """Same weighting for the surface-free branch (scale-free arguments)."""
-    a = params.path.alpha
-    cd = params.path.c_d
-    total = 0.0
-    for weight, gain in ((params.p, params.e1 / cd), (1.0 - params.p, 1.0)):
-        if weight == 0.0:
-            continue
-        total += weight * hyp2f1_cov(a, -gain * gamma_bar)
-    return total
+    """Same weighting for the surface-free branch: the order-0 coefficient at unit scale."""
+    return _nearest_hyp_jets(params, gamma_bar, 1.0, 0).coeffs[0]
 
 
-def coverage_nearest(params: SystemParams, gamma_bar: float,
-                     exact_sr_moments: bool = False) -> float:
+def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
     """Nearest-transmitter coverage by radial quadrature.
 
     The serving-distance average is integrated in u = lambda_t pi r^2, which
@@ -449,10 +321,9 @@ def coverage_nearest(params: SystemParams, gamma_bar: float,
     p = params.p
     total = 0.0
     if p > 0.0:
-        nfit = _nearest_shape(params, exact_sr_moments)
-        kappa_hat = _round_shape(nfit.kappa)
+        nfit = _nearest_shape(params)
         chi_bar = nfit.omega
-        order = kappa_hat - 1
+        order = _round_shape(nfit.kappa) - 1
         hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
         svar = jet_variable(order)
         noise_coef = gamma_bar * params.gamma_t_inv / (cd * chi_bar) * u_scale
@@ -476,8 +347,7 @@ def coverage_nearest(params: SystemParams, gamma_bar: float,
     return min(max(total, 0.0), 1.0)
 
 
-def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float,
-                            exact_sr_moments: bool = False) -> float:
+def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     """Closed-form nearest coverage for alpha = 4 (Gaussian-integral reduction).
 
     Needs a finite noise level; use coverage_nearest_intlimited for the
@@ -496,10 +366,9 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float,
     p = params.p
     total = 0.0
     if p > 0.0:
-        nfit = _nearest_shape(params, exact_sr_moments)
-        kappa_hat = _round_shape(nfit.kappa)
+        nfit = _nearest_shape(params)
         chi_bar = nfit.omega
-        order = kappa_hat - 1
+        order = _round_shape(nfit.kappa) - 1
         quad_coef = gamma_bar * params.gamma_t_inv / (cd * chi_bar)
         x1 = quad_coef * jet_variable(order)
         x2 = lam_pi * _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
@@ -515,29 +384,24 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float,
     return min(max(total, 0.0), 1.0)
 
 
-def coverage_nearest_intlimited(params: SystemParams, gamma_bar: float,
-                                exact_sr_moments: bool = False,
-                                diagnostics: dict | None = None) -> float:
+def coverage_nearest_intlimited(params: SystemParams, gamma_bar: float) -> float:
     """Nearest coverage with negligible noise; independent of the density.
 
     The radial average collapses to the reciprocal of the weighted
     hypergeometric factor, whose derivative sum is evaluated with jets.
+    That reciprocal is completely monotone, so nothing cancels in the sum.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
     p = params.p
     total = 0.0
     if p > 0.0:
-        nfit = _nearest_shape(params, exact_sr_moments)
-        kappa_hat = _round_shape(nfit.kappa)
+        nfit = _nearest_shape(params)
         chi_bar = nfit.omega
-        order = kappa_hat - 1
+        order = _round_shape(nfit.kappa) - 1
         hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
-        value = _series_or_none(jet_recip(hyp), diagnostics,
-                                "coverage_nearest_intlimited")
-        if value is None:
-            value = _fallback_nearest_intlim_mc(params, gamma_bar, kappa_hat, chi_bar)
-        total += p * value
+        value, _ = alternating_tail_sum(jet_recip(hyp))
+        total += p * min(max(value, 0.0), 1.0)
     if p < 1.0:
         total += (1.0 - p) / _nearest_hyp_scalar(params, gamma_bar)
     return min(max(total, 0.0), 1.0)
@@ -585,23 +449,16 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
         raise ValueError("this closed form applies to the interference-limited regime")
     if not params.lambda_t > 0.0:
         raise ValueError("the noise-free rate is unbounded without interference")
-    half_pi2_lam = 0.5 * math.pi**2 * params.lambda_t
-    cd = params.path.c_d
     if with_ris:
         fit = _fixed_fit(params)
-        kappa_hat = _round_shape(fit.kappa)
-        order = kappa_hat - 1
-        v_at_1 = half_pi2_lam * (params.p * math.sqrt(params.e1 / fit.omega)
-                                 + (1.0 - params.p) * math.sqrt(cd / fit.omega))
-        v = v_at_1 * jet_spow(0.5, order)
+        order = _round_shape(fit.kappa) - 1
+        v = _fixed_exponent(params, 1.0 / fit.omega) * jet_spow(0.5, order)
         si, ci = jet_si_ci(v)
         sj, cj = jet_sin_cos(v)
         kernel = (math.pi - 2.0 * si) * sj - 2.0 * ci * cj
         val, _ = alternating_tail_sum(kernel)
         return val / math.log(2.0)
-    eta = params.eta_g0
-    v = half_pi2_lam * (params.p * math.sqrt(params.e1 / eta)
-                        + (1.0 - params.p) * math.sqrt(cd / eta))
+    v = _fixed_exponent(params, 1.0 / params.eta_g0)
     si, ci = _sp.sici(v)
     return ((math.pi - 2.0 * si) * math.sin(v) - 2.0 * ci * math.cos(v)) / math.log(2.0)
 
@@ -612,24 +469,3 @@ def rate_nearest(params: SystemParams, interference_limited: bool) -> float:
         return rate_from_coverage(lambda g: coverage_nearest_intlimited(params, g))
     return rate_from_coverage(lambda g: coverage_nearest(params, g))
 
-
-# ---------------------------------------------------------------------------
-# Curve evaluation (CLI surface)
-# ---------------------------------------------------------------------------
-
-_CURVE_METHODS = {
-    "fixed_ris": lambda params, g: coverage_fixed_ris(params, g),
-    "fixed_noris": coverage_fixed_noris,
-    "nearest": lambda params, g: coverage_nearest(params, g),
-    "nearest_alpha4": lambda params, g: coverage_nearest_alpha4(params, g),
-    "nearest_intlimited": lambda params, g: coverage_nearest_intlimited(params, g),
-}
-
-
-def evaluate_coverage_curve(params: SystemParams, thresholds, method: str) -> CoverageCurve:
-    if method not in _CURVE_METHODS:
-        raise ValueError(f"unknown coverage method {method!r}; "
-                         f"choose from {sorted(_CURVE_METHODS)}")
-    fn = _CURVE_METHODS[method]
-    values = tuple(float(fn(params, float(g))) for g in np.asarray(thresholds, float))
-    return CoverageCurve(tuple(float(g) for g in thresholds), values, method)

@@ -28,10 +28,13 @@ __all__ = ["RunSpec", "main", "parse_config", "render_config", "build_params"]
 
 MODES = ("analytic", "mc", "both")
 
+#: custom-scenario strategies; each names the analytic.coverage_<strategy> function.
+STRATEGIES = ("fixed_ris", "fixed_noris", "nearest", "nearest_alpha4", "nearest_intlimited")
+
 #: config/flag keys with units and parser; every SystemParams field is here.
 KEY_SPECS: dict[str, tuple[str, type]] = {
     "lambda_t": ("transmitters per m^2", float),
-    "lambda_u": ("users per m^2 (accepted, unused by the expressions)", float),
+    "lambda_u": ("users per m^2 (accepted and ignored: no expression uses it)", float),
     "p": ("surface association probability", float),
     "n_elements": ("reflecting elements per surface", int),
     "alpha": ("path-loss exponent", float),
@@ -50,7 +53,7 @@ KEY_SPECS: dict[str, tuple[str, type]] = {
     "seed": ("Monte Carlo seed", int),
     "workers": ("parallel simulation workers", int),
     "pool_size": ("fading table rows", int),
-    "strategy": ("custom scenario strategy: fixed_ris|fixed_noris|nearest|nearest_intlimited", str),
+    "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str),
 }
 
 _RUN_KEYS = ("scenario", "mode", "out")
@@ -98,6 +101,9 @@ class RunSpec:
         for key in self.overrides:
             if key not in KEY_SPECS:
                 raise ValueError(f"unknown config key {key!r}")
+        if self.setting("strategy") not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.setting('strategy')!r}; "
+                             f"choose from {', '.join(STRATEGIES)}")
 
     def setting(self, key: str):
         return self.overrides.get(key, DEFAULTS[key])
@@ -119,7 +125,6 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
         noise_w=dbm_to_watts(float(get("noise_dbm"))),
         d_g0=float(get("d_g0")),
         interference_limited=bool(int(get("interference_limited"))),
-        lambda_u=float(get("lambda_u")),
     )
 
 
@@ -383,8 +388,9 @@ def _scenario_custom(spec: RunSpec):
     do_ana = spec.mode in ("analytic", "both")
     ana = [""] * len(grid)
     if do_ana:
-        curve = analytic.evaluate_coverage_curve(params, grid, strategy)
-        ana = list(curve.values)
+        # looked up at call time so a wrapped analytic function is the one called
+        coverage = getattr(analytic, f"coverage_{strategy}")
+        ana = [float(coverage(params, float(g))) for g in grid]
     mc = [""] * len(grid)
     ci = [""] * len(grid)
     if do_mc:

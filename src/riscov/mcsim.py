@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import SystemParams
+from .fading import FadingParams
 from .geometry import Window
 
 __all__ = [
@@ -126,26 +127,23 @@ class _FadingTable:
     the surface-offset geometry.
     """
 
-    def __init__(self, n_elements: int, m_h: float, m_r: float, size: int, pad: int):
+    def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int):
         total = size + pad
         self.size = size
         self.pad = pad
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=0x9B5C_17AD,
-                                   spawn_key=(n_elements, int(m_h * 8), int(m_r * 8)))
+                                   spawn_key=(n_elements, int(fading.m_h * 8),
+                                              int(fading.m_r * 8)))
         )
         g = rng.standard_normal((total, 2)) * math.sqrt(0.5)
         t_re = np.empty(total)
         t_im = np.empty(total)
+        # the chunk bounds the (rows, N) temporaries and so the build's peak memory
         chunk = max(1, (1 << 22) // max(n_elements, 1))
         for lo in range(0, total, chunk):
             hi = min(lo + chunk, total)
-            rows = hi - lo
-            amp = (np.sqrt(rng.gamma(m_h, 1.0 / m_h, (rows, n_elements)))
-                   * np.sqrt(rng.gamma(m_r, 1.0 / m_r, (rows, n_elements))))
-            phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
-            t_re[lo:hi] = (amp * np.cos(phase)).sum(axis=1)
-            t_im[lo:hi] = (amp * np.sin(phase)).sum(axis=1)
+            t_re[lo:hi], t_im[lo:hi] = _random_phase_sum(rng, fading, n_elements, hi - lo)
         self.mag2_direct = (g[:, 0] ** 2 + g[:, 1] ** 2).astype(_F32)
         self.mag2_scatter = (t_re**2 + t_im**2).astype(_F32)
         self.cross = (2.0 * (g[:, 0] * t_re + g[:, 1] * t_im)).astype(_F32)
@@ -156,13 +154,42 @@ class _FadingTable:
 _TABLE_CACHE: dict[tuple, _FadingTable] = {}
 
 
-def _get_table(n_elements: int, m_h: float, m_r: float, size: int, pad: int) -> _FadingTable:
-    key = (n_elements, float(m_h), float(m_r), int(size), int(pad))
+def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int) -> _FadingTable:
+    key = (n_elements, float(fading.m_h), float(fading.m_r), int(size), int(pad))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        tab = _FadingTable(n_elements, m_h, m_r, size, pad)
+        tab = _FadingTable(n_elements, fading, size, pad)
         _TABLE_CACHE[key] = tab
     return tab
+
+
+# ---------------------------------------------------------------------------
+# Per-element fading
+# ---------------------------------------------------------------------------
+
+def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
+    """(rows, N) products sqrt(Gamma(m_h)) sqrt(Gamma(m_r)) of unit-power Nakagami hops."""
+    return (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
+            * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
+
+
+def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
+                      rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the element sum under independent uniform phases."""
+    amp = _element_amplitudes(rng, fading, n_elements, rows)
+    phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
+    return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
+
+
+def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
+                     rows: int) -> np.ndarray:
+    """Surface-assisted serving power with aligned phases (fresh fading).
+
+    eta_g0 and eta_h0 are scalars or arrays of length rows.
+    """
+    g0 = np.sqrt(rng.standard_exponential(rows))
+    elem = _element_amplitudes(rng, fading, n_elements, rows).sum(axis=1)
+    return (np.sqrt(eta_g0) * g0 + np.sqrt(eta_h0) * elem) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +265,13 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     return total
 
 
-def _coherent_signal(rng, params: SystemParams, eta_g0: np.ndarray,
-                     eta_h0: np.ndarray) -> np.ndarray:
-    """Surface-assisted serving power with aligned phases (fresh fading)."""
-    n = eta_g0.size
-    fad = params.fading
-    ne = params.n_elements
-    g0 = np.sqrt(rng.standard_exponential(n))
-    elem = (np.sqrt(rng.gamma(fad.m_h, 1.0 / fad.m_h, (n, ne)))
-            * np.sqrt(rng.gamma(fad.m_r, 1.0 / fad.m_r, (n, ne)))).sum(axis=1)
-    return (np.sqrt(eta_g0) * g0 + np.sqrt(eta_h0) * elem) ** 2
-
-
 def _block_fixed(rng, tab, params: SystemParams, window: Window,
                  forced_ris: bool, n_trials: int) -> np.ndarray:
     area = window.area
     rw2 = window.radius**2
     if forced_ris:
-        s = _coherent_signal(rng, params,
-                             np.full(n_trials, params.eta_g0),
-                             np.full(n_trials, params.eta_h0))
+        s = _coherent_signal(rng, params.fading, params.n_elements,
+                             params.eta_g0, params.eta_h0, n_trials)
     else:
         s = params.eta_g0 * rng.standard_exponential(n_trials)
     counts = rng.poisson(params.lambda_t * area, n_trials)
@@ -290,7 +304,8 @@ def _block_nearest(rng, tab, params: SystemParams, window: Window,
         cos_ofs = np.cos(rng.uniform(0.0, 2.0 * math.pi, idx_r.size))
         dr2 = d2[idx_r] + pl.d0**2 + 2.0 * pl.d0 * np.sqrt(d2[idx_r]) * cos_ofs
         eta_h0 = pl.c_r * (pl.d0**2 * dr2) ** (-0.5 * pl.alpha)
-        signal[idx_r] = _coherent_signal(rng, params, eta_g0[idx_r], eta_h0)
+        signal[idx_r] = _coherent_signal(rng, params.fading, params.n_elements,
+                                         eta_g0[idx_r], eta_h0, idx_r.size)
     if idx_n.size:
         signal[idx_n] = eta_g0[idx_n] * rng.standard_exponential(idx_n.size)
     rest = counts - 1
@@ -307,8 +322,7 @@ def _run_block(args) -> np.ndarray:
     (params, window, strategy, forced_ris, n_trials, child_seed,
      pool_size, pad) = args
     rng = np.random.default_rng(child_seed)
-    tab = (_get_table(params.n_elements, params.fading.m_h, params.fading.m_r,
-                      pool_size, pad)
+    tab = (_get_table(params.n_elements, params.fading, pool_size, pad)
            if params.lambda_t > 0.0 else None)
     if strategy == "fixed":
         return _block_fixed(rng, tab, params, window, forced_ris, n_trials)
@@ -347,8 +361,7 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     pad = max(_POOL_PAD_MIN, int(3 * rows_per_trial) + 1024)
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before any workers fork
-        _get_table(config.params.n_elements, config.params.fading.m_h,
-                   config.params.fading.m_r, config.pool_size, pad)
+        _get_table(config.params.n_elements, config.params.fading, config.pool_size, pad)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, strategy, forced_ris, n, child,
@@ -410,12 +423,7 @@ def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
     chunk = max(1, (1 << 23) // max(n_elements, 1))
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
-        rows = hi - lo
-        g0 = np.sqrt(rng.standard_exponential(rows))
-        elem = (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
-                * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements)))
-                ).sum(axis=1)
-        out[lo:hi] = (math.sqrt(eta_g0) * g0 + math.sqrt(eta_h0) * elem) ** 2
+        out[lo:hi] = _coherent_signal(rng, fading, n_elements, eta_g0, eta_h0, hi - lo)
     out.sort()
     return EmpiricalDistribution(out)
 
@@ -430,11 +438,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
         hi = min(lo + chunk, n_samples)
         rows = hi - lo
         g = rng.standard_normal((rows, 2)) * math.sqrt(0.5)
-        amp = (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
-               * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
-        phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
-        t_re = (amp * np.cos(phase)).sum(axis=1)
-        t_im = (amp * np.sin(phase)).sum(axis=1)
+        t_re, t_im = _random_phase_sum(rng, fading, n_elements, rows)
         out[lo:hi] = ((math.sqrt(eta_gk) * g[:, 0] + math.sqrt(eta_hk) * t_re) ** 2
                       + (math.sqrt(eta_gk) * g[:, 1] + math.sqrt(eta_hk) * t_im) ** 2)
     out.sort()

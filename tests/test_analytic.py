@@ -4,22 +4,110 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, SystemParams,
                              coverage_fixed_noris, coverage_fixed_ris,
                              coverage_nearest, coverage_nearest_alpha4,
                              coverage_nearest_intlimited,
-                             default_threshold_grid, evaluate_coverage_curve,
-                             laplace_fixed, laplace_nearest, rate_fixed,
+                             default_threshold_grid, laplace_fixed,
+                             laplace_nearest, rate_fixed,
                              rate_fixed_alpha4_intlim, rate_from_coverage,
                              rate_nearest)
 from riscov.fading import dbm_to_watts
 from riscov.geometry import Window, sample_gpp
+from riscov.powerdist import signal_gamma_fit
+from riscov.specfun import hyp2f1_cov
 
 
 def params_at(p_tx_dbm: float, **kw) -> SystemParams:
     return SystemParams.default(p_tx_w=dbm_to_watts(p_tx_dbm), **kw)
+
+
+def rounded_shape(kappa: float) -> int:
+    return max(1, int(math.floor(kappa + 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# Sampling oracles for the jet-evaluated derivative sums
+# ---------------------------------------------------------------------------
+
+ORACLE_DRAWS = 1_000_000
+ORACLE_SEED = 0x5EED
+
+def kanter_positive_stable(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Positive stable samples S with E[exp(-s S)] = exp(-s^delta) (Kanter 1975)."""
+    u = rng.uniform(0.0, math.pi, n)
+    e = rng.standard_exponential(n)
+    a = (np.sin(delta * u) ** delta * np.sin((1.0 - delta) * u) ** (1.0 - delta)
+         / np.sin(u)) ** (1.0 / (1.0 - delta))
+    return (a / e) ** ((1.0 - delta) / delta)
+
+
+def fixed_ris_coverage_by_sampling(params: SystemParams, gamma_bar: float) -> float:
+    """E[Q(kappa_hat, X)] with the scaled interference X drawn exactly.
+
+    For fixed association the whole-plane interference is a positive stable
+    variable, so X is sampled directly instead of going through the
+    derivative series.
+    """
+    fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, params.n_elements)
+    kappa_hat = rounded_shape(fit.kappa)
+    a = params.path.alpha
+    d = 2.0 / a
+    k = 2.0 * math.pi**2 * params.lambda_t / math.sin(2.0 * math.pi / a) / a
+    scale = k * (params.p * params.e1**d + (1.0 - params.p) * params.path.c_d**d)
+    scale *= (gamma_bar / fit.omega) ** d
+    rng = np.random.default_rng(ORACLE_SEED)
+    total = 0.0
+    for lo in range(0, ORACLE_DRAWS, 250_000):
+        n = min(250_000, ORACLE_DRAWS - lo)
+        x = scale ** (1.0 / d) * kanter_positive_stable(d, n, rng)
+        x += gamma_bar * params.gamma_t_inv / fit.omega
+        total += sp.gammaincc(kappa_hat, x).sum()
+    return total / ORACLE_DRAWS
+
+
+def nearest_intlimited_coverage_by_sampling(params: SystemParams, gamma_bar: float) -> float:
+    """Noise-free nearest coverage with the surface branch sampled.
+
+    Works in units of the serving distance: the scaled interference load is
+    built from a Poisson field on the annulus [1, 8], with the mean of the
+    truncated far field added back deterministically.  The surface-free
+    branch is the closed form 1 / sum_j w_j 2F1(-g_j gamma).
+    """
+    annulus_factor = 8.0
+    pl = params.path
+    a = pl.alpha
+    fit = signal_gamma_fit(1.0, (pl.c_r / pl.c_d) * pl.d0**-a, params.fading,
+                           params.n_elements)
+    kappa_hat = rounded_shape(fit.kappa)
+    gains = np.array([params.e1 / pl.c_d, 1.0]) * gamma_bar / fit.omega
+    weights = np.array([params.p, 1.0 - params.p])
+    far_mean_unit = (2.0 * float(np.dot(weights, gains))
+                     * annulus_factor ** (2.0 - a) / (a - 2.0))
+    q2 = annulus_factor**2
+    rng = np.random.default_rng(ORACLE_SEED)
+    total = 0.0
+    for lo in range(0, ORACLE_DRAWS, 20_000):
+        n = min(20_000, ORACLE_DRAWS - lo)
+        t = rng.standard_exponential(n)          # lambda pi d^2 of each draw
+        counts = rng.poisson(t * (q2 - 1.0))
+        m = int(counts.sum())
+        draw_id = np.repeat(np.arange(n), counts)
+        u2 = 1.0 + (q2 - 1.0) * rng.random(m)    # squared radius over d^2
+        ris = rng.random(m) < params.p
+        gain = np.where(ris, gains[0], gains[1])
+        marks = gain * rng.standard_exponential(m) * u2 ** (-0.5 * a)
+        x = np.bincount(draw_id, weights=marks, minlength=n)
+        x += t * far_mean_unit
+        total += sp.gammaincc(kappa_hat, x).sum()
+    bare = (params.p * hyp2f1_cov(a, -params.e1 / pl.c_d * gamma_bar)
+            + (1.0 - params.p) * hyp2f1_cov(a, -gamma_bar))
+    return params.p * total / ORACLE_DRAWS + (1.0 - params.p) / bare
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +265,42 @@ def test_coverage_fixed_ris_figure_values(fig4_params):
     assert coverage_fixed_ris(fig4_params(1e-4), 1.0) == pytest.approx(0.93, abs=0.03)
 
 
-def test_coverage_fixed_ris_series_is_wellconditioned(fig4_params):
-    diag = {}
-    coverage_fixed_ris(fig4_params(1e-3), 1.0, diagnostics=diag)
-    assert diag["method"] == "series"
-    assert diag["cancel_ratio"] < 10.0
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(2.05, 6.0), n_elements=st.integers(1, 512),
+       log_lambda=st.floats(-7.0, -1.0), log_gamma=st.floats(-2.0, 3.0),
+       p=st.floats(0.0, 1.0), p_tx_dbm=st.floats(-40.0, 30.0),
+       noise_free=st.booleans())
+def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma, p,
+                                       p_tx_dbm, noise_free):
+    """The summed functions are completely monotone, so no term cancels another.
+
+    Records the cancellation ratio sum |c_i| / |sum (-1)^i c_i| of every jet
+    the two series-evaluated coverages actually sum.
+    """
+    path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
+    params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
+                                  path=path, p_tx_w=dbm_to_watts(p_tx_dbm),
+                                  interference_limited=noise_free)
+    real_sum = analytic.alternating_tail_sum
+    ratios = []
+
+    def recording_sum(jet):
+        value, ratio = real_sum(jet)
+        ratios.append(ratio)
+        return value, ratio
+
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(analytic, "alternating_tail_sum", recording_sum)
+        coverage_fixed_ris(params, 10.0**log_gamma)
+        coverage_nearest_intlimited(params, 10.0**log_gamma)
+    assert len(ratios) == (2 if p > 0.0 else 1)
+    assert max(ratios) <= 1.0 + 1e-12
 
 
-def test_coverage_fixed_ris_mc_fallback_agrees(fig4_params, monkeypatch):
+def test_coverage_fixed_ris_matches_stable_sampling(fig4_params):
     p = fig4_params(1e-3)
-    reference = coverage_fixed_ris(p, 1.0)
-    monkeypatch.setattr(analytic, "SERIES_LOSS_LIMIT", 0.0)
-    diag = {}
-    fallback = coverage_fixed_ris(p, 1.0, diagnostics=diag)
-    assert diag["method"] == "mc_fallback"
-    assert fallback == pytest.approx(reference, abs=3e-3)
+    assert coverage_fixed_ris(p, 1.0) == pytest.approx(
+        fixed_ris_coverage_by_sampling(p, 1.0), abs=3e-3)
 
 
 def test_coverage_fixed_noris_zero_threshold_limit(base_params):
@@ -257,14 +366,10 @@ def test_coverage_nearest_high_snr_limit():
         coverage_nearest_intlimited(p_lim, 1.0), abs=1e-4)
 
 
-def test_coverage_nearest_intlimited_fallback(monkeypatch):
+def test_coverage_nearest_intlimited_matches_annulus_sampling():
     p = SystemParams.default(p=0.9, interference_limited=True)
-    reference = coverage_nearest_intlimited(p, 1.0)
-    monkeypatch.setattr(analytic, "SERIES_LOSS_LIMIT", 0.0)
-    diag = {}
-    fallback = coverage_nearest_intlimited(p, 1.0, diagnostics=diag)
-    assert diag["method"] == "mc_fallback"
-    assert fallback == pytest.approx(reference, abs=5e-3)
+    assert coverage_nearest_intlimited(p, 1.0) == pytest.approx(
+        nearest_intlimited_coverage_by_sampling(p, 1.0), abs=5e-3)
 
 
 def test_coverage_nearest_alpha4_rejects_wrong_exponent(base_params):
@@ -400,12 +505,15 @@ def test_rate_nearest_density_free_and_rising_in_p():
 # curve-level properties
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("method", ["fixed_ris", "fixed_noris", "nearest",
-                                    "nearest_intlimited"])
-def test_coverage_in_unit_interval_and_monotone(method):
+@pytest.mark.parametrize("coverage", [
+    pytest.param(coverage_fixed_ris, id="fixed_ris"),
+    pytest.param(coverage_fixed_noris, id="fixed_noris"),
+    pytest.param(coverage_nearest, id="nearest"),
+    pytest.param(coverage_nearest_intlimited, id="nearest_intlimited"),
+])
+def test_coverage_in_unit_interval_and_monotone(coverage):
     p = params_at(0.0, p=0.6)
-    curve = evaluate_coverage_curve(p, default_threshold_grid(12), method)
-    vals = np.array(curve.values)
+    vals = np.array([coverage(p, float(g)) for g in default_threshold_grid(12)])
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals) <= 1e-10)
 
@@ -420,11 +528,6 @@ def test_coverage_fixed_decreasing_in_density():
     for fn in (coverage_fixed_ris, coverage_fixed_noris):
         vals = [fn(params_at(-10.0, lambda_t=lam), 1.0) for lam in (1e-5, 1e-4, 1e-3)]
         assert vals[0] > vals[1] > vals[2]
-
-
-def test_curve_method_validation(base_params):
-    with pytest.raises(ValueError):
-        evaluate_coverage_curve(base_params, [1.0], "bogus")
 
 
 def test_threshold_grid_shape():

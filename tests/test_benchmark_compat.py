@@ -1,0 +1,50 @@
+"""The benchmark's traced pass still finds every riscov name it indexes.
+
+perfbench/spans.py wraps riscov's public functions by name and reads fixed
+span labels (``specfun.hyp2f1_cov``, ``analytic.rate_from_coverage``,
+``mcsim.estimate_coverage``, ``jets.TaylorJet.__mul__`` ...).  Deleting or
+renaming one of them fails here instead of only when the benchmark runs.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import riscov.analytic as analytic
+from riscov.analytic import SystemParams
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Measured by the benchmark's worker process, not derived from spans.
+_WORKER_METRICS = {"mcsim.first_call_s", "trace.overhead_s"}
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pass_reports_every_per_layer_metric():
+    spans = _load_spans()
+    original = analytic.coverage_fixed_ris
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        analytic.coverage_fixed_ris(SystemParams.default(), 1.0)
+        analytic.coverage_nearest_intlimited(
+            SystemParams.default(p=0.9, interference_limited=True), 1.0)
+    finally:
+        tracer.uninstall()
+    assert analytic.coverage_fixed_ris is original
+
+    metrics = spans.layer_metrics(tracer.arrays(), {})
+    declared = {m["name"] for m in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert declared - set(metrics) == _WORKER_METRICS
+    assert metrics["analytic.coverage_fixed_ris.calls"] == 1
+    assert metrics["analytic.coverage_nearest_intlimited.calls"] == 1
+    assert metrics["jets.alternating_tail_sum.calls"] == 2
+    assert metrics["jets.ops_computed"] > 0

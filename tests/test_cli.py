@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from riscov.cli import (RunSpec, build_params, main, parse_config,
-                        render_config)
+from riscov import analytic
+from riscov.cli import (MODES, STRATEGIES, RunSpec, build_params, main,
+                        parse_config, render_config)
 
 
 def read_csv(path):
@@ -27,6 +28,24 @@ def test_runspec_validation():
         RunSpec(scenario="fig4", mode="sideways")
     with pytest.raises(ValueError):
         RunSpec(scenario="fig4", overrides={"bogus_key": 1.0})
+
+
+def test_custom_rejects_unknown_strategy(tmp_path, capsys):
+    for strategy in STRATEGIES:
+        assert callable(getattr(analytic, f"coverage_{strategy}"))
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    for strategy in ("bogus", "fixed_typo"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            RunSpec(scenario="custom", overrides={"strategy": strategy})
+        for mode in MODES:
+            assert main(["run", "custom", "--strategy", strategy, "--mode", mode,
+                         "--trials", "200", "--out", str(out)]) == 1
+            assert "error: unknown strategy" in capsys.readouterr().err
+        cfg.write_text(f"scenario = custom\nstrategy = {strategy}\n")
+        assert main(["validate-config", str(cfg)]) == 1
+        assert "error: unknown strategy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_roundtrip():

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy import stats
+
+from riscov import mcsim
 from riscov.analytic import (SystemParams, coverage_fixed_noris,
                              coverage_fixed_ris)
 from riscov.fading import dbm_to_watts
-from riscov.geometry import Window
+from riscov.geometry import Window, nearest_parent, sample_gpp
 from riscov.mcsim import (EmpiricalDistribution, McConfig, ccdf_rate_integral,
                           estimate_coverage, estimate_rate, simulate_sinr)
 from riscov.specfun import hyp2f1_cov
@@ -129,7 +132,6 @@ def test_worker_count_does_not_change_samples():
 
 def test_trial_blocks_pass_runs_test():
     """Wald-Wolfowitz runs test on per-block rate means of one run."""
-    from riscov import mcsim
     cfg = make_config(trials=40_000, seed=5, window=1000.0, lambda_t=1e-4)
     sizes = mcsim._block_plan(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
@@ -155,6 +157,53 @@ def test_trial_blocks_pass_runs_test():
 # ---------------------------------------------------------------------------
 # distributional correctness
 # ---------------------------------------------------------------------------
+
+def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
+    """The radial laws of _block_nearest against distances on sample_gpp fields.
+
+    The serving distance d^2 = R^2 (1 - U^(1/k)) and the surface distance
+    d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) are read back from the path gains
+    the block hands to the serving-signal sampler; interference is stubbed
+    out.  The offset law is checked through the cos(phi) it implies for each
+    pair.  At 28 transmitters per window on average, empty fields (which
+    both sides would treat differently) have probability e^-28.
+    """
+    params = SystemParams.default(lambda_t=1e-4, p=1.0)
+    window = Window(300.0)
+    n = 20_000
+    recorded = []
+
+    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows):
+        recorded.append((np.array(eta_g0), np.array(eta_h0)))
+        return np.ones(rows)
+
+    monkeypatch.setattr(mcsim, "_coherent_signal", recording_signal)
+    monkeypatch.setattr(mcsim, "_interference",
+                        lambda rng, tab, params, n_trials, *rest: np.zeros(n_trials))
+    mcsim._block_nearest(np.random.default_rng(20261), None, params, window, n)
+    (eta_g0, eta_h0), = recorded
+    pl = params.path
+    d2_block = (eta_g0 / pl.c_d) ** (-2.0 / pl.alpha)
+    dr2_block = (eta_h0 / pl.c_r) ** (-2.0 / pl.alpha) / pl.d0**2
+
+    rng = np.random.default_rng(20262)
+    d2_gpp, dr2_gpp = [], []
+    while len(d2_gpp) < n:
+        field = sample_gpp(params.lambda_t, 1.0, pl.d0, window, rng)
+        if field.n_clusters == 0:
+            continue
+        idx, dist = nearest_parent(field, (0.0, 0.0))
+        d2_gpp.append(dist**2)
+        dr2_gpp.append(float((field.daughters[idx] ** 2).sum()))
+    d2_gpp, dr2_gpp = np.array(d2_gpp), np.array(dr2_gpp)
+
+    def implied_cos(d2, dr2):
+        return (dr2 - d2 - pl.d0**2) / (2.0 * pl.d0 * np.sqrt(d2))
+
+    assert stats.ks_2samp(d2_block, d2_gpp).pvalue > 0.01
+    assert stats.ks_2samp(implied_cos(d2_block, dr2_block),
+                          implied_cos(d2_gpp, dr2_gpp)).pvalue > 0.01
+
 
 def test_rayleigh_only_sanity():
     """No interferers, no surface: coverage is the Rayleigh outage law."""
