@@ -30,9 +30,9 @@ from scipy import special as _sp
 from scipy.integrate import quad
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
-from .jets import (TaylorJet, alternating_tail_sum, jet_constant, jet_div,
-                   jet_erfcx, jet_exp, jet_hyp2f1_cov, jet_pow, jet_recip,
-                   jet_si_ci, jet_sin_cos, jet_spow, jet_sqrt, jet_variable)
+from .jets import (TaylorJet, alternating_tail_sum, jet_div, jet_erfcx, jet_exp,
+                   jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow,
+                   jet_sqrt, jet_variable)
 from .powerdist import GammaFit, signal_gamma_fit
 from .specfun import hyp2f1_cov
 
@@ -253,8 +253,8 @@ def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
     d = 2.0 / params.path.alpha
-    v = -noise_slope * jet_variable(order) - tier * jet_spow(d, order)
-    value, _ = alternating_tail_sum(jet_exp(v))
+    v = jet_variable(order).coeffs * -noise_slope - jet_spow(d, order).coeffs * tier
+    value, _ = alternating_tail_sum(jet_exp(TaylorJet(v)))
     return min(max(value, 0.0), 1.0)
 
 
@@ -292,49 +292,45 @@ def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
     """Association-weighted jet of the two hypergeometric interference factors."""
     a = params.path.alpha
     cd = params.path.c_d
-    j = jet_constant(0.0, order)
-    for weight, gain in _tiers(params):
-        j = j + weight * jet_hyp2f1_cov(a, -(gain / cd) * gamma_bar / chi_bar, order)
-    return j
+    return TaylorJet(sum(weight * jet_hyp2f1_cov(a, -(gain / cd) * gamma_bar / chi_bar,
+                                                 order).coeffs
+                         for weight, gain in _tiers(params)))
 
 
 def _nearest_hyp_scalar(params: SystemParams, gamma_bar: float) -> float:
     """Same weighting for the surface-free branch: the order-0 coefficient at unit scale."""
-    return _nearest_hyp_jets(params, gamma_bar, 1.0, 0).coeffs[0]
+    return float(_nearest_hyp_jets(params, gamma_bar, 1.0, 0).coeffs[0])
 
 
-def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
-    """Nearest-transmitter coverage by radial quadrature.
+def _nearest_integrands(params: SystemParams, gamma_bar: float
+                        ) -> list[tuple[float, Callable[[float], float], str]]:
+    """(weight, integrand in u, name) of each association branch of nonzero weight.
 
-    The serving-distance average is integrated in u = lambda_t pi r^2, which
-    folds the distance density into a unit exponential and leaves smooth,
-    exponentially decaying integrands for both association branches.
+    u = lambda_t pi r^2 folds the serving-distance density into a unit
+    exponential.  The surface branch integrates the derivative sum of
+    exp(-q u^(alpha/2) s - u H(s)), the direct branch exp(-q* u^(alpha/2) - u H*);
+    every jet and constant that does not depend on u is built here, once.
     """
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    if not params.lambda_t > 0.0:
-        raise ValueError("nearest association requires a positive transmitter density")
     a = params.path.alpha
     cd = params.path.c_d
     half_a = 0.5 * a
     u_scale = (params.lambda_t * math.pi) ** -half_a
     p = params.p
-    total = 0.0
+    branches = []
     if p > 0.0:
         nfit = _nearest_shape(params)
         chi_bar = nfit.omega
         order = _round_shape(nfit.kappa) - 1
-        hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
-        svar = jet_variable(order)
+        hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order).coeffs
+        lead = jet_variable(order).coeffs
         noise_coef = gamma_bar * params.gamma_t_inv / (cd * chi_bar) * u_scale
 
         def served_branch(u: float) -> float:
-            expo = -noise_coef * u**half_a * svar - u * hyp
-            val, _ = alternating_tail_sum(jet_exp(expo))
+            expo = lead * (-noise_coef * u**half_a) - u * hyp
+            val, _ = alternating_tail_sum(jet_exp(TaylorJet(expo)))
             return val
 
-        total += p * _quad_checked(served_branch, 0.0, math.inf, 1e-8, 1e-8,
-                                   "coverage_nearest (surface branch)")
+        branches.append((p, served_branch, "surface"))
     if p < 1.0:
         hyp_star = _nearest_hyp_scalar(params, gamma_bar)
         noise_star = gamma_bar * params.gamma_t_inv / cd * u_scale
@@ -342,8 +338,24 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
         def bare_branch(u: float) -> float:
             return math.exp(-noise_star * u**half_a - u * hyp_star)
 
-        total += (1.0 - p) * _quad_checked(bare_branch, 0.0, math.inf, 1e-8, 1e-8,
-                                           "coverage_nearest (direct branch)")
+        branches.append((1.0 - p, bare_branch, "direct"))
+    return branches
+
+
+def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
+    """Nearest-transmitter coverage by radial quadrature.
+
+    Each association branch's integrand (see _nearest_integrands) is smooth
+    and decays exponentially in u = lambda_t pi r^2 over [0, inf).
+    """
+    if not gamma_bar > 0.0:
+        raise ValueError(f"threshold must be positive, got {gamma_bar}")
+    if not params.lambda_t > 0.0:
+        raise ValueError("nearest association requires a positive transmitter density")
+    total = 0.0
+    for weight, integrand, name in _nearest_integrands(params, gamma_bar):
+        total += weight * _quad_checked(integrand, 0.0, math.inf, 1e-8, 1e-8,
+                                        f"coverage_nearest ({name} branch)")
     return min(max(total, 0.0), 1.0)
 
 
@@ -379,7 +391,8 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     if p < 1.0:
         x3 = gamma_bar * params.gamma_t_inv / cd
         x4 = lam_pi * _nearest_hyp_scalar(params, gamma_bar)
-        kernel = math.sqrt(math.pi) * _sp.erfcx(x4 / (2.0 * math.sqrt(x3))) / math.sqrt(x3)
+        kernel = (math.sqrt(math.pi) * float(_sp.erfcx(x4 / (2.0 * math.sqrt(x3))))
+                  / math.sqrt(x3))
         total += 0.5 * lam_pi * (1.0 - p) * kernel
     return min(max(total, 0.0), 1.0)
 
@@ -459,7 +472,7 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
         val, _ = alternating_tail_sum(kernel)
         return val / math.log(2.0)
     v = _fixed_exponent(params, 1.0 / params.eta_g0)
-    si, ci = _sp.sici(v)
+    si, ci = (float(x) for x in _sp.sici(v))
     return ((math.pi - 2.0 * si) * math.sin(v) - 2.0 * ci * math.cos(v)) / math.log(2.0)
 
 

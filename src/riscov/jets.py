@@ -14,7 +14,6 @@ exact to the carried order; the expansion point is always s0 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -38,59 +37,78 @@ __all__ = [
     "alternating_tail_sum",
 ]
 
+_TINY = np.finfo(float).tiny
 
-@dataclass(frozen=True)
+
 class TaylorJet:
-    """Coefficients c[i] = f^(i)(1)/i!, i = 0..order, of a function around s = 1."""
+    """Coefficients c[i] = f^(i)(1)/i!, i = 0..order, of a function around s = 1.
 
-    coeffs: tuple[float, ...]
+    They are one read-only float64 array, copied from the tuple, list or
+    array given; jets compare and hash by value.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("a jet needs at least the constant coefficient")
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("a jet needs a 1-D sequence of at least one coefficient")
+        c.setflags(write=False)
+        self._c = c
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._c
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self._c.size - 1
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
+        return self._c
 
     def derivative(self, i: int) -> float:
         """i-th derivative at the expansion point."""
         if i > self.order:
             return 0.0
-        return self.coeffs[i] * math.factorial(i)
+        return float(self._c[i]) * math.factorial(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, TaylorJet):
+            return NotImplemented
+        return bool(np.array_equal(self._c, other._c))
+
+    def __hash__(self):
+        return hash(tuple(self._c.tolist()))
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    def _operand(self, other) -> np.ndarray:
+        """Coefficients of other, a number being a constant jet of this order."""
         if isinstance(other, TaylorJet):
             _check_same_order(self, other)
-            return _from_array(self.array() + other.array())
-        return _from_array(self.array() + _const_array(float(other), self.order))
+            return other._c
+        return _const_array(float(other), self.order)
+
+    def __add__(self, other):
+        return _from_array(self._c + self._operand(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, TaylorJet):
-            _check_same_order(self, other)
-            return _from_array(self.array() - other.array())
-        return _from_array(self.array() - _const_array(float(other), self.order))
+        return _from_array(self._c - self._operand(other))
 
     def __rsub__(self, other):
-        return _from_array(_const_array(float(other), self.order) - self.array())
+        return _from_array(self._operand(other) - self._c)
 
     def __neg__(self):
-        return _from_array(-self.array())
+        return _from_array(-self._c)
 
     def __mul__(self, other):
         if isinstance(other, TaylorJet):
             _check_same_order(self, other)
-            a, b = self.array(), other.array()
-            n = self.order + 1
-            out = np.array([np.dot(a[: k + 1], b[k::-1]) for k in range(n)])
-            return _from_array(out)
-        return _from_array(self.array() * float(other))
+            a, b = self._c, other._c
+            return _from_array(np.array([np.dot(a[: k + 1], b[k::-1]) for k in range(a.size)]))
+        return _from_array(self._c * float(other))
 
     __rmul__ = __mul__
 
@@ -107,7 +125,11 @@ def _const_array(c: float, order: int) -> np.ndarray:
 
 
 def _from_array(a: np.ndarray) -> TaylorJet:
-    return TaylorJet(tuple(float(v) for v in a))
+    """Jet that takes over a freshly computed float64 array without copying it."""
+    jet = object.__new__(TaylorJet)
+    a.setflags(write=False)
+    jet._c = a
+    return jet
 
 
 def jet_constant(c: float, order: int) -> TaylorJet:
@@ -133,18 +155,19 @@ def jet_spow(q: float, order: int) -> TaylorJet:
 
 def jet_exp(v: TaylorJet) -> TaylorJet:
     """exp of a jet via the logarithmic-derivative recurrence."""
-    a = v.array()
-    n = v.order + 1
+    a = v.coeffs
+    n = a.size
     e = np.empty(n)
     e[0] = math.exp(a[0])
+    ja = a[1:] * np.arange(1.0, n)
     for k in range(1, n):
-        e[k] = np.dot(np.arange(1, k + 1) * a[1 : k + 1], e[k - 1 :: -1]) / k
+        e[k] = ja[:k].dot(e[k - 1 :: -1]) / k
     return _from_array(e)
 
 
 def jet_pow(f: TaylorJet, q: float) -> TaylorJet:
     """f^q for real q; needs f(1) > 0."""
-    a = f.array()
+    a = f.coeffs
     n = f.order + 1
     if a[0] <= 0.0:
         raise ValueError("jet_pow requires a positive leading coefficient")
@@ -160,7 +183,7 @@ def jet_pow(f: TaylorJet, q: float) -> TaylorJet:
 
 def jet_recip(f: TaylorJet) -> TaylorJet:
     """1/f; needs f(1) != 0."""
-    a = f.array()
+    a = f.coeffs
     n = f.order + 1
     if a[0] == 0.0:
         raise ValueError("jet_recip requires a nonzero leading coefficient")
@@ -177,7 +200,7 @@ def jet_sqrt(f: TaylorJet) -> TaylorJet:
 
 def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
     _check_same_order(a, b)
-    aa, bb = a.array(), b.array()
+    aa, bb = a.coeffs, b.coeffs
     n = a.order + 1
     if bb[0] == 0.0:
         raise ValueError("jet_div requires a nonzero denominator at s = 1")
@@ -190,12 +213,12 @@ def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
 
 def jet_sin_cos(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
     """sin(u(s)) and cos(u(s)) by the coupled first-order recurrence."""
-    a = u.array()
+    a = u.coeffs
     n = u.order + 1
     s = np.empty(n)
     c = np.empty(n)
     s[0], c[0] = math.sin(a[0]), math.cos(a[0])
-    ja = np.arange(1, n) * a[1:]
+    ja = a[1:] * np.arange(1.0, n)
     for k in range(1, n):
         s[k] = np.dot(ja[:k], c[k - 1 :: -1]) / k
         c[k] = -np.dot(ja[:k], s[k - 1 :: -1]) / k
@@ -208,18 +231,18 @@ def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
     Built from Si' = sin(x)/x and Ci' = cos(x)/x composed with u, then
     integrated coefficientwise.
     """
-    a = u.array()
+    a = u.coeffs
     if a[0] <= 0.0:
         raise ValueError("jet_si_ci requires u(1) > 0")
     n = u.order + 1
     sj, cj = jet_sin_cos(u)
-    ds = jet_div(sj, u).array()
-    dc = jet_div(cj, u).array()
+    ds = jet_div(sj, u).coeffs
+    dc = jet_div(cj, u).coeffs
     si = np.empty(n)
     ci = np.empty(n)
     si0, ci0 = _sp.sici(a[0])
     si[0], ci[0] = si0, ci0
-    ja = np.arange(1, n) * a[1:]
+    ja = a[1:] * np.arange(1.0, n)
     for k in range(1, n):
         si[k] = np.dot(ds[:k], ja[:k][::-1]) / k
         ci[k] = np.dot(dc[:k], ja[:k][::-1]) / k
@@ -228,12 +251,12 @@ def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
 
 def jet_erfcx(u: TaylorJet) -> TaylorJet:
     """erfcx(u(s)) = exp(u^2) erfc(u) via v' = (2 u v - 2/sqrt(pi)) u'."""
-    a = u.array()
+    a = u.coeffs
     n = u.order + 1
     v = np.empty(n)
     v[0] = _sp.erfcx(a[0])
     two_over_rtpi = 2.0 / math.sqrt(math.pi)
-    ja = np.arange(1, n) * a[1:]
+    ja = a[1:] * np.arange(1.0, n)
     for k in range(1, n):
         acc = 0.0
         for m in range(k):
@@ -281,12 +304,11 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
     (Kahan) sum together with the cancellation ratio sum_i |c_i| / |sum|,
     which bounds the relative roundoff amplification of the sum.
     """
-    c = f.array()
     total = 0.0
     comp = 0.0
     absum = 0.0
     sign = 1.0
-    for v in c:
+    for v in f.coeffs.tolist():
         term = sign * v
         y = term - comp
         t = total + y
@@ -294,5 +316,5 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
         total = t
         absum += abs(v)
         sign = -sign
-    ratio = absum / max(abs(total), np.finfo(float).tiny)
+    ratio = absum / max(abs(total), _TINY)
     return total, ratio

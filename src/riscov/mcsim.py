@@ -52,6 +52,8 @@ log = logging.getLogger(__name__)
 _F32 = np.float32
 _R2_FLOOR = _F32(1e-6)      # 1 mm^2; keeps float32 path-gain finite
 _POOL_PAD_MIN = 1 << 19
+# elements of one block of per-element draws (see _element_amplitudes)
+_DRAW_BLOCK = 1 << 16
 _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
 
@@ -168,17 +170,33 @@ def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int) -> _F
 # ---------------------------------------------------------------------------
 
 def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
-    """(rows, N) products sqrt(Gamma(m_h)) sqrt(Gamma(m_r)) of unit-power Nakagami hops."""
-    return (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
-            * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
+    """(rows, N) products sqrt(Gamma(m_h)) sqrt(Gamma(m_r)) of unit-power Nakagami hops.
+
+    Later per-element draws, here and in _random_phase_sum, come a block of
+    rows at a time: the stream is that of one (rows, N) draw, and the result
+    is the only (rows, N) array alive.
+    """
+    amp = rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements))
+    np.sqrt(amp, out=amp)
+    step = max(1, _DRAW_BLOCK // n_elements)
+    for lo in range(0, rows, step):
+        block = amp[lo:lo + step]
+        block *= np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, block.shape))
+    return amp
 
 
 def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
                       rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the element sum under independent uniform phases."""
     amp = _element_amplitudes(rng, fading, n_elements, rows)
-    phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
-    return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
+    out = np.empty((2, rows))
+    step = max(1, _DRAW_BLOCK // n_elements)
+    for lo in range(0, rows, step):
+        block = amp[lo:lo + step]
+        phase = rng.uniform(-math.pi, math.pi, block.shape)
+        out[0, lo:lo + step] = (block * np.cos(phase)).sum(axis=1)
+        out[1, lo:lo + step] = (block * np.sin(phase)).sum(axis=1)
+    return out[0], out[1]
 
 
 def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
+from scipy.integrate import quad
 
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, SystemParams,
@@ -19,6 +20,8 @@ from riscov.analytic import (DivergenceError, SystemParams,
                              rate_nearest)
 from riscov.fading import dbm_to_watts
 from riscov.geometry import Window, sample_gpp
+from riscov.jets import (alternating_tail_sum, jet_constant, jet_exp, jet_hyp2f1_cov,
+                         jet_spow, jet_variable)
 from riscov.powerdist import signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
 
@@ -411,6 +414,123 @@ def test_jet_sums_match_high_order_differentiation(fig4_params):
     for i in range(7):
         ref = float(mp.diff(f, 1, i))
         assert jet.derivative(i) == pytest.approx(ref, rel=1e-5)
+
+
+def nearest_branches_by_jet_arithmetic(params: SystemParams, gamma_bar: float,
+                                       u: float) -> dict[str, float]:
+    """The nearest-association integrands at u, written as a chain of jet arithmetic."""
+    pl = params.path
+    a = pl.alpha
+    cd = pl.c_d
+    half_a = 0.5 * a
+    u_scale = (params.lambda_t * math.pi) ** -half_a
+    tiers = [(w, g) for w, g in ((params.p, params.e1), (1.0 - params.p, cd)) if w != 0.0]
+    out = {}
+    if params.p > 0.0:
+        fit = signal_gamma_fit(1.0, (pl.c_r / cd) * pl.d0**-a, params.fading,
+                               params.n_elements)
+        order = rounded_shape(fit.kappa) - 1
+        hyp = jet_constant(0.0, order)
+        for w, g in tiers:
+            hyp = hyp + w * jet_hyp2f1_cov(a, -(g / cd) * gamma_bar / fit.omega, order)
+        noise_coef = gamma_bar * params.gamma_t_inv / (cd * fit.omega) * u_scale
+        expo = -noise_coef * u**half_a * jet_variable(order) - u * hyp
+        out["surface"] = alternating_tail_sum(jet_exp(expo))[0]
+    if params.p < 1.0:
+        hyp_star = sum(w * hyp2f1_cov(a, -(g / cd) * gamma_bar) for w, g in tiers)
+        noise_star = gamma_bar * params.gamma_t_inv / cd * u_scale
+        out["direct"] = math.exp(-noise_star * u**half_a - u * hyp_star)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(2.05, 6.0), n_elements=st.integers(1, 512),
+       log_lambda=st.floats(-7.0, -1.0), p_tx_dbm=st.floats(-40.0, 30.0),
+       log_gamma=st.floats(-2.0, 3.0), p=st.floats(0.0, 1.0),
+       log_u=st.floats(-8.0, 2.0), interference_limited=st.booleans())
+def test_hoisted_integrands_match_jet_arithmetic(alpha, n_elements, log_lambda, p_tx_dbm,
+                                                 log_gamma, p, log_u, interference_limited):
+    """The array-expression exponents equal their jet-arithmetic definitions."""
+    base = SystemParams.default()
+    params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
+                                  path=dataclasses.replace(base.path, alpha=alpha),
+                                  p_tx_w=dbm_to_watts(p_tx_dbm),
+                                  interference_limited=interference_limited)
+    gamma_bar = 10.0**log_gamma
+    u = 10.0**log_u
+    expect = nearest_branches_by_jet_arithmetic(params, gamma_bar, u)
+    got = {name: integrand(u)
+           for _, integrand, name in analytic._nearest_integrands(params, gamma_bar)}
+    assert got.keys() == expect.keys()
+    for name, value in got.items():
+        assert math.isclose(value, expect[name], rel_tol=1e-14), name
+
+    fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, n_elements)
+    order = rounded_shape(fit.kappa) - 1
+    v = (-(gamma_bar * params.gamma_t_inv / fit.omega) * jet_variable(order)
+         - analytic._fixed_exponent(params, gamma_bar / fit.omega)
+         * jet_spow(2.0 / alpha, order))
+    fixed = min(max(alternating_tail_sum(jet_exp(v))[0], 0.0), 1.0)
+    assert math.isclose(coverage_fixed_ris(params, gamma_bar), fixed, rel_tol=1e-14)
+
+
+def test_public_evaluators_return_python_floats():
+    base = SystemParams.default(p=0.9)
+    path4 = dataclasses.replace(base.path, alpha=4.0)
+    noisy4 = SystemParams.default(p=0.9, path=path4)
+    quiet4 = SystemParams.default(p=0.9, path=path4, interference_limited=True)
+    values = {
+        "coverage_fixed_ris": coverage_fixed_ris(base, 1.0),
+        "coverage_fixed_noris": coverage_fixed_noris(base, 1.0),
+        "coverage_nearest": coverage_nearest(base, 1.0),
+        "coverage_nearest_alpha4": coverage_nearest_alpha4(noisy4, 1.0),
+        "coverage_nearest_intlimited": coverage_nearest_intlimited(quiet4, 1.0),
+        "rate_from_coverage": rate_from_coverage(lambda g: math.exp(-g)),
+        "rate_fixed with surface": rate_fixed(base, True),
+        "rate_fixed without surface": rate_fixed(base, False),
+        "rate_fixed_alpha4_intlim with surface": rate_fixed_alpha4_intlim(quiet4, True),
+        "rate_fixed_alpha4_intlim without surface": rate_fixed_alpha4_intlim(quiet4, False),
+        "rate_nearest": rate_nearest(SystemParams.default(p=0.5, n_elements=2,
+                                                          lambda_t=1e-3), False),
+        "rate_nearest interference limited": rate_nearest(quiet4, True),
+    }
+    assert {name: type(v) for name, v in values.items() if type(v) is not float} == {}
+
+
+def coverage_nearest_by_log_quadrature(params: SystemParams, gamma_bar: float) -> float:
+    """coverage_nearest's branch integrands integrated in s = ln u.
+
+    Both integrands are conditional coverage probabilities (at most 1) that
+    decay at least like a polynomial times exp(-u), so u in [1e-22, 200]
+    holds all of their mass to far below the test tolerance.
+    """
+    total = 0.0
+    for weight, integrand, _ in analytic._nearest_integrands(params, gamma_bar):
+        value, _ = quad(lambda s: integrand(math.exp(s)) * math.exp(s),
+                        math.log(1e-22), math.log(200.0), epsabs=1e-13, epsrel=1e-10,
+                        limit=500)
+        total += weight * value
+    return total
+
+
+_MASS_AT_SMALL_U = ("quad in u misses integrand mass at u << 1 (low power or high "
+                    "threshold); see ROADMAP open item 5")
+
+
+@pytest.mark.parametrize("lambda_t,p_tx_dbm,gamma_db", [
+    pytest.param(1e-4, -20.0, 0.0, id="mass-near-u-1"),
+    pytest.param(1e-3, 0.0, 3.0, id="dense-high-power"),
+    pytest.param(1e-5, -40.0, 0.0, id="both-branches-lost",
+                 marks=pytest.mark.xfail(strict=True, reason=_MASS_AT_SMALL_U)),
+    pytest.param(1e-5, -40.0, -3.0, id="direct-branch-lost",
+                 marks=pytest.mark.xfail(strict=True, reason=_MASS_AT_SMALL_U)),
+])
+def test_coverage_nearest_matches_log_u_quadrature(lambda_t, p_tx_dbm, gamma_db):
+    params = SystemParams.default(lambda_t=lambda_t, p=0.9, n_elements=32,
+                                  p_tx_w=dbm_to_watts(p_tx_dbm))
+    gamma_bar = 10.0 ** (gamma_db / 10.0)
+    expect = coverage_nearest_by_log_quadrature(params, gamma_bar)
+    assert coverage_nearest(params, gamma_bar) == pytest.approx(expect, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

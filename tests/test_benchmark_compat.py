@@ -48,3 +48,21 @@ def test_traced_pass_reports_every_per_layer_metric():
     assert metrics["analytic.coverage_nearest_intlimited.calls"] == 1
     assert metrics["jets.alternating_tail_sum.calls"] == 2
     assert metrics["jets.ops_computed"] > 0
+
+
+def test_traced_coverage_nearest_sees_quadrature_and_jets():
+    """The integrands call the public jet functions, so the trace sees the hot path."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        analytic.coverage_nearest(SystemParams.default(p=0.9), 1.0)
+    finally:
+        tracer.uninstall()
+
+    metrics = spans.layer_metrics(tracer.arrays(), {})
+    assert metrics["analytic.coverage_nearest.calls"] == 1
+    assert metrics["analytic.quad.calls"] == 2          # one per association branch
+    assert metrics["analytic.quad.neval"] > 0
+    assert metrics["jets.jet_exp.calls"] > 0
+    assert metrics["jets.alternating_tail_sum.calls"] == metrics["jets.jet_exp.calls"]

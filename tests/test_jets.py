@@ -36,6 +36,37 @@ def test_rejects_empty():
         TaylorJet(())
 
 
+@pytest.mark.parametrize("coeffs", [[], np.empty(0), 1.5, [[1.0, 2.0]], np.ones((2, 3))])
+def test_rejects_empty_and_non_vector_input(coeffs):
+    with pytest.raises(ValueError):
+        TaylorJet(coeffs)
+
+
+def test_value_semantics():
+    """Coefficients are read-only and copied in; jets compare and hash by value."""
+    source = np.array([1.0, -0.5, 0.25])
+    j = TaylorJet(source)
+    assert np.array_equal(TaylorJet((1.0, -0.5, 0.25)).coeffs, j.coeffs)
+    assert np.array_equal(TaylorJet([1, -0.5, 0.25]).coeffs, j.coeffs)
+    assert j.coeffs.dtype == np.float64 and j.array() is j.coeffs
+    with pytest.raises(ValueError):
+        j.coeffs[0] = 2.0
+    with pytest.raises(AttributeError):
+        j.coeffs = np.zeros(3)
+    source[0] = 9.0                      # the jet took a copy
+    assert j.coeffs[0] == 1.0
+    with pytest.raises(ValueError):      # results of arithmetic are read-only too
+        jet_exp(j).coeffs[0] = 0.0
+
+    same = TaylorJet([1.0, -0.5, 0.25])
+    assert j == same and hash(j) == hash(same)
+    assert j != TaylorJet([1.0, -0.5, 0.5])
+    assert j != TaylorJet([1.0, -0.5])
+    zero, negative_zero = TaylorJet([0.0]), TaylorJet([-0.0])
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert len({j, same, jet_variable(2)}) == 2
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         jet_variable(3) * jet_variable(4)

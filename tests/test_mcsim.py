@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats
 from riscov import mcsim
 from riscov.analytic import (SystemParams, coverage_fixed_noris,
                              coverage_fixed_ris)
-from riscov.fading import dbm_to_watts
+from riscov.fading import FadingParams, dbm_to_watts
 from riscov.geometry import Window, nearest_parent, sample_gpp
 from riscov.mcsim import (EmpiricalDistribution, McConfig, ccdf_rate_integral,
                           estimate_coverage, estimate_rate, simulate_sinr)
@@ -203,6 +204,38 @@ def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
     assert stats.ks_2samp(d2_block, d2_gpp).pvalue > 0.01
     assert stats.ks_2samp(implied_cos(d2_block, dr2_block),
                           implied_cos(d2_gpp, dr2_gpp)).pvalue > 0.01
+
+
+def one_shot_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
+    """Reference for _random_phase_sum: each per-element quantity drawn in one (rows, N) call."""
+    amp = (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
+           * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
+    phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
+    return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n_elements,rows,m", [(1, 70_000, 2.0), (32, 5000, 1.5),
+                                               (4096, 40, 3.0)])
+def test_blocked_draws_match_one_shot_draws(n_elements, rows, m):
+    """Block-wise draws give the same values and leave the generator in the same state."""
+    fading = FadingParams(m_h=m, m_r=2.0)
+    rng_blocked, rng_reference = np.random.default_rng(11), np.random.default_rng(11)
+    got = mcsim._random_phase_sum(rng_blocked, fading, n_elements, rows)
+    expect = one_shot_phase_sum(rng_reference, fading, n_elements, rows)
+    assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+    assert rng_blocked.random() == rng_reference.random()
+
+
+def test_random_phase_sum_holds_one_full_size_array():
+    rows, n_elements = 1 << 16, 32
+    tracemalloc.start()
+    try:
+        mcsim._random_phase_sum(np.random.default_rng(3), FadingParams(m_h=2.0, m_r=2.0),
+                                n_elements, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows * n_elements * 8
 
 
 def test_rayleigh_only_sanity():
