@@ -51,7 +51,7 @@ KEY_SPECS: dict[str, tuple[str, type]] = {
     "window_radius": ("simulation window radius, m", float),
     "trials": ("Monte Carlo trials per point", int),
     "seed": ("Monte Carlo seed", int),
-    "workers": ("parallel simulation workers", int),
+    "workers": ("simulation threads (0 = all available CPUs)", int),
     "pool_size": ("fading table rows", int),
     "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str),
 }
@@ -77,7 +77,7 @@ DEFAULTS: dict[str, object] = {
     "window_radius": 5000.0,
     "trials": 0,          # 0 = per-scenario default
     "seed": 1,
-    "workers": 1,
+    "workers": 0,         # 0 = all available CPUs
     "pool_size": 1 << 20,
     "strategy": "fixed_ris",
 }
@@ -104,6 +104,9 @@ class RunSpec:
         if self.setting("strategy") not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.setting('strategy')!r}; "
                              f"choose from {', '.join(STRATEGIES)}")
+        if int(self.setting("workers")) < 0:
+            raise ValueError("workers must be 0 (all available CPUs) or more, "
+                             f"got {self.setting('workers')}")
 
     def setting(self, key: str):
         return self.overrides.get(key, DEFAULTS[key])
@@ -131,12 +134,13 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
 def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
                seed_offset: int = 0) -> mcsim.McConfig:
     trials = int(spec.setting("trials")) or default_trials
+    workers = int(spec.setting("workers"))
     return mcsim.McConfig(trials=trials,
                           seed=int(spec.setting("seed")) + seed_offset,
                           params=params,
                           window=Window(float(spec.setting("window_radius"))),
                           pool_size=int(spec.setting("pool_size")),
-                          workers=int(spec.setting("workers")))
+                          **({"workers": workers} if workers else {}))
 
 
 # ---------------------------------------------------------------------------

@@ -257,12 +257,12 @@ def jet_erfcx(u: TaylorJet) -> TaylorJet:
     v[0] = _sp.erfcx(a[0])
     two_over_rtpi = 2.0 / math.sqrt(math.pi)
     ja = a[1:] * np.arange(1.0, n)
+    g = []          # g[m]: coefficient m of 2 u v - 2/sqrt(pi), formed once v[m] is known
     for k in range(1, n):
+        g.append(2.0 * np.dot(a[:k], v[k - 1::-1]) - (two_over_rtpi if k == 1 else 0.0))
         acc = 0.0
         for m in range(k):
-            uv_m = np.dot(a[: m + 1], v[m::-1])
-            g_m = 2.0 * uv_m - (two_over_rtpi if m == 0 else 0.0)
-            acc += g_m * ja[k - 1 - m]
+            acc += g[m] * ja[k - 1 - m]
         v[k] = acc / k
     return _from_array(v)
 

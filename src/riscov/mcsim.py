@@ -18,8 +18,8 @@ Implementation notes, all distribution-preserving:
   the table; rows inside a trial are distinct.  The marginal law of each
   composite is the full per-element one; no Gaussian shortcut is taken.
   The serving link never uses the table.
-* Trials are grouped into blocks with independent child seeds, so results
-  are reproducible regardless of worker scheduling.
+* Trials are grouped into blocks with independent child seeds, run on threads
+  sharing one table and joined in plan order: samples ignore the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,13 @@ _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation control: trial count, seed, observation window, scenario."""
@@ -67,7 +75,7 @@ class McConfig:
     params: SystemParams
     window: Window = field(default_factory=lambda: Window(5000.0))
     pool_size: int = 1 << 20
-    workers: int = 1
+    workers: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -378,16 +386,18 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     rows_per_trial = config.params.lambda_t * config.window.area
     pad = max(_POOL_PAD_MIN, int(3 * rows_per_trial) + 1024)
     if config.params.lambda_t > 0.0:
-        # build (or fetch) the shared fading table before any workers fork
+        # build (or fetch) the shared fading table before the threads start
         _get_table(config.params.n_elements, config.params.fading, config.pool_size, pad)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, strategy, forced_ris, n, child,
              config.pool_size, pad)
             for n, child in zip(sizes, children)]
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_run_block, jobs, chunksize=1))
+    threads = min(config.workers, len(jobs))
+    if threads > 1:
+        # numpy's random fills and ufuncs release the GIL, so blocks overlap
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_run_block, jobs))
     else:
         parts = [_run_block(j) for j in jobs]
     samples = np.concatenate(parts)

@@ -8,10 +8,15 @@ renaming one of them fails here instead of only when the benchmark runs.
 
 import importlib.util
 import json
+import threading
+import time
+import types
 from pathlib import Path
 
 import riscov.analytic as analytic
+import riscov.mcsim as mcsim
 from riscov.analytic import SystemParams
+from riscov.geometry import Window
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,3 +71,30 @@ def test_traced_coverage_nearest_sees_quadrature_and_jets():
     assert metrics["analytic.quad.neval"] > 0
     assert metrics["jets.jet_exp.calls"] > 0
     assert metrics["jets.alternating_tail_sum.calls"] == metrics["jets.jet_exp.calls"]
+
+
+def test_traced_threaded_simulation_records_spans_only_in_the_caller(monkeypatch):
+    """The span stack assumes one thread; only private functions run in the pool."""
+    spans = _load_spans()
+    threads = set()
+
+    def clock():
+        threads.add(threading.get_ident())
+        return time.perf_counter()
+
+    # every wrapper reads the tracer's clock at install time
+    monkeypatch.setattr(spans, "time", types.SimpleNamespace(perf_counter=clock))
+    config = mcsim.McConfig(trials=4000, seed=3, params=SystemParams.default(n_elements=4),
+                            window=Window(1000.0), workers=2)
+    assert len(mcsim._block_plan(config)) > 1
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        mcsim.simulate_sinr(config, "fixed", forced_ris=True)
+    finally:
+        tracer.uninstall()
+
+    metrics = spans.layer_metrics(tracer.arrays(), {})
+    assert metrics["mcsim.simulate_sinr.calls"] == 1
+    assert metrics["trace.spans"] == 1
+    assert threads == {threading.get_ident()}

@@ -110,6 +110,19 @@ def test_run_reproducible_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_default_workers_match_one_worker(tmp_path, capsys):
+    args = ["run", "custom", "--trials", "2000"]
+    serial = tmp_path / "serial.csv"
+    default = tmp_path / "default.csv"
+    assert main(args + ["--mode", "mc", "--workers", "1", "--out", str(serial)]) == 0
+    assert main(args + ["--mode", "mc", "--out", str(default)]) == 0
+    assert serial.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+    for mode in MODES:
+        assert main(args + ["--mode", mode, "--workers", "-1", "--out", str(default)]) == 1
+        assert "error: workers must be 0" in capsys.readouterr().err
+
+
 def test_run_no_interference_matches_rayleigh(tmp_path):
     out = tmp_path / "ray.csv"
     code = main(["run", "custom", "--mode", "mc", "--lambda-t", "0", "--p", "0",

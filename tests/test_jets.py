@@ -185,6 +185,33 @@ def test_jet_erfcx_vs_mpmath():
     assert np.allclose(got, ref, rtol=1e-12)
 
 
+def _jet_erfcx_cubic(u):
+    """The O(order^3) recurrence that recomputes every g_m for each k (oracle)."""
+    a = u.coeffs
+    n = u.order + 1
+    v = np.empty(n)
+    v[0] = sp.erfcx(a[0])
+    two_over_rtpi = 2.0 / math.sqrt(math.pi)
+    ja = a[1:] * np.arange(1.0, n)
+    for k in range(1, n):
+        acc = 0.0
+        for m in range(k):
+            g_m = 2.0 * np.dot(a[: m + 1], v[m::-1]) - (two_over_rtpi if m == 0 else 0.0)
+            acc += g_m * ja[k - 1 - m]
+        v[k] = acc / k
+    return v
+
+
+@pytest.mark.parametrize("order", [1, 24, 107, 407, 449])
+def test_jet_erfcx_matches_cubic_recurrence_bitwise(order):
+    rng = np.random.default_rng(20261018 + order)
+    a = rng.normal(size=order + 1) * rng.uniform(0.2, 0.9) ** np.arange(order + 1)
+    a[0] = rng.uniform(0.05, 3.0)
+    got = jet_erfcx(TaylorJet(a)).array()
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, _jet_erfcx_cubic(TaylorJet(a)))
+
+
 def test_jet_sin_cos_vs_mpmath():
     u = 1.3 * jet_spow(0.5, 6)
     sj, cj = jet_sin_cos(u)

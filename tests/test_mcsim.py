@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,10 +129,67 @@ def test_identical_config_identical_samples():
 
 def test_worker_count_does_not_change_samples():
     base = make_config(trials=4000, seed=21, window=1000.0)
-    multi = dataclasses.replace(base, workers=2)
-    a = simulate_sinr(base, "fixed", forced_ris=False)
-    b = simulate_sinr(multi, "fixed", forced_ris=False)
-    assert np.array_equal(a.sorted_samples, b.sorted_samples)
+    n_blocks = len(mcsim._block_plan(base))
+    assert n_blocks > 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # many thread switches inside every block
+    try:
+        for strategy, forced in (("fixed", False), ("fixed", True), ("nearest", None)):
+            serial = simulate_sinr(dataclasses.replace(base, workers=1), strategy, forced)
+            for cfg in (base, *(dataclasses.replace(base, workers=w)
+                                for w in (2, 3, n_blocks + 3))):
+                other = simulate_sinr(cfg, strategy, forced)
+                assert np.array_equal(other.sorted_samples, serial.sorted_samples), \
+                    (strategy, forced, cfg.workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_default_workers_are_the_available_cpus():
+    cfg = make_config(trials=100)
+    expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+    assert cfg.workers == expected >= 1
+
+
+def test_blocks_run_on_threads_not_processes(monkeypatch):
+    cfg = dataclasses.replace(make_config(trials=4000, seed=24, window=1000.0), workers=2)
+    assert len(mcsim._block_plan(cfg)) > 2
+    original = mcsim._run_block
+    barrier = threading.Barrier(2, timeout=30)
+    threads, children = [], []
+
+    def recording(args):
+        threads.append(threading.get_ident())
+        children.extend(multiprocessing.active_children())
+        if len(threads) <= 2:
+            barrier.wait()      # the first two blocks must overlap in time
+        return original(args)
+
+    monkeypatch.setattr(mcsim, "_run_block", recording)
+    simulate_sinr(cfg, "fixed", forced_ris=True)
+    assert len(set(threads)) == 2
+    assert threading.get_ident() not in threads
+    assert children == [] and multiprocessing.active_children() == []
+
+
+def test_pool_never_exceeds_the_block_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(mcsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+    cfg = dataclasses.replace(make_config(trials=4000, seed=25, window=1000.0), workers=64)
+    simulate_sinr(cfg, "fixed", forced_ris=False)
+    assert sizes == [len(mcsim._block_plan(cfg))]
+    # a single block runs inline, in the calling thread
+    one = dataclasses.replace(cfg, trials=200)
+    assert len(mcsim._block_plan(one)) == 1
+    simulate_sinr(one, "fixed", forced_ris=False)
+    assert len(sizes) == 1
 
 
 def test_trial_blocks_pass_runs_test():
