@@ -18,6 +18,11 @@ Implementation notes, all distribution-preserving:
   the table; rows inside a trial are distinct.  The marginal law of each
   composite is the full per-element one; no Gaussian shortcut is taken.
   The serving link never uses the table.
+* The table is built on the thread pool in fixed chunks, chunk k seeded by
+  child k of a root of fixed entropy and (N, m_h, m_r): one table for any
+  worker count and, as the root ignores McConfig.seed, for every seed and
+  sweep point of a process.  Float32 phases and cos/sin move an element sum
+  by about 1e-7 of its amplitude sum, below the table's float32 rounding.
 * Trials are grouped into blocks with independent child seeds, run on threads
   sharing one table and joined in plan order: samples ignore the worker count.
 """
@@ -57,6 +62,8 @@ _POOL_PAD_MIN = 1 << 19
 _DRAW_BLOCK = 1 << 16
 _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
+_TABLE_ENTROPY = 0x9B5C_17AD
+_TABLE_CHUNK_ELEMENTS = 1 << 20
 
 
 def _available_cpus() -> int:
@@ -137,40 +144,58 @@ class _FadingTable:
     the surface-offset geometry.
     """
 
-    def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int):
+    def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
+                 workers: int = 1):
         total = size + pad
         self.size = size
         self.pad = pad
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=0x9B5C_17AD,
-                                   spawn_key=(n_elements, int(fading.m_h * 8),
-                                              int(fading.m_r * 8)))
-        )
-        g = rng.standard_normal((total, 2)) * math.sqrt(0.5)
-        t_re = np.empty(total)
-        t_im = np.empty(total)
-        # the chunk bounds the (rows, N) temporaries and so the build's peak memory
-        chunk = max(1, (1 << 22) // max(n_elements, 1))
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            t_re[lo:hi], t_im[lo:hi] = _random_phase_sum(rng, fading, n_elements, hi - lo)
-        self.mag2_direct = (g[:, 0] ** 2 + g[:, 1] ** 2).astype(_F32)
-        self.mag2_scatter = (t_re**2 + t_im**2).astype(_F32)
-        self.cross = (2.0 * (g[:, 0] * t_re + g[:, 1] * t_im)).astype(_F32)
-        self.exp_direct = rng.standard_exponential(total).astype(_F32)
-        self.cos_offset = np.cos(rng.uniform(0.0, 2.0 * math.pi, total)).astype(_F32)
+        # the exact float bits key the stream, so every (m_h, m_r) gets its own
+        key = [n_elements, *np.float64([fading.m_h, fading.m_r]).view(np.uint64).tolist()]
+        root = np.random.SeedSequence(entropy=_TABLE_ENTROPY, spawn_key=key)
+        step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
+        cols = np.empty((5, total), dtype=_F32)
+        starts = range(0, total, step)
+        chunks = [(cols[:, lo:lo + step], child, n_elements, fading)
+                  for lo, child in zip(starts, root.spawn(len(starts)))]
+        _run_jobs(_fill_table_chunk, chunks, workers)
+        self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct, self.cos_offset = cols
+
+
+def _fill_table_chunk(args) -> None:
+    """Draw the five table columns of one chunk into out from the chunk's own seed."""
+    out, seed, n_elements, fading = args
+    rng = np.random.default_rng(seed)
+    rows = out.shape[1]
+    g = rng.standard_normal((2, rows)) * math.sqrt(0.5)
+    t_re, t_im = _random_phase_sum(rng, fading, n_elements, rows)
+    out[0] = g[0] ** 2 + g[1] ** 2
+    out[1] = t_re**2 + t_im**2
+    out[2] = 2.0 * (g[0] * t_re + g[1] * t_im)
+    out[3] = rng.standard_exponential(rows)
+    out[4] = np.cos(rng.uniform(0.0, 2.0 * math.pi, rows))
 
 
 _TABLE_CACHE: dict[tuple, _FadingTable] = {}
 
 
-def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int) -> _FadingTable:
+def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int,
+               workers: int = 1) -> _FadingTable:
     key = (n_elements, float(fading.m_h), float(fading.m_r), int(size), int(pad))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        tab = _FadingTable(n_elements, fading, size, pad)
+        tab = _FadingTable(n_elements, fading, size, pad, workers)
         _TABLE_CACHE[key] = tab
     return tab
+
+
+def _run_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], on min(workers, len(jobs)) threads when that exceeds one."""
+    threads = min(workers, len(jobs))
+    if threads > 1:
+        # numpy's random fills and ufuncs release the GIL, so jobs overlap
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +226,8 @@ def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
     step = max(1, _DRAW_BLOCK // n_elements)
     for lo in range(0, rows, step):
         block = amp[lo:lo + step]
-        phase = rng.uniform(-math.pi, math.pi, block.shape)
+        phase = rng.random(block.shape, dtype=_F32)
+        phase *= _F32(2.0 * math.pi)
         out[0, lo:lo + step] = (block * np.cos(phase)).sum(axis=1)
         out[1, lo:lo + step] = (block * np.sin(phase)).sum(axis=1)
     return out[0], out[1]
@@ -387,20 +413,14 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     pad = max(_POOL_PAD_MIN, int(3 * rows_per_trial) + 1024)
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
-        _get_table(config.params.n_elements, config.params.fading, config.pool_size, pad)
+        _get_table(config.params.n_elements, config.params.fading, config.pool_size, pad,
+                   config.workers)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, strategy, forced_ris, n, child,
              config.pool_size, pad)
             for n, child in zip(sizes, children)]
-    threads = min(config.workers, len(jobs))
-    if threads > 1:
-        # numpy's random fills and ufuncs release the GIL, so blocks overlap
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_block, jobs))
-    else:
-        parts = [_run_block(j) for j in jobs]
-    samples = np.concatenate(parts)
+    samples = np.concatenate(_run_jobs(_run_block, jobs, config.workers))
     samples.sort()
     return EmpiricalDistribution(samples)
 

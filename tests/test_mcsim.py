@@ -181,8 +181,10 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
     cfg = dataclasses.replace(make_config(trials=4000, seed=25, window=1000.0), workers=64)
+    # the fading table has its own pool (test_table_pool_never_exceeds_the_chunk_count)
+    simulate_sinr(dataclasses.replace(cfg, trials=200, workers=2), "fixed", forced_ris=False)
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
     simulate_sinr(cfg, "fixed", forced_ris=False)
     assert sizes == [len(mcsim._block_plan(cfg))]
     # a single block runs inline, in the calling thread
@@ -271,7 +273,7 @@ def one_shot_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
     """Reference for _random_phase_sum: each per-element quantity drawn in one (rows, N) call."""
     amp = (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
            * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
-    phase = rng.uniform(-math.pi, math.pi, (rows, n_elements))
+    phase = rng.random((rows, n_elements), dtype=np.float32) * np.float32(2.0 * math.pi)
     return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
 
 
@@ -297,6 +299,152 @@ def test_random_phase_sum_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * rows * n_elements * 8
+
+
+def test_float32_phase_trig_matches_float64():
+    """For the same float32 phases, float32 cos/sin move each element sum by < 1e-6 of sum(amp)."""
+    rng = np.random.default_rng(13)
+    amp = mcsim._element_amplitudes(rng, FadingParams(m_h=1.0, m_r=1.0), 32, 20_000)
+    phase = rng.random(amp.shape, dtype=np.float32) * np.float32(2.0 * math.pi)
+    assert np.cos(phase).dtype == np.float32
+    bound = 1e-6 * amp.sum(axis=1)
+    wide = phase.astype(np.float64)
+    for trig in (np.cos, np.sin):
+        gap = np.abs((amp * trig(phase)).sum(axis=1) - (amp * trig(wide)).sum(axis=1))
+        assert np.all(gap <= bound), trig
+
+
+# ---------------------------------------------------------------------------
+# fading table
+# ---------------------------------------------------------------------------
+
+TABLE_COLUMNS = ("mag2_direct", "mag2_scatter", "cross", "exp_direct", "cos_offset")
+
+
+def small_chunk_table(monkeypatch, workers, size=4096, pad=5000):
+    """N = 4 table in chunks of 1024 rows: 9 chunks, the last one partial."""
+    monkeypatch.setattr(mcsim, "_TABLE_CHUNK_ELEMENTS", 4096)
+    return mcsim._FadingTable(4, FadingParams(m_h=1.5, m_r=2.5), size, pad, workers)
+
+
+def test_table_is_the_same_for_any_worker_count(monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        serial = small_chunk_table(monkeypatch, 1)
+        for workers in (2, 3, 12):
+            other = small_chunk_table(monkeypatch, workers)
+            for name in TABLE_COLUMNS:
+                assert np.array_equal(getattr(other, name), getattr(serial, name)), \
+                    (workers, name)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in TABLE_COLUMNS:
+        col = getattr(serial, name)
+        assert col.dtype == np.float32 and col.shape == (4096 + 5000,)
+        # no chunk repeats another's draws (the partial last chunk has 904 rows)
+        heads = [col[lo:lo + 904] for lo in range(0, col.size, 1024)]
+        assert not any(np.array_equal(a, b) for i, a in enumerate(heads) for b in heads[:i])
+
+
+def test_table_chunks_run_on_pool_threads(monkeypatch):
+    original = mcsim._fill_table_chunk
+    barrier = threading.Barrier(2, timeout=30)
+    threads = []
+
+    def recording(args):
+        threads.append(threading.get_ident())
+        if len(threads) <= 2:
+            barrier.wait()      # the first two chunks must overlap in time
+        return original(args)
+
+    monkeypatch.setattr(mcsim, "_fill_table_chunk", recording)
+    small_chunk_table(monkeypatch, 2)
+    assert len(threads) == 9
+    assert len(set(threads)) == 2
+    assert threading.get_ident() not in threads
+
+
+def test_table_pool_never_exceeds_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(mcsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+    small_chunk_table(monkeypatch, 64)
+    small_chunk_table(monkeypatch, 2)
+    assert sizes == [9, 2]
+    # a table of one chunk is built inline, in the calling thread
+    small_chunk_table(monkeypatch, 64, size=512, pad=512)
+    assert len(sizes) == 2
+
+
+def test_table_build_peak_memory():
+    """The N = 32 build on two threads holds the table plus two chunks' temporaries."""
+    tracemalloc.start()
+    try:
+        tab = mcsim._FadingTable(32, FadingParams(m_h=2.0, m_r=2.0), 1 << 20, 1 << 19, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = 5 * tab.mag2_direct.nbytes
+    assert table_bytes == 5 * 4 * ((1 << 20) + (1 << 19))
+    assert peak < 2 * table_bytes
+
+
+def test_table_stream_is_keyed_on_exact_shapes():
+    """Shapes 2.0 and 2.1 once shared a stream (the key was int(8 m))."""
+    direct = [mcsim._FadingTable(4, FadingParams(m_h, m_r), 4096, 4096).mag2_direct
+              for m_h, m_r in ((2.0, 2.0), (2.1, 2.0), (2.0, 2.1))]
+    for i in range(3):
+        for j in range(i):
+            assert not np.array_equal(direct[i], direct[j]), (i, j)
+    same = mcsim._FadingTable(4, FadingParams(2, 2), 4096, 4096).mag2_direct
+    assert np.array_equal(same, direct[0])      # int and float shapes agree
+
+
+@pytest.mark.parametrize("n_elements", [4, 32])
+def test_table_columns_meet_moment_identities(n_elements):
+    """E|g|^2 = 1, E|T|^2 = N, E[cross] = 0, E[exp] = 1, E[cos phi] = 0, within 4 SE."""
+    tab = mcsim._FadingTable(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 16, 1 << 16, 2)
+    for name, expect in (("mag2_direct", 1.0), ("mag2_scatter", float(n_elements)),
+                         ("cross", 0.0), ("exp_direct", 1.0), ("cos_offset", 0.0)):
+        col = getattr(tab, name).astype(np.float64)
+        se = col.std() / math.sqrt(col.size)
+        assert abs(col.mean() - expect) <= 4.0 * se, (name, col.mean(), se)
+
+
+def test_replica_spread_matches_binomial_width(monkeypatch):
+    """Coverage estimates of replicas with their own tables spread like binomials.
+
+    Each replica reuses every row of its table about six times (314
+    interferers a trial, 10k trials, 528k rows); the replica variance of the
+    coverage estimate must sit inside the two-sided 1e-3 chi-square band of
+    p (1 - p) / trials.
+    """
+    replicas, trials = 30, 10_000
+    params = SystemParams.default(lambda_t=4e-4, n_elements=2)
+    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
+    estimates = []
+    for r in range(replicas):
+        monkeypatch.setattr(mcsim, "_TABLE_ENTROPY", 0x51DE + r)
+        mcsim._TABLE_CACHE.clear()
+        cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0),
+                       pool_size=4096)
+        estimates.append(estimate_coverage(simulate_sinr(cfg, "fixed", forced_ris=False),
+                                           0.25)[0])
+        (tab,) = mcsim._TABLE_CACHE.values()
+        rows = tab.size + tab.pad
+        assert trials * params.lambda_t * cfg.window.area >= 5 * rows
+    estimates = np.asarray(estimates)
+    prob = estimates.mean()
+    assert 0.2 < prob < 0.8
+    stat = (replicas - 1) * estimates.var(ddof=1) / (prob * (1.0 - prob) / trials)
+    low, high = stats.chi2.ppf([5e-4, 1.0 - 5e-4], replicas - 1)
+    assert low < stat < high, stat
 
 
 def test_rayleigh_only_sanity():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy import special as sp
-from scipy import stats
 
 from riscov.fading import FadingParams
 from riscov.mcsim import sample_interferer_power, sample_signal_power
@@ -224,11 +223,26 @@ def test_interferer_ccdf_matches_exponential_model():
     assert dev <= 0.01
 
 
-def test_interference_distribution_shape_independent():
-    """Interferer power law does not depend on the Nakagami shape."""
-    a = sample_interferer_power(ETA_G0, ETA_H0, FadingParams(1.0, 1.0), 32,
-                                100_000, seed=51)
-    b = sample_interferer_power(ETA_G0, ETA_H0, FadingParams(4.0, 4.0), 32,
-                                100_000, seed=52)
-    res = stats.ks_2samp(a.sorted_samples, b.sorted_samples)
-    assert res.pvalue > 0.01
+def test_interferer_power_moments_depend_on_shape():
+    """First two moments of one surface-bearing interferer's power at m = 1 and m = 4.
+
+    P = |sqrt(eta_g) g + sqrt(eta_h) T| ^ 2 with g ~ CN(0, 1) and T the sum of N
+    unit-power element products A e^(j phi), so E P = eta_g + N eta_h and
+    E P^2 = 2 eta_g^2 + 4 N eta_g eta_h + eta_h^2 E|T|^4, where
+    E|T|^4 = N E[A^4] + 2 N (N - 1) and E[A^4] = (1 + 1/m)^2.  The law thus
+    depends on the Nakagami shape at O(1/N), and 1M samples resolve that.
+    """
+    n_elements, n_samples = 32, 1_000_000
+    second = {}
+    for m, seed in ((1.0, 51), (4.0, 52)):
+        power = sample_interferer_power(ETA_G0, ETA_H0, FadingParams(m, m), n_elements,
+                                        n_samples, seed=seed).sorted_samples
+        t4 = n_elements * (1.0 + 1.0 / m) ** 2 + 2.0 * n_elements * (n_elements - 1)
+        mean = ETA_G0 + n_elements * ETA_H0
+        mean2 = 2.0 * ETA_G0**2 + 4.0 * n_elements * ETA_G0 * ETA_H0 + ETA_H0**2 * t4
+        se = power.std() / math.sqrt(n_samples)
+        se2 = (power**2).std() / math.sqrt(n_samples)
+        assert abs(power.mean() - mean) <= 4.0 * se, m
+        assert abs((power**2).mean() - mean2) <= 4.0 * se2, m
+        second[m] = (mean2, se2)
+    assert second[1.0][0] - second[4.0][0] > 4.0 * max(se2 for _, se2 in second.values())
