@@ -24,7 +24,7 @@ from .analytic import SystemParams
 from .fading import FadingParams, PathLossParams, db_to_linear, dbm_to_watts
 from .geometry import Window
 
-__all__ = ["RunSpec", "main", "parse_config", "render_config", "build_params"]
+__all__ = ["RunSpec", "main", "run", "parse_config", "render_config", "build_params"]
 
 MODES = ("analytic", "mc", "both")
 
@@ -34,7 +34,6 @@ STRATEGIES = ("fixed_ris", "fixed_noris", "nearest", "nearest_alpha4", "nearest_
 #: config/flag keys with units and parser; every SystemParams field is here.
 KEY_SPECS: dict[str, tuple[str, type]] = {
     "lambda_t": ("transmitters per m^2", float),
-    "lambda_u": ("users per m^2 (accepted and ignored: no expression uses it)", float),
     "p": ("surface association probability", float),
     "n_elements": ("reflecting elements per surface", int),
     "alpha": ("path-loss exponent", float),
@@ -60,7 +59,6 @@ _RUN_KEYS = ("scenario", "mode", "out")
 
 DEFAULTS: dict[str, object] = {
     "lambda_t": 1e-4,
-    "lambda_u": 1e-4,
     "p": 0.5,
     "n_elements": 32,
     "alpha": 2.5,
@@ -245,9 +243,7 @@ def _scenario_fig3(spec: RunSpec):
     from .powerdist import interferer_exp_param
     for n_el in (16, 32, 64):
         params = build_params(spec, n_elements=n_el)
-        d_g, d_r = params.d_g0, params.d_r0          # mirrored interferer geometry
-        eta_g = params.path.c_d * d_g ** -params.path.alpha
-        eta_h = params.path.c_r * (params.path.d0 * d_r) ** -params.path.alpha
+        eta_g, eta_h = params.eta_g0, params.eta_h0   # mirrored interferer geometry
         zeta = interferer_exp_param(eta_g, eta_h, n_el, True)
         model = np.exp(-zeta * x_lin)
         emp = np.full_like(model, np.nan)

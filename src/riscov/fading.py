@@ -1,29 +1,21 @@
-"""Path loss and small-scale fading for direct and surface-reflected links.
+"""Path-loss and fading parameters of direct and surface-reflected links.
 
 All internal math is linear; dB and dBm values are converted once at the
 boundary with the helpers below.  Direct links are Rayleigh; the two hops of
 a reflected link are Nakagami-m with unit spread, so squared magnitudes are
-Gamma(m, 1/m).
+Gamma(m, 1/m).  The serving-link path gains are SystemParams.eta_g0 and
+eta_h0; the per-element fading draws are mcsim._element_amplitudes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
     "PathLossParams",
     "FadingParams",
-    "pathloss_direct",
-    "pathloss_reflected",
-    "sample_nakagami_mag",
-    "sample_uniform_phase",
 ]
 
 
@@ -31,16 +23,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(w: float) -> float:
-    return 10.0 * math.log10(w) + 30.0
 
 
 @dataclass(frozen=True)
@@ -71,41 +55,3 @@ class FadingParams:
     def __post_init__(self):
         if self.m_h < 0.5 or self.m_r < 0.5:
             raise ValueError("Nakagami shape parameters must be at least 0.5")
-
-
-def pathloss_direct(params: PathLossParams, d: float) -> float:
-    """Linear power gain c_d * d^-alpha of a direct link of length d."""
-    if not d > 0.0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return params.c_d * d ** -params.alpha
-
-
-def pathloss_reflected(params: PathLossParams, d_r: float) -> float:
-    """Linear power gain c_r * (d0 * d_r)^-alpha of a two-hop reflected path."""
-    if not d_r > 0.0:
-        raise ValueError(f"distance must be positive, got {d_r}")
-    return params.c_r * (params.d0 * d_r) ** -params.alpha
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_nakagami_mag(m: float, count: int, seed) -> np.ndarray:
-    """i.i.d. Nakagami(m, 1) magnitudes, via the square root of Gamma(m, 1/m)."""
-    if m < 0.5:
-        raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    rng = _rng(seed)
-    return np.sqrt(rng.gamma(m, 1.0 / m, count))
-
-
-def sample_uniform_phase(count: int, seed) -> np.ndarray:
-    """i.i.d. phases uniform on [-pi, pi)."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    rng = _rng(seed)
-    return rng.uniform(-math.pi, math.pi, count)

@@ -1,29 +1,17 @@
-"""Spatial point processes: Poisson user field and transmitter/RIS clusters.
+"""Observation window of the simulated network.
 
-Transmitters form a homogeneous Poisson process on a disk window; each one
-independently carries a reflecting surface at a fixed offset distance with
-some probability, giving one- and two-point clusters.  Realizations keep
-plain coordinate arrays so tests and dumps stay cheap; the Monte Carlo
-engine samples the same distributions in radial form for speed.
+Transmitters form a homogeneous Poisson process on a disk window centred on
+the typical user; the Monte Carlo engine samples that field and its
+surface offsets in radial form (see mcsim), so the window is the only
+geometry object the package needs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "Window",
-    "Cluster",
-    "GppRealization",
-    "sample_hppp",
-    "sample_gpp",
-    "nearest_parent",
-    "realization_to_csv",
-]
+__all__ = ["Window"]
 
 
 @dataclass(frozen=True)
@@ -39,115 +27,3 @@ class Window:
     @property
     def area(self) -> float:
         return math.pi * self.radius**2
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """One transmitter with an optional reflecting surface at fixed offset."""
-
-    parent: tuple[float, float]
-    daughter: tuple[float, float] | None = None
-
-    @property
-    def has_ris(self) -> bool:
-        return self.daughter is not None
-
-
-@dataclass(frozen=True)
-class GppRealization:
-    """One sampled cluster field plus the parameters that generated it."""
-
-    parents: np.ndarray            # (K, 2) transmitter coordinates
-    has_ris: np.ndarray            # (K,) bool
-    daughters: np.ndarray          # (K, 2), NaN rows where has_ris is False
-    lambda_t: float
-    p: float
-    d0: float
-    window: Window = field(compare=False)
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.parents.shape[0])
-
-    @property
-    def clusters(self) -> list[Cluster]:
-        out = []
-        for k in range(self.n_clusters):
-            d = None
-            if self.has_ris[k]:
-                d = (float(self.daughters[k, 0]), float(self.daughters[k, 1]))
-            out.append(Cluster((float(self.parents[k, 0]), float(self.parents[k, 1])), d))
-        return out
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_hppp(density: float, window: Window, seed) -> np.ndarray:
-    """Homogeneous Poisson points on the disk window; returns an (K, 2) array.
-
-    Point count is Poisson(density * area); positions are i.i.d. uniform on
-    the disk.  Deterministic for a fixed integer seed.
-    """
-    if density < 0.0:
-        raise ValueError(f"density must be non-negative, got {density}")
-    rng = _rng(seed)
-    n = rng.poisson(density * window.area)
-    r = window.radius * np.sqrt(rng.random(n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_gpp(lambda_t: float, p: float, d0: float, window: Window, seed) -> GppRealization:
-    """Sample the transmitter/RIS cluster process.
-
-    Parents follow sample_hppp(lambda_t); each cluster independently gains a
-    daughter point with probability p, placed at distance exactly d0 in a
-    uniform direction.  Daughters may fall outside the window and are kept.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"association probability must be in [0, 1], got {p}")
-    if not d0 > 0.0:
-        raise ValueError(f"cluster offset must be positive, got {d0}")
-    rng = _rng(seed)
-    parents = sample_hppp(lambda_t, window, rng)
-    n = parents.shape[0]
-    has_ris = rng.random(n) < p
-    daughters = np.full((n, 2), np.nan)
-    k = int(has_ris.sum())
-    if k:
-        ang = rng.uniform(0.0, 2.0 * math.pi, k)
-        daughters[has_ris, 0] = parents[has_ris, 0] + d0 * np.cos(ang)
-        daughters[has_ris, 1] = parents[has_ris, 1] + d0 * np.sin(ang)
-    return GppRealization(parents, has_ris, daughters, lambda_t, p, d0, window)
-
-
-def nearest_parent(realization: GppRealization, query) -> tuple[int, float]:
-    """Index and distance of the parent closest to the query point.
-
-    Ties are broken toward the lowest index (np.argmin semantics).
-    """
-    if realization.n_clusters == 0:
-        raise ValueError("realization holds no clusters")
-    q = np.asarray(query, dtype=float)
-    d2 = ((realization.parents - q) ** 2).sum(axis=1)
-    idx = int(np.argmin(d2))
-    return idx, float(math.sqrt(d2[idx]))
-
-
-def realization_to_csv(realization: GppRealization, path) -> None:
-    """Dump a realization as cluster_id, parent_x, parent_y, has_ris, ris_x, ris_y."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "parent_x", "parent_y", "has_ris", "ris_x", "ris_y"])
-        for k in range(realization.n_clusters):
-            if realization.has_ris[k]:
-                rx, ry = realization.daughters[k]
-                w.writerow([k, realization.parents[k, 0], realization.parents[k, 1],
-                            1, rx, ry])
-            else:
-                w.writerow([k, realization.parents[k, 0], realization.parents[k, 1],
-                            0, "", ""])

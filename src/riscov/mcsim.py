@@ -9,8 +9,10 @@ Implementation notes, all distribution-preserving:
 * Only distances to the origin matter, so cluster geometry is sampled
   radially: parent squared radii are uniform on (0, R^2) and a surface
   offset enters through the law d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) with
-  phi uniform.  This is exactly the law of sample_gpp followed by distance
-  computations.
+  phi uniform.  This is exactly the law of distances in a coordinate
+  sample of the cluster field (each transmitter uniform on the disk, its
+  surface d0 away in a uniform direction); tests/oracles.py holds such a
+  sampler and the tests compare the two.
 * Interferer fading is expensive (per-element Nakagami magnitudes and
   uniform phases for every surface-bearing interferer), so it is drawn once
   into a large seeded table of per-cluster composites
@@ -29,7 +31,6 @@ Implementation notes, all distribution-preserving:
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -48,7 +49,6 @@ __all__ = [
     "simulate_sinr",
     "estimate_coverage",
     "estimate_rate",
-    "ccdf_rate_integral",
     "sample_signal_power",
     "sample_interferer_power",
 ]
@@ -122,13 +122,6 @@ class EmpiricalDistribution:
     def ci_halfwidth(self, prob: float) -> float:
         """95% binomial half-width for an empirical probability estimate."""
         return 1.96 * math.sqrt(max(prob * (1.0 - prob), 0.0) / self.n)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sinr"])
-            for v in self.sorted_samples:
-                w.writerow([repr(float(v))])
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +437,6 @@ def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
     rates = np.log2(1.0 + dist.sorted_samples)
     mean = float(rates.mean())
     return mean, float(1.96 * rates.std(ddof=1) / math.sqrt(dist.n))
-
-
-def ccdf_rate_integral(dist: EmpiricalDistribution) -> float:
-    """Rate recovered by integrating the empirical CCDF against 1/(1+x).
-
-    Exactly reproduces the sample mean of log2(1+x) up to roundoff; kept as
-    an independent consistency probe of the coverage-to-rate identity.
-    """
-    x = dist.sorted_samples
-    n = dist.n
-    log_terms = np.diff(np.log1p(np.concatenate(([0.0], x))))
-    surv = (n - np.arange(n)) / n
-    return float(np.dot(surv, log_terms) / math.log(2.0))
 
 
 # ---------------------------------------------------------------------------

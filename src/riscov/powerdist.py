@@ -23,7 +23,6 @@ __all__ = [
     "signal_moments",
     "signal_gamma_fit",
     "signal_ccdf",
-    "coeff_variation",
     "interferer_exp_param",
 ]
 
@@ -91,24 +90,12 @@ def sr_gamma_fit(fading: FadingParams, n_elements: int) -> GammaFit:
     return GammaFit(mean * mean / var, var / mean)
 
 
-def _sum_raw_moments(mu1: float, mu2: float, mu3: float, mu4: float, n: int):
-    """Raw moments 1..4 of a sum of n i.i.d. non-negative variables."""
-    s1 = n * mu1
-    s2 = n * mu2 + n * (n - 1) * mu1**2
-    s3 = n * mu3 + 3 * n * (n - 1) * mu2 * mu1 + n * (n - 1) * (n - 2) * mu1**3
-    s4 = (n * mu4 + 4 * n * (n - 1) * mu3 * mu1 + 3 * n * (n - 1) * mu2**2
-          + 6 * n * (n - 1) * (n - 2) * mu2 * mu1**2
-          + n * (n - 1) * (n - 2) * (n - 3) * mu1**4)
-    return s1, s2, s3, s4
-
-
 def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
-                   n_elements: int, exact_sr_moments: bool = False) -> SignalMoments:
+                   n_elements: int) -> SignalMoments:
     """Moment bookkeeping for the combined signal power.
 
-    The default follows the two-stage pipeline: third and fourth moments of
-    the element-sum come from its fitted gamma.  With exact_sr_moments the
-    exact sum moments are used instead, for sensitivity studies.
+    Two-stage pipeline: third and fourth moments of the element-sum come
+    from its fitted gamma.
     """
     if not eta_g0 > 0.0:
         raise ValueError(f"direct gain must be positive, got {eta_g0}")
@@ -118,14 +105,6 @@ def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
     mu_g = tuple(math.gamma(1.0 + 0.5 * q) for q in range(1, 5))
     if beta == 0.0:
         mu_s = (0.0, 0.0, 0.0, 0.0)
-    elif exact_sr_moments:
-        mh, mr = fading.m_h, fading.m_r
-
-        def mag_moment(m: float, q: int) -> float:
-            return math.exp(math.lgamma(m + 0.5 * q) - math.lgamma(m)) / m ** (0.5 * q)
-
-        prod = [mag_moment(mh, q) * mag_moment(mr, q) for q in range(1, 5)]
-        mu_s = _sum_raw_moments(*prod, n_elements)
     else:
         fit = sr_gamma_fit(fading, n_elements)
         mu_s = tuple(
@@ -139,13 +118,13 @@ def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
 
 
 def signal_gamma_fit(eta_g0: float, eta_h0: float, fading: FadingParams,
-                     n_elements: int, exact_sr_moments: bool = False) -> GammaFit:
+                     n_elements: int) -> GammaFit:
     """Gamma fit of the combined signal power.
 
     With a vanishing reflected gain this reduces to the exponential fit of a
     Rayleigh direct link (shape 1, scale eta_g0).
     """
-    sm = signal_moments(eta_g0, eta_h0, fading, n_elements, exact_sr_moments)
+    sm = signal_moments(eta_g0, eta_h0, fading, n_elements)
     var = sm.chi2 - sm.chi1**2
     if var <= 0.0:
         raise ValueError("degenerate combined-power variance; gamma fit undefined")
@@ -157,11 +136,6 @@ def signal_ccdf(fit: GammaFit, x: float) -> float:
     if x < 0.0:
         raise ValueError(f"power must be non-negative, got {x}")
     return reg_upper_gamma(fit.kappa, x / fit.omega)
-
-
-def coeff_variation(fit: GammaFit) -> float:
-    """Standard deviation over mean of the fitted power: kappa^-1/2."""
-    return 1.0 / math.sqrt(fit.kappa)
 
 
 def interferer_exp_param(eta_gk: float, eta_hk: float, n_elements: int,

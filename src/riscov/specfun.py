@@ -4,8 +4,8 @@ Everything here is real-valued and restricted to the parameter ranges that
 actually occur in the network model: path-loss exponents alpha > 2 and
 non-positive hypergeometric arguments.  The Gauss hypergeometric member
 2F1(1, -2/alpha; 1 - 2/alpha; z) is evaluated by a dedicated three-branch
-routine because its argument can span many orders of magnitude; the other
-functions are thin validated wrappers over scipy.special.
+routine because its argument can span many orders of magnitude; the
+regularized incomplete gammas are validated wrappers over scipy.special.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from scipy import special as _sp
 __all__ = [
     "reg_upper_gamma",
     "reg_lower_gamma",
-    "erfc_fn",
-    "erfcx_fn",
-    "sin_cos_integrals",
     "hyp2f1_cov",
 ]
 
@@ -46,28 +43,6 @@ def reg_lower_gamma(kappa: float, x: float) -> float:
     if x < 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
     return float(_sp.gammainc(kappa, x))
-
-
-def erfc_fn(x: float) -> float:
-    """Complementary error function."""
-    return float(_sp.erfc(x))
-
-
-def erfcx_fn(x: float) -> float:
-    """Scaled complementary error function exp(x^2) erfc(x).
-
-    Used instead of exp * erfc whenever the two factors would overflow and
-    underflow individually.
-    """
-    return float(_sp.erfcx(x))
-
-
-def sin_cos_integrals(x: float) -> tuple[float, float]:
-    """Sine and cosine integrals (Si(x), Ci(x)) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    si, ci = _sp.sici(x)
-    return float(si), float(ci)
 
 
 def _check_hyp_domain(alpha: float, z: float) -> None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
 
+from oracles import sample_gpp
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, SystemParams,
                              coverage_fixed_noris, coverage_fixed_ris,
@@ -19,7 +20,7 @@ from riscov.analytic import (DivergenceError, SystemParams,
                              rate_fixed_alpha4_intlim, rate_from_coverage,
                              rate_nearest)
 from riscov.fading import dbm_to_watts
-from riscov.geometry import Window, sample_gpp
+from riscov.geometry import Window
 from riscov.jets import (alternating_tail_sum, jet_constant, jet_exp, jet_hyp2f1_cov,
                          jet_spow, jet_variable)
 from riscov.powerdist import signal_gamma_fit
@@ -391,10 +392,9 @@ def test_coverage_nearest_alpha4_p0_single_branch():
     p = params_at(0.0, p=0.0, path=path)
     got = coverage_nearest_alpha4(p, 1.0)
     x3 = 1.0 * p.gamma_t_inv / p.path.c_d
-    from riscov.specfun import erfcx_fn, hyp2f1_cov
     x4 = math.pi * p.lambda_t * hyp2f1_cov(4.0, -1.0)
     expect = (math.pi * p.lambda_t / 2.0 * math.sqrt(math.pi)
-              * erfcx_fn(x4 / (2.0 * math.sqrt(x3))) / math.sqrt(x3))
+              * sp.erfcx(x4 / (2.0 * math.sqrt(x3))) / math.sqrt(x3))
     assert got == pytest.approx(expect, rel=1e-12)
 
 

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from riscov import analytic
+from riscov import analytic, cli
+from riscov.analytic import SystemParams
 from riscov.cli import (MODES, STRATEGIES, RunSpec, build_params, main,
                         parse_config, render_config)
+from riscov.mcsim import McConfig
 
 
 def read_csv(path):
@@ -61,6 +63,23 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("scenario = fig4\nnonsense = 1\n")
     assert main(["validate-config", str(cfg)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+    # the user density enters no expression, so it is not a key
+    cfg.write_text("scenario = custom\nlambda_u = 1e-4\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert "error: line 2: unknown config key 'lambda_u'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "custom", "--lambda-u", "1e-4"])
+
+
+def test_default_spec_matches_library_defaults():
+    """cli.DEFAULTS (dB units) and the library defaults describe one baseline."""
+    spec = RunSpec(scenario="custom")
+    params = build_params(spec)
+    assert params == SystemParams.default()
+    from_cli = cli._mc_config(spec, params, default_trials=100)
+    assert from_cli == McConfig(trials=100, seed=from_cli.seed, params=params)
+    assert from_cli.window.radius == cli.DEFAULTS["window_radius"]
+    assert from_cli.pool_size == cli.DEFAULTS["pool_size"]
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):

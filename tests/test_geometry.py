@@ -1,12 +1,18 @@
-import csv
+"""Window validation, and checks of the coordinate cluster sampler in tests/oracles.py.
+
+The sampler is the reference the simulator's radial laws are compared
+against (tests/test_mcsim.py, tests/test_analytic.py), so its own laws are
+pinned here.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from riscov.geometry import (GppRealization, Window, nearest_parent,
-                             realization_to_csv, sample_gpp, sample_hppp)
+from oracles import GppRealization, nearest_parent, sample_gpp, sample_hppp
+from riscov.geometry import Window
 
 
 def test_window_validation():
@@ -81,7 +87,7 @@ def test_hppp_void_probability():
 def test_gpp_p0_daughterless():
     real = sample_gpp(1e-4, 0.0, 3.0, Window(1000.0), seed=5)
     assert not real.has_ris.any()
-    assert all(c.daughter is None for c in real.clusters)
+    assert np.isnan(real.daughters).all()
 
 
 def test_gpp_daughter_offset_exact():
@@ -134,8 +140,7 @@ def test_gpp_deterministic():
 def _manual_realization(parents):
     parents = np.asarray(parents, dtype=float)
     n = parents.shape[0]
-    return GppRealization(parents, np.zeros(n, dtype=bool),
-                          np.full((n, 2), np.nan), 1e-4, 0.0, 3.0, Window(100.0))
+    return GppRealization(parents, np.zeros(n, dtype=bool), np.full((n, 2), np.nan))
 
 
 def test_nearest_parent_single():
@@ -168,25 +173,3 @@ def test_nearest_distance_mean_matches_rayleigh():
     expect = 1.0 / (2.0 * math.sqrt(lam))
     sd = math.sqrt((4.0 - math.pi) / (4.0 * math.pi * lam))
     assert abs(mean - expect) <= 3.0 * sd / math.sqrt(len(dists))
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-# ---------------------------------------------------------------------------
-
-def test_realization_csv_roundtrip(tmp_path):
-    real = sample_gpp(1e-4, 0.5, 3.0, Window(500.0), seed=3)
-    path = tmp_path / "field.csv"
-    realization_to_csv(real, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == real.n_clusters
-    k = int(rows[0]["cluster_id"])
-    assert float(rows[0]["parent_x"]) == pytest.approx(real.parents[k, 0])
-    flagged = sum(int(r["has_ris"]) for r in rows)
-    assert flagged == int(real.has_ris.sum())
-    for r in rows:
-        if int(r["has_ris"]):
-            d = math.hypot(float(r["ris_x"]) - float(r["parent_x"]),
-                           float(r["ris_y"]) - float(r["parent_y"]))
-            assert d == pytest.approx(3.0, rel=1e-9)

@@ -11,13 +11,14 @@ import pytest
 
 from scipy import stats
 
+from oracles import ccdf_rate_integral, nearest_parent, sample_gpp
 from riscov import mcsim
 from riscov.analytic import (SystemParams, coverage_fixed_noris,
                              coverage_fixed_ris)
 from riscov.fading import FadingParams, dbm_to_watts
-from riscov.geometry import Window, nearest_parent, sample_gpp
-from riscov.mcsim import (EmpiricalDistribution, McConfig, ccdf_rate_integral,
-                          estimate_coverage, estimate_rate, simulate_sinr)
+from riscov.geometry import Window
+from riscov.mcsim import (EmpiricalDistribution, McConfig, estimate_coverage,
+                          estimate_rate, simulate_sinr)
 from riscov.specfun import hyp2f1_cov
 
 
@@ -101,15 +102,6 @@ def test_estimate_rate_known_values():
     assert estimate_rate(zeros)[0] == 0.0
     ones = EmpiricalDistribution(np.ones(500))
     assert estimate_rate(ones)[0] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_to_csv(tmp_path):
-    dist = EmpiricalDistribution(np.array([0.5, 1.5, 2.5]))
-    path = tmp_path / "samples.csv"
-    dist.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sinr"
-    assert [float(v) for v in lines[1:]] == [0.5, 1.5, 2.5]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,7 @@ def test_trial_blocks_pass_runs_test():
 # ---------------------------------------------------------------------------
 
 def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
-    """The radial laws of _block_nearest against distances on sample_gpp fields.
+    """The radial laws of _block_nearest against distances on oracle sample_gpp fields.
 
     The serving distance d^2 = R^2 (1 - U^(1/k)) and the surface distance
     d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) are read back from the path gains

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from oracles import exact_signal_gamma_fit
+from riscov import mcsim
 from riscov.fading import FadingParams
 from riscov.mcsim import sample_interferer_power, sample_signal_power
-from riscov.powerdist import (GammaFit, coeff_variation, interferer_exp_param,
+from riscov.powerdist import (GammaFit, interferer_exp_param,
                               signal_ccdf, signal_gamma_fit, signal_moments,
                               sr_gamma_fit, sr_moments)
 
@@ -15,10 +17,10 @@ ETA_H0 = 1e-3 * (3.0 * math.hypot(20.0, 3.0)) ** -2.5
 
 
 def _mc_element_sum(m, n_elements, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    h = np.sqrt(rng.gamma(m, 1.0 / m, (n_samples, n_elements)))
-    r = np.sqrt(rng.gamma(m, 1.0 / m, (n_samples, n_elements)))
-    return (h * r).sum(axis=1)
+    """Element sums of the simulator's own per-element amplitude draws."""
+    amp = mcsim._element_amplitudes(np.random.default_rng(seed), FadingParams(m, m),
+                                    n_elements, n_samples)
+    return amp.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_fit_worst_corner():
 def test_exact_sr_moment_variant_close_to_pipeline():
     fad = FadingParams(2.0, 2.0)
     default = signal_gamma_fit(ETA_G0, ETA_H0, fad, 32)
-    exact = signal_gamma_fit(ETA_G0, ETA_H0, fad, 32, exact_sr_moments=True)
+    exact = exact_signal_gamma_fit(ETA_G0, ETA_H0, fad, 32)
     assert exact.mean == pytest.approx(default.mean, rel=1e-12)
     assert exact.kappa == pytest.approx(default.kappa, rel=0.05)
 
@@ -165,6 +167,11 @@ def test_exact_sr_moment_variant_close_to_pipeline():
 # ---------------------------------------------------------------------------
 # hardening metric
 # ---------------------------------------------------------------------------
+
+def coeff_variation(fit: GammaFit) -> float:
+    """Standard deviation over mean of the fitted power."""
+    return math.sqrt(fit.variance) / fit.mean
+
 
 def test_coeff_variation_exponential():
     assert coeff_variation(GammaFit(1.0, 2.0)) == 1.0

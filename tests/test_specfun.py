@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.integrate import quad
 
-from riscov.specfun import (erfc_fn, erfcx_fn, hyp2f1_cov, reg_lower_gamma,
-                            reg_upper_gamma, sin_cos_integrals)
+from riscov.jets import jet_constant, jet_erfcx, jet_si_ci, jet_variable
+from riscov.specfun import hyp2f1_cov, reg_lower_gamma, reg_upper_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +117,24 @@ def test_reg_upper_gamma_domain(kappa, x):
 
 
 # ---------------------------------------------------------------------------
-# erfc
+# erfc and the sine/cosine integrals, as the model evaluates them: the value
+# and first derivative of the jets jet_erfcx and jet_si_ci (tests/test_jets.py
+# checks every coefficient against mpmath)
 # ---------------------------------------------------------------------------
+
+def erfcx_fn(x: float) -> float:
+    return jet_erfcx(jet_constant(x, 0)).coeffs[0]
+
+
+def erfc_fn(x: float) -> float:
+    return math.exp(-x * x) * erfcx_fn(x)
+
+
+def sin_cos_integrals(x: float) -> tuple[float, float]:
+    """(Si(x), Ci(x)) from the value of a jet_si_ci jet."""
+    si, ci = jet_si_ci(jet_constant(x, 0))
+    return si.coeffs[0], ci.coeffs[0]
+
 
 def test_erfc_symmetry_point():
     assert erfc_fn(0.0) == 1.0
@@ -135,12 +152,8 @@ def test_erfc_reflection():
 
 def test_erfcx_consistency():
     for x in (0.3, 1.0, 5.0, 25.0):
-        assert erfcx_fn(x) == pytest.approx(math.exp(x * x) * erfc_fn(x), rel=1e-11)
+        assert erfcx_fn(x) == pytest.approx(math.exp(x * x) * sp.erfc(x), rel=1e-11)
 
-
-# ---------------------------------------------------------------------------
-# sine / cosine integrals
-# ---------------------------------------------------------------------------
 
 def test_si_vanishes_at_origin():
     si, _ = sin_cos_integrals(1e-12)
@@ -168,12 +181,11 @@ def test_si_envelope_bound():
 
 
 def test_si_ci_derivative_crosscheck():
-    h = 1e-5
+    # the order-1 coefficients of Si(x s), Ci(x s) are x Si'(x), x Ci'(x)
     for x in (0.7, 3.0, 9.0, 40.0):
-        sp, cp = sin_cos_integrals(x + h)
-        sm, cm = sin_cos_integrals(x - h)
-        assert (sp - sm) / (2 * h) == pytest.approx(math.sin(x) / x, abs=1e-6)
-        assert (cp - cm) / (2 * h) == pytest.approx(math.cos(x) / x, abs=1e-6)
+        si, ci = jet_si_ci(jet_constant(x, 1) * jet_variable(1))
+        assert si.coeffs[1] / x == pytest.approx(math.sin(x) / x, abs=1e-6)
+        assert ci.coeffs[1] / x == pytest.approx(math.cos(x) / x, abs=1e-6)
 
 
 def test_si_ci_domain():
