@@ -16,6 +16,10 @@ Two conventions used throughout:
   amplitude ratio (c_r/c_d * d0^-alpha)^(1/2) independent of the serving
   distance.  The Monte Carlo simulator does not use this approximation, so
   simulator-vs-formula gaps include it by design.
+
+A link without a surface is the surface model with zero reflected gain: its
+signal fit is the Rayleigh exponential (shape 1), so each coverage and rate
+expression has one evaluator, and a surface-free branch is its order-0 case.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 from scipy.integrate import quad
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
@@ -154,9 +157,9 @@ def default_threshold_grid(n_points: int = 50, low_db: float = -20.0,
     return 10.0 ** (np.linspace(low_db, high_db, n_points) / 10.0)
 
 
-def _round_shape(kappa: float) -> int:
-    """Round-half-up to the nearest integer, clamped to at least 1."""
-    return max(1, int(math.floor(kappa + 0.5)))
+def _jet_order(fit: GammaFit) -> int:
+    """Derivative-sum order of a fit: its shape rounded half up, at least 1, minus one."""
+    return max(1, int(math.floor(fit.kappa + 0.5))) - 1
 
 
 def _csc(x: float) -> float:
@@ -164,22 +167,25 @@ def _csc(x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _fixed_fit(params: SystemParams) -> GammaFit:
-    return signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading,
-                            params.n_elements)
+def _fixed_fit(params: SystemParams, with_ris: bool) -> GammaFit:
+    return signal_gamma_fit(params.eta_g0, params.eta_h0 if with_ris else 0.0,
+                            params.fading, params.n_elements)
 
 
 @lru_cache(maxsize=256)
-def _nearest_shape(params: SystemParams) -> GammaFit:
-    """Shape and normalized scale of the nearest-association signal fit.
+def _nearest_branches(params: SystemParams) -> tuple[tuple[float, GammaFit, str], ...]:
+    """(weight, signal fit, name) of each association branch of nonzero weight.
 
-    Feeding a unit direct gain makes the returned scale equal the
-    distance-free normalized scale chi_bar, since the amplitude ratio
+    Feeding a unit direct gain makes each fit's scale the distance-free
+    normalized scale chi_bar, since the amplitude ratio
     (c_r/c_d * d0^-alpha)^(1/2) does not depend on the serving distance.
+    The direct branch has zero reflected gain: shape 1, scale 1.
     """
     pl = params.path
     eta_ratio = (pl.c_r / pl.c_d) * pl.d0 ** -pl.alpha
-    return signal_gamma_fit(1.0, eta_ratio, params.fading, params.n_elements)
+    branches = ((params.p, eta_ratio, "surface"), (1.0 - params.p, 0.0, "direct"))
+    return tuple((weight, signal_gamma_fit(1.0, ratio, params.fading, params.n_elements), name)
+                 for weight, ratio, name in branches if weight != 0.0)
 
 
 def _tiers(params: SystemParams) -> list[tuple[float, float]]:
@@ -238,8 +244,8 @@ def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
 # Coverage, fixed association
 # ---------------------------------------------------------------------------
 
-def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
-    """Coverage of a fixed-distance serving link assisted by a surface.
+def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> float:
+    """Coverage of a fixed-distance serving link, with or without a surface.
 
     Evaluates the alternating derivative sum of exp(V(s)) at s = 1, where V
     collects the noise term and the two interference tiers scaled by the
@@ -248,8 +254,8 @@ def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    fit = _fixed_fit(params)
-    order = _round_shape(fit.kappa) - 1
+    fit = _fixed_fit(params, with_ris)
+    order = _jet_order(fit)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
     d = 2.0 / params.path.alpha
@@ -258,13 +264,14 @@ def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def coverage_fixed_ris(params: SystemParams, gamma_bar: float) -> float:
+    """Coverage of a fixed-distance serving link assisted by a surface."""
+    return _coverage_fixed(params, gamma_bar, True)
+
+
 def coverage_fixed_noris(params: SystemParams, gamma_bar: float) -> float:
-    """Coverage of a fixed-distance serving link without a surface (closed form)."""
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    eta = params.eta_g0
-    return math.exp(-(gamma_bar * params.gamma_t_inv / eta
-                      + _fixed_exponent(params, gamma_bar / eta)))
+    """Coverage of a fixed-distance serving link without a surface: exp(V(1))."""
+    return _coverage_fixed(params, gamma_bar, False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,48 +304,32 @@ def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
                          for weight, gain in _tiers(params)))
 
 
-def _nearest_hyp_scalar(params: SystemParams, gamma_bar: float) -> float:
-    """Same weighting for the surface-free branch: the order-0 coefficient at unit scale."""
-    return float(_nearest_hyp_jets(params, gamma_bar, 1.0, 0).coeffs[0])
-
-
 def _nearest_integrands(params: SystemParams, gamma_bar: float
                         ) -> list[tuple[float, Callable[[float], float], str]]:
     """(weight, integrand in u, name) of each association branch of nonzero weight.
 
     u = lambda_t pi r^2 folds the serving-distance density into a unit
-    exponential.  The surface branch integrates the derivative sum of
-    exp(-q u^(alpha/2) s - u H(s)), the direct branch exp(-q* u^(alpha/2) - u H*);
-    every jet and constant that does not depend on u is built here, once.
+    exponential.  Each branch integrates the derivative sum of
+    exp(-q u^(alpha/2) s - u H(s)); every jet and constant that does not
+    depend on u is built here, once.  An order-0 jet's derivative sum is its
+    value, so a one-coefficient branch is math.exp of that coefficient.
     """
-    a = params.path.alpha
-    cd = params.path.c_d
-    half_a = 0.5 * a
+    half_a = 0.5 * params.path.alpha
     u_scale = (params.lambda_t * math.pi) ** -half_a
-    p = params.p
     branches = []
-    if p > 0.0:
-        nfit = _nearest_shape(params)
-        chi_bar = nfit.omega
-        order = _round_shape(nfit.kappa) - 1
-        hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order).coeffs
-        lead = jet_variable(order).coeffs
-        noise_coef = gamma_bar * params.gamma_t_inv / (cd * chi_bar) * u_scale
-
-        def served_branch(u: float) -> float:
-            expo = lead * (-noise_coef * u**half_a) - u * hyp
-            val, _ = alternating_tail_sum(jet_exp(TaylorJet(expo)))
-            return val
-
-        branches.append((p, served_branch, "surface"))
-    if p < 1.0:
-        hyp_star = _nearest_hyp_scalar(params, gamma_bar)
-        noise_star = gamma_bar * params.gamma_t_inv / cd * u_scale
-
-        def bare_branch(u: float) -> float:
-            return math.exp(-noise_star * u**half_a - u * hyp_star)
-
-        branches.append((1.0 - p, bare_branch, "direct"))
+    for weight, fit, name in _nearest_branches(params):
+        order = _jet_order(fit)
+        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, order).coeffs
+        noise = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega) * u_scale
+        if order == 0:
+            def integrand(u: float, noise=noise, hyp=float(hyp[0])) -> float:
+                return math.exp(-noise * u**half_a - u * hyp)
+        else:
+            def integrand(u: float, noise=noise, hyp=hyp,
+                          lead=jet_variable(order).coeffs) -> float:
+                expo = lead * (-noise * u**half_a) - u * hyp
+                return alternating_tail_sum(jet_exp(TaylorJet(expo)))[0]
+        branches.append((weight, integrand, name))
     return branches
 
 
@@ -374,26 +365,16 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     if not params.lambda_t > 0.0:
         raise ValueError("nearest association requires a positive transmitter density")
     lam_pi = math.pi * params.lambda_t
-    cd = params.path.c_d
-    p = params.p
     total = 0.0
-    if p > 0.0:
-        nfit = _nearest_shape(params)
-        chi_bar = nfit.omega
-        order = _round_shape(nfit.kappa) - 1
-        quad_coef = gamma_bar * params.gamma_t_inv / (cd * chi_bar)
+    for weight, fit, _ in _nearest_branches(params):
+        order = _jet_order(fit)
+        quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
         x1 = quad_coef * jet_variable(order)
-        x2 = lam_pi * _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
+        x2 = lam_pi * _nearest_hyp_jets(params, gamma_bar, fit.omega, order)
         root = jet_sqrt(x1)
         kernel = math.sqrt(math.pi) * jet_erfcx(jet_div(x2, 2.0 * root)) * jet_recip(root)
         val, _ = alternating_tail_sum(kernel)
-        total += 0.5 * lam_pi * p * val
-    if p < 1.0:
-        x3 = gamma_bar * params.gamma_t_inv / cd
-        x4 = lam_pi * _nearest_hyp_scalar(params, gamma_bar)
-        kernel = (math.sqrt(math.pi) * float(_sp.erfcx(x4 / (2.0 * math.sqrt(x3))))
-                  / math.sqrt(x3))
-        total += 0.5 * lam_pi * (1.0 - p) * kernel
+        total += 0.5 * lam_pi * weight * val
     return min(max(total, 0.0), 1.0)
 
 
@@ -406,17 +387,11 @@ def coverage_nearest_intlimited(params: SystemParams, gamma_bar: float) -> float
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    p = params.p
     total = 0.0
-    if p > 0.0:
-        nfit = _nearest_shape(params)
-        chi_bar = nfit.omega
-        order = _round_shape(nfit.kappa) - 1
-        hyp = _nearest_hyp_jets(params, gamma_bar, chi_bar, order)
+    for weight, fit, _ in _nearest_branches(params):
+        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit))
         value, _ = alternating_tail_sum(jet_recip(hyp))
-        total += p * min(max(value, 0.0), 1.0)
-    if p < 1.0:
-        total += (1.0 - p) / _nearest_hyp_scalar(params, gamma_bar)
+        total += weight * min(max(value, 0.0), 1.0)
     return min(max(total, 0.0), 1.0)
 
 
@@ -445,9 +420,8 @@ def rate_from_coverage(coverage_fn: Callable[[float], float],
 
 def rate_fixed(params: SystemParams, with_ris: bool) -> float:
     """Rate of the fixed-association user, with or without a serving surface."""
-    if with_ris:
-        return rate_from_coverage(lambda g: coverage_fixed_ris(params, g))
-    return rate_from_coverage(lambda g: coverage_fixed_noris(params, g))
+    coverage = coverage_fixed_ris if with_ris else coverage_fixed_noris
+    return rate_from_coverage(lambda g: coverage(params, g))
 
 
 def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
@@ -462,18 +436,13 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
         raise ValueError("this closed form applies to the interference-limited regime")
     if not params.lambda_t > 0.0:
         raise ValueError("the noise-free rate is unbounded without interference")
-    if with_ris:
-        fit = _fixed_fit(params)
-        order = _round_shape(fit.kappa) - 1
-        v = _fixed_exponent(params, 1.0 / fit.omega) * jet_spow(0.5, order)
-        si, ci = jet_si_ci(v)
-        sj, cj = jet_sin_cos(v)
-        kernel = (math.pi - 2.0 * si) * sj - 2.0 * ci * cj
-        val, _ = alternating_tail_sum(kernel)
-        return val / math.log(2.0)
-    v = _fixed_exponent(params, 1.0 / params.eta_g0)
-    si, ci = (float(x) for x in _sp.sici(v))
-    return ((math.pi - 2.0 * si) * math.sin(v) - 2.0 * ci * math.cos(v)) / math.log(2.0)
+    fit = _fixed_fit(params, with_ris)
+    v = _fixed_exponent(params, 1.0 / fit.omega) * jet_spow(0.5, _jet_order(fit))
+    si, ci = jet_si_ci(v)
+    sj, cj = jet_sin_cos(v)
+    kernel = (math.pi - 2.0 * si) * sj - 2.0 * ci * cj
+    val, _ = alternating_tail_sum(kernel)
+    return val / math.log(2.0)
 
 
 def rate_nearest(params: SystemParams, interference_limited: bool) -> float:

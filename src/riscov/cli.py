@@ -51,7 +51,6 @@ KEY_SPECS: dict[str, tuple[str, type]] = {
     "trials": ("Monte Carlo trials per point", int),
     "seed": ("Monte Carlo seed", int),
     "workers": ("simulation threads (0 = all available CPUs)", int),
-    "pool_size": ("fading table rows", int),
     "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str),
 }
 
@@ -76,7 +75,6 @@ DEFAULTS: dict[str, object] = {
     "trials": 0,          # 0 = per-scenario default
     "seed": 1,
     "workers": 0,         # 0 = all available CPUs
-    "pool_size": 1 << 20,
     "strategy": "fixed_ris",
 }
 
@@ -137,7 +135,6 @@ def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
                           seed=int(spec.setting("seed")) + seed_offset,
                           params=params,
                           window=Window(float(spec.setting("window_radius"))),
-                          pool_size=int(spec.setting("pool_size")),
                           **({"workers": workers} if workers else {}))
 
 
@@ -244,7 +241,7 @@ def _scenario_fig3(spec: RunSpec):
     for n_el in (16, 32, 64):
         params = build_params(spec, n_elements=n_el)
         eta_g, eta_h = params.eta_g0, params.eta_h0   # mirrored interferer geometry
-        zeta = interferer_exp_param(eta_g, eta_h, n_el, True)
+        zeta = interferer_exp_param(eta_g, eta_h, n_el)
         model = np.exp(-zeta * x_lin)
         emp = np.full_like(model, np.nan)
         if do_mc:

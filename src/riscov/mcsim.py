@@ -57,6 +57,7 @@ log = logging.getLogger(__name__)
 
 _F32 = np.float32
 _R2_FLOOR = _F32(1e-6)      # 1 mm^2; keeps float32 path-gain finite
+_TABLE_ROWS = 1 << 20       # fading-table rows, before the pad that keeps windows contiguous
 _POOL_PAD_MIN = 1 << 19
 # elements of one block of per-element draws (see _element_amplitudes)
 _DRAW_BLOCK = 1 << 16
@@ -81,14 +82,11 @@ class McConfig:
     seed: int
     params: SystemParams
     window: Window = field(default_factory=lambda: Window(5000.0))
-    pool_size: int = 1 << 20
     workers: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
-        if self.pool_size < 1 << 12:
-            raise ValueError("fading table must hold at least 4096 rows")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
 
@@ -139,19 +137,28 @@ class _FadingTable:
 
     def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
                  workers: int = 1):
-        total = size + pad
         self.size = size
         self.pad = pad
         # the exact float bits key the stream, so every (m_h, m_r) gets its own
         key = [n_elements, *np.float64([fading.m_h, fading.m_r]).view(np.uint64).tolist()]
         root = np.random.SeedSequence(entropy=_TABLE_ENTROPY, spawn_key=key)
-        step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
-        cols = np.empty((5, total), dtype=_F32)
-        starts = range(0, total, step)
-        chunks = [(cols[:, lo:lo + step], child, n_elements, fading)
-                  for lo, child in zip(starts, root.spawn(len(starts)))]
-        _run_jobs(_fill_table_chunk, chunks, workers)
-        self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct, self.cos_offset = cols
+        (self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct,
+         self.cos_offset) = _table_columns(root, n_elements, fading, size + pad, workers)
+
+
+def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
+                   rows: int, workers: int) -> np.ndarray:
+    """(5, rows) float32 table columns in fixed chunks, chunk k from child k of root.
+
+    The chunk plan depends on N alone, so the columns ignore the worker count.
+    """
+    step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
+    cols = np.empty((5, rows), dtype=_F32)
+    starts = range(0, rows, step)
+    chunks = [(cols[:, lo:lo + step], child, n_elements, fading)
+              for lo, child in zip(starts, root.spawn(len(starts)))]
+    _run_jobs(_fill_table_chunk, chunks, workers)
+    return cols
 
 
 def _fill_table_chunk(args) -> None:
@@ -255,6 +262,11 @@ def _pow_neg_half_alpha(x2: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(x2, _F32(-0.5 * alpha))
 
 
+def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross):
+    """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from table columns |g|^2, |T|^2, 2 Re(g T*)."""
+    return eta_g * mag2_direct + eta_h * mag2_scatter + np.sqrt(eta_g * eta_h) * cross
+
+
 def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
                   k_ris: np.ndarray, k_non: np.ndarray,
                   low2: np.ndarray | float, span2: np.ndarray | float) -> np.ndarray:
@@ -303,8 +315,8 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
         d_r2 = r2 + _F32(d0 * d0) + _F32(2.0 * d0) * np.sqrt(r2) * tab.cos_offset[sl]
         d_r2 = np.maximum(d_r2, _R2_FLOOR)
         eta_h = _F32(pl.c_r) * _pow_neg_half_alpha(_F32(d0 * d0) * d_r2, alpha)
-        w = (eta_g * tab.mag2_direct[sl] + eta_h * tab.mag2_scatter[sl]
-             + np.sqrt(eta_g * eta_h) * tab.cross[sl])
+        w = _surface_interferer_power(eta_g, eta_h, tab.mag2_direct[sl],
+                                      tab.mag2_scatter[sl], tab.cross[sl])
         tid = np.repeat(np.arange(n_trials), k_ris)
         total += np.bincount(tid, weights=w, minlength=n_trials)
     return total
@@ -364,10 +376,9 @@ def _block_nearest(rng, tab, params: SystemParams, window: Window,
 
 
 def _run_block(args) -> np.ndarray:
-    (params, window, strategy, forced_ris, n_trials, child_seed,
-     pool_size, pad) = args
+    params, window, strategy, forced_ris, n_trials, child_seed, pad = args
     rng = np.random.default_rng(child_seed)
-    tab = (_get_table(params.n_elements, params.fading, pool_size, pad)
+    tab = (_get_table(params.n_elements, params.fading, _TABLE_ROWS, pad)
            if params.lambda_t > 0.0 else None)
     if strategy == "fixed":
         return _block_fixed(rng, tab, params, window, forced_ris, n_trials)
@@ -406,12 +417,11 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     pad = max(_POOL_PAD_MIN, int(3 * rows_per_trial) + 1024)
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
-        _get_table(config.params.n_elements, config.params.fading, config.pool_size, pad,
+        _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad,
                    config.workers)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    jobs = [(config.params, config.window, strategy, forced_ris, n, child,
-             config.pool_size, pad)
+    jobs = [(config.params, config.window, strategy, forced_ris, n, child, pad)
             for n, child in zip(sizes, children)]
     samples = np.concatenate(_run_jobs(_run_block, jobs, config.workers))
     samples.sort()
@@ -440,7 +450,7 @@ def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Distribution-validation sampling (fresh per-element fading, no table)
+# Distribution-validation sampling
 # ---------------------------------------------------------------------------
 
 def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
@@ -458,16 +468,15 @@ def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
 
 def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: int,
                             n_samples: int, seed) -> EmpiricalDistribution:
-    """Draws of one surface-bearing interferer's power, fully per element."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    chunk = max(1, (1 << 23) // max(n_elements, 1))
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        rows = hi - lo
-        g = rng.standard_normal((rows, 2)) * math.sqrt(0.5)
-        t_re, t_im = _random_phase_sum(rng, fading, n_elements, rows)
-        out[lo:hi] = ((math.sqrt(eta_gk) * g[:, 0] + math.sqrt(eta_hk) * t_re) ** 2
-                      + (math.sqrt(eta_gk) * g[:, 1] + math.sqrt(eta_hk) * t_im) ** 2)
+    """Draws of one surface-bearing interferer's power, fully per element.
+
+    The rows come from the fading table's chunk sampler rooted at seed and are
+    combined as the interference kernel combines them, so these are draws of
+    the float32 table the simulator uses.
+    """
+    mag2_direct, mag2_scatter, cross, _, _ = _table_columns(
+        np.random.SeedSequence(seed), n_elements, fading, n_samples, _available_cpus())
+    out = _surface_interferer_power(_F32(eta_gk), _F32(eta_hk), mag2_direct, mag2_scatter,
+                                    cross).astype(float)
     out.sort()
     return EmpiricalDistribution(out)

@@ -138,18 +138,15 @@ def signal_ccdf(fit: GammaFit, x: float) -> float:
     return reg_upper_gamma(fit.kappa, x / fit.omega)
 
 
-def interferer_exp_param(eta_gk: float, eta_hk: float, n_elements: int,
-                         has_ris: bool) -> float:
+def interferer_exp_param(eta_gk: float, eta_hk: float, n_elements: int) -> float:
     """Rate parameter of the exponential per-interferer power.
 
     A surface-bearing interferer adds n_elements * eta_hk of incoherent
-    scattered power to the direct term; without a surface only the Rayleigh
-    direct power remains.
+    scattered power to the direct term; a surface-free one has eta_hk = 0,
+    which leaves the Rayleigh direct power alone.
     """
     if not eta_gk > 0.0:
         raise ValueError(f"direct gain must be positive, got {eta_gk}")
     if eta_hk < 0.0:
         raise ValueError(f"reflected gain must be non-negative, got {eta_hk}")
-    if has_ris:
-        return 1.0 / (eta_gk + n_elements * eta_hk)
-    return 1.0 / eta_gk
+    return 1.0 / (eta_gk + n_elements * eta_hk)

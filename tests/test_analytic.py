@@ -297,7 +297,7 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
         mp_ctx.setattr(analytic, "alternating_tail_sum", recording_sum)
         coverage_fixed_ris(params, 10.0**log_gamma)
         coverage_nearest_intlimited(params, 10.0**log_gamma)
-    assert len(ratios) == (2 if p > 0.0 else 1)
+    assert len(ratios) == 1 + (p > 0.0) + (p < 1.0)
     assert max(ratios) <= 1.0 + 1e-12
 
 
@@ -316,6 +316,27 @@ def test_coverage_fixed_noris_rayleigh_reduction():
     for g in (0.3, 1.0, 5.0):
         expect = math.exp(-g * p.gamma_t_inv / p.eta_g0)
         assert coverage_fixed_noris(p, g) == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(2.05, 6.0), n_elements=st.integers(1, 512),
+       log_lambda=st.floats(-7.0, -1.0), log_gamma=st.floats(-2.0, 3.0),
+       p=st.floats(0.0, 1.0), p_tx_dbm=st.floats(-40.0, 30.0),
+       d_g0=st.floats(1.0, 500.0), noise_free=st.booleans())
+def test_coverage_fixed_noris_is_the_exponential_closed_form(alpha, n_elements, log_lambda,
+                                                             log_gamma, p, p_tx_dbm, d_g0,
+                                                             noise_free):
+    """Zero reflected gain gives shape 1, so the derivative sum is exp(V(1)) bit for bit."""
+    params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
+                                  path=dataclasses.replace(SystemParams.default().path,
+                                                           alpha=alpha),
+                                  p_tx_w=dbm_to_watts(p_tx_dbm), d_g0=d_g0,
+                                  interference_limited=noise_free)
+    gamma_bar = 10.0**log_gamma
+    eta = params.eta_g0
+    expect = math.exp(-(gamma_bar * params.gamma_t_inv / eta
+                        + analytic._fixed_exponent(params, gamma_bar / eta)))
+    assert coverage_fixed_noris(params, gamma_bar) == expect
 
 
 def test_coverage_fixed_noris_crossing_power():

@@ -51,7 +51,8 @@ def test_traced_pass_reports_every_per_layer_metric():
     assert declared - set(metrics) == _WORKER_METRICS
     assert metrics["analytic.coverage_fixed_ris.calls"] == 1
     assert metrics["analytic.coverage_nearest_intlimited.calls"] == 1
-    assert metrics["jets.alternating_tail_sum.calls"] == 2
+    # one sum for the fixed link, one per association branch of the nearest one
+    assert metrics["jets.alternating_tail_sum.calls"] == 3
     assert metrics["jets.ops_computed"] > 0
 
 

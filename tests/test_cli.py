@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -71,6 +72,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         main(["run", "custom", "--lambda-u", "1e-4"])
 
 
+def test_fading_table_size_is_not_a_key(tmp_path, capsys):
+    """The simulator fixes its table size, so a config naming it is refused."""
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("scenario = custom\npool_size = 4096\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert "error: line 2: unknown config key 'pool_size'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "custom", "--pool-size", "4096"])
+
+
 def test_default_spec_matches_library_defaults():
     """cli.DEFAULTS (dB units) and the library defaults describe one baseline."""
     spec = RunSpec(scenario="custom")
@@ -79,7 +90,6 @@ def test_default_spec_matches_library_defaults():
     from_cli = cli._mc_config(spec, params, default_trials=100)
     assert from_cli == McConfig(trials=100, seed=from_cli.seed, params=params)
     assert from_cli.window.radius == cli.DEFAULTS["window_radius"]
-    assert from_cli.pool_size == cli.DEFAULTS["pool_size"]
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):
@@ -192,3 +202,38 @@ def test_run_writes_summary(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     assert main(["run", "fig3", "--mode", "analytic", "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
+
+
+# sha256 of `riscov run <args> --mode analytic` CSVs: a refactor of the analytic
+# layer must leave every byte of these columns as it is.
+ANALYTIC_CSV_SHA256 = {
+    "fig2": (["fig2"], "b6539f7e4e4d586bc8a248ed281c05eaff4c3b83f3ff866ebb3421216ff2cfba"),
+    "fig3": (["fig3"], "8e6f6e58bebb69ae6f5065734b4f2b29c2cc46b898c3545db92be0fe7d09aabc"),
+    "fig4": (["fig4"], "f45552b302a2d2aed92787adeee8b2dea76f7a43937c0441fa1717dcb0fc12cb"),
+    "fig5": (["fig5"], "058383015f0263040fbcc2c1c98f6e8545137e6cec970d6859e4f2a16abe3a73"),
+    "fig6": (["fig6"], "39a1a91fb26444923f15ef76866739152d31e0b2e4b0a21dba3e79dd76d1c54a"),
+    "fig7": (["fig7"], "1c875699a031e733f11f7c06a21667a9ed39357ce3585ab1cd7d837794e89de0"),
+    "fig8": (["fig8"], "6841f9e871086c59b9e76fd1285364f12893bb23b576d0b74aa6d7a3cb862d8c"),
+    "nearest-p0": (["custom", "--strategy", "nearest", "--p", "0"],
+                   "cacbcfca9e54fcc98bd4b463c62b537847ee0d63e3105ac25f5c5769c09a65c1"),
+    "nearest-p1": (["custom", "--strategy", "nearest", "--p", "1"],
+                   "c2bc35a4d41120d5882da93875d100d41a2859bf57a86f9c41f90425fbee0995"),
+    "nearest_intlimited-p0": (["custom", "--strategy", "nearest_intlimited", "--p", "0"],
+                              "9e0645d546f45d76672603eef11689810a0703bc614e8db127ac3795153a98c1"),
+    "nearest_intlimited-p1": (["custom", "--strategy", "nearest_intlimited", "--p", "1"],
+                              "6f8f1be528ea53264c8f4a9a47d8e359351f1e8544a3c1ffe0c5958a01402012"),
+    "nearest_alpha4-p0": (["custom", "--strategy", "nearest_alpha4", "--alpha", "4", "--p", "0"],
+                          "7b3b0db7c387646764e2ad7cb88cf350873bd4de482d6e4ee2ae32a3bf103d25"),
+    "nearest_alpha4-p1": (["custom", "--strategy", "nearest_alpha4", "--alpha", "4", "--p", "1"],
+                          "a925ce6e5ece1be43efaaeef4a687e41f53c28ac3950833fb2c9fa051f655b21"),
+    "fixed_noris": (["custom", "--strategy", "fixed_noris"],
+                    "f3bdc9c43eb8387763930b36e26d0699729eae19b69c1609cefb56b2fc659713"),
+}
+
+
+@pytest.mark.parametrize("run_id", list(ANALYTIC_CSV_SHA256))
+def test_analytic_csv_bytes_are_unchanged(tmp_path, run_id):
+    args, digest = ANALYTIC_CSV_SHA256[run_id]
+    out = tmp_path / "out.csv"
+    assert main(["run", *args, "--mode", "analytic", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -55,8 +55,6 @@ def truncated_noris_coverage(params: SystemParams, gamma_bar: float,
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(trials=0)
-    with pytest.raises(ValueError):
-        McConfig(trials=10, seed=1, params=SystemParams.default(), pool_size=100)
 
 
 def test_strategy_validation():
@@ -194,8 +192,7 @@ def test_trial_blocks_pass_runs_test():
     pad = max(1 << 19, int(3 * cfg.params.lambda_t * cfg.window.area) + 1024)
     means = []
     for n, child in zip(sizes, children):
-        sinr = mcsim._run_block((cfg.params, cfg.window, "fixed", True, n,
-                                 child, cfg.pool_size, pad))
+        sinr = mcsim._run_block((cfg.params, cfg.window, "fixed", True, n, child, pad))
         means.append(np.log2(1.0 + sinr).mean())
     means = np.asarray(means)
     assert means.size >= 30
@@ -420,12 +417,12 @@ def test_replica_spread_matches_binomial_width(monkeypatch):
     replicas, trials = 30, 10_000
     params = SystemParams.default(lambda_t=4e-4, n_elements=2)
     monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
+    monkeypatch.setattr(mcsim, "_TABLE_ROWS", 4096)
     estimates = []
     for r in range(replicas):
         monkeypatch.setattr(mcsim, "_TABLE_ENTROPY", 0x51DE + r)
         mcsim._TABLE_CACHE.clear()
-        cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0),
-                       pool_size=4096)
+        cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0))
         estimates.append(estimate_coverage(simulate_sinr(cfg, "fixed", forced_ris=False),
                                            0.25)[0])
         (tab,) = mcsim._TABLE_CACHE.values()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from oracles import exact_signal_gamma_fit
@@ -80,10 +82,12 @@ def test_sr_gamma_fit_ks_distance():
 # combined signal fit
 # ---------------------------------------------------------------------------
 
-def test_signal_fit_no_surface_reduces_to_exponential():
-    fit = signal_gamma_fit(ETA_G0, 0.0, FadingParams(1.0, 1.0), 16)
-    assert fit.kappa == pytest.approx(1.0, rel=1e-12)
-    assert fit.omega == pytest.approx(ETA_G0, rel=1e-12)
+@settings(max_examples=100, deadline=None)
+@given(eta=st.floats(1e-15, 1e3), m_h=st.floats(0.5, 64.0), m_r=st.floats(0.5, 64.0),
+       n_elements=st.integers(1, 4096))
+def test_signal_fit_no_surface_reduces_to_exponential(eta, m_h, m_r, n_elements):
+    """Zero reflected gain is exactly the Rayleigh exponential, whatever the surface."""
+    assert signal_gamma_fit(eta, 0.0, FadingParams(m_h, m_r), n_elements) == GammaFit(1.0, eta)
 
 
 def test_signal_moments_direct_magnitudes():
@@ -210,12 +214,12 @@ def test_quantile_spread_shrinks_with_elements():
 # ---------------------------------------------------------------------------
 
 def test_interferer_param_without_surface():
-    assert interferer_exp_param(2e-7, 5e-9, 32, False) == pytest.approx(5e6, rel=1e-12)
+    assert interferer_exp_param(2e-7, 0.0, 32) == pytest.approx(5e6, rel=1e-12)
 
 
 def test_interferer_param_zero_elements_continuity():
-    assert interferer_exp_param(2e-7, 5e-9, 0, True) == pytest.approx(
-        interferer_exp_param(2e-7, 5e-9, 32, False), rel=1e-12)
+    assert interferer_exp_param(2e-7, 5e-9, 0) == pytest.approx(
+        interferer_exp_param(2e-7, 0.0, 32), rel=1e-12)
 
 
 def test_interferer_ccdf_matches_exponential_model():
@@ -223,7 +227,7 @@ def test_interferer_ccdf_matches_exponential_model():
     eta_g = ETA_G0
     eta_h = ETA_H0
     fad = FadingParams(1.0, 1.0)
-    zeta = interferer_exp_param(eta_g, eta_h, 32, True)
+    zeta = interferer_exp_param(eta_g, eta_h, 32)
     dist = sample_interferer_power(eta_g, eta_h, fad, 32, 1_000_000, seed=41)
     grid = np.quantile(dist.sorted_samples, np.linspace(0.02, 0.98, 25))
     dev = max(abs(math.exp(-zeta * x) - float(dist.ccdf(float(x)))) for x in grid)
