@@ -31,51 +31,27 @@ MODES = ("analytic", "mc", "both")
 #: custom-scenario strategies; each names the analytic.coverage_<strategy> function.
 STRATEGIES = ("fixed_ris", "fixed_noris", "nearest", "nearest_alpha4", "nearest_intlimited")
 
-#: config/flag keys with units and parser; every SystemParams field is here.
-KEY_SPECS: dict[str, tuple[str, type]] = {
-    "lambda_t": ("transmitters per m^2", float),
-    "p": ("surface association probability", float),
-    "n_elements": ("reflecting elements per surface", int),
-    "alpha": ("path-loss exponent", float),
-    "c_d_db": ("direct unit-distance gain, dB", float),
-    "c_r_db": ("reflected unit-distance gain, dB", float),
-    "d0": ("transmitter-to-surface offset, m", float),
-    "d_g0": ("fixed-association serving distance, m", float),
-    "m_h": ("Nakagami shape, transmitter-to-surface hop", float),
-    "m_r": ("Nakagami shape, surface-to-user hop", float),
-    "p_tx_dbm": ("transmit power, dBm", float),
-    "noise_dbm": ("noise power, dBm", float),
-    "interference_limited": ("1 to drop the noise term", int),
-    "gamma_bar_db": ("SINR threshold, dB", float),
-    "window_radius": ("simulation window radius, m", float),
-    "trials": ("Monte Carlo trials per point", int),
-    "seed": ("Monte Carlo seed", int),
-    "workers": ("simulation threads (0 = all available CPUs)", int),
-    "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str),
-}
-
-_RUN_KEYS = ("scenario", "mode", "out")
-
-DEFAULTS: dict[str, object] = {
-    "lambda_t": 1e-4,
-    "p": 0.5,
-    "n_elements": 32,
-    "alpha": 2.5,
-    "c_d_db": -30.0,
-    "c_r_db": -30.0,
-    "d0": 3.0,
-    "d_g0": 20.0,
-    "m_h": 2.0,
-    "m_r": 2.0,
-    "p_tx_dbm": 0.0,
-    "noise_dbm": -70.0,
-    "interference_limited": 0,
-    "gamma_bar_db": 0.0,
-    "window_radius": 5000.0,
-    "trials": 0,          # 0 = per-scenario default
-    "seed": 1,
-    "workers": 0,         # 0 = all available CPUs
-    "strategy": "fixed_ris",
+#: config/flag keys: (help with units, parser, default); every SystemParams field is here.
+KEY_SPECS: dict[str, tuple[str, type, object]] = {
+    "lambda_t": ("transmitters per m^2", float, 1e-4),
+    "p": ("surface association probability", float, 0.5),
+    "n_elements": ("reflecting elements per surface", int, 32),
+    "alpha": ("path-loss exponent", float, 2.5),
+    "c_d_db": ("direct unit-distance gain, dB", float, -30.0),
+    "c_r_db": ("reflected unit-distance gain, dB", float, -30.0),
+    "d0": ("transmitter-to-surface offset, m", float, 3.0),
+    "d_g0": ("fixed-association serving distance, m", float, 20.0),
+    "m_h": ("Nakagami shape, transmitter-to-surface hop", float, 2.0),
+    "m_r": ("Nakagami shape, surface-to-user hop", float, 2.0),
+    "p_tx_dbm": ("transmit power, dBm", float, 0.0),
+    "noise_dbm": ("noise power, dBm", float, -70.0),
+    "interference_limited": ("1 to drop the noise term", int, 0),
+    "gamma_bar_db": ("SINR threshold, dB", float, 0.0),
+    "window_radius": ("simulation window radius, m", float, 5000.0),
+    "trials": ("Monte Carlo trials per point (0 = per-scenario default)", int, 0),
+    "seed": ("Monte Carlo seed", int, 1),
+    "workers": ("simulation threads (0 = all available CPUs)", int, 0),
+    "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str, "fixed_ris"),
 }
 
 
@@ -105,7 +81,7 @@ class RunSpec:
                              f"got {self.setting('workers')}")
 
     def setting(self, key: str):
-        return self.overrides.get(key, DEFAULTS[key])
+        return self.overrides.get(key, KEY_SPECS[key][2])
 
 
 def build_params(spec: RunSpec, **extra) -> SystemParams:
@@ -450,7 +426,7 @@ def run(spec: RunSpec) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (help_text, typ) in KEY_SPECS.items():
+    for key, (help_text, typ, _) in KEY_SPECS.items():
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                             default=None, help=help_text)
 
@@ -503,13 +479,15 @@ def main(argv=None) -> int:
         if args.command == "validate-config":
             with open(args.config) as fh:
                 spec = parse_config(fh.read())
-            build_params(spec)          # unit/value validation
-            sys.stdout.write(render_config(spec))
-            print("config ok")
-            return 0
-        spec = _spec_from_args(args)
-        build_params(spec)
-        return run(spec)
+        else:
+            spec = _spec_from_args(args)
+        # every mode makes the simulator's checks, so a config that validates also runs
+        _mc_config(spec, build_params(spec), default_trials=1)
+        if args.command == "run":
+            return run(spec)
+        sys.stdout.write(render_config(spec))
+        print("config ok")
+        return 0
     except (ValueError, OSError, analytic.QuadratureError,
             analytic.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,10 @@ Implementation notes, all distribution-preserving:
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
 * Trials are grouped into blocks with independent child seeds, run on threads
   sharing one table and joined in plan order: samples ignore the worker count.
+* One kernel runs a block under either strategy.  The strategy sets the
+  serving gains, which trials have a surface and which field points
+  interfere; the Poisson count comes first, then the serving signal, then
+  the interference.
 """
 
 from __future__ import annotations
@@ -249,14 +253,9 @@ def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
 # ---------------------------------------------------------------------------
 
 def _pow_neg_half_alpha(x2: np.ndarray, alpha: float) -> np.ndarray:
-    """x2^(-alpha/2) with square-root chains for the common exponents."""
+    """x2^(-alpha/2), with square-root chains for the exponents the scenarios use."""
     if alpha == 2.5:
         return 1.0 / (x2 * np.sqrt(np.sqrt(x2)))
-    if alpha == 3.0:
-        return 1.0 / (x2 * np.sqrt(x2))
-    if alpha == 3.5:
-        r = np.sqrt(x2)
-        return 1.0 / (x2 * r * np.sqrt(r))
     if alpha == 4.0:
         return 1.0 / (x2 * x2)
     return np.power(x2, _F32(-0.5 * alpha))
@@ -322,67 +321,53 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     return total
 
 
-def _block_fixed(rng, tab, params: SystemParams, window: Window,
-                 forced_ris: bool, n_trials: int) -> np.ndarray:
-    area = window.area
-    rw2 = window.radius**2
-    if forced_ris:
-        s = _coherent_signal(rng, params.fading, params.n_elements,
-                             params.eta_g0, params.eta_h0, n_trials)
-    else:
-        s = params.eta_g0 * rng.standard_exponential(n_trials)
-    counts = rng.poisson(params.lambda_t * area, n_trials)
-    k_ris = rng.binomial(counts, params.p)
-    i_tot = _interference(rng, tab, params, n_trials, k_ris, counts - k_ris,
-                          0.0, rw2)
-    return s / (i_tot + params.gamma_t_inv)
-
-
-def _block_nearest(rng, tab, params: SystemParams, window: Window,
-                   n_trials: int) -> np.ndarray:
-    pl = params.path
-    area = window.area
-    rw2 = window.radius**2
-    counts = rng.poisson(params.lambda_t * area, n_trials)
-    occupied = counts > 0
-    if not np.all(occupied):
-        log.warning("%d trials drew an empty field; scoring them as zero SINR",
-                    int((~occupied).sum()))
-    k = np.maximum(counts, 1)
-    # squared distance to the nearest of k uniform points on the disk
-    with np.errstate(divide="ignore"):
-        d2 = rw2 * (-np.expm1(np.log(rng.random(n_trials)) / k))
-    served_ris = rng.random(n_trials) < params.p
-    eta_g0 = pl.c_d * d2 ** (-0.5 * pl.alpha)
-    signal = np.empty(n_trials)
-    idx_r = np.flatnonzero(served_ris)
-    idx_n = np.flatnonzero(~served_ris)
-    if idx_r.size:
-        cos_ofs = np.cos(rng.uniform(0.0, 2.0 * math.pi, idx_r.size))
-        dr2 = d2[idx_r] + pl.d0**2 + 2.0 * pl.d0 * np.sqrt(d2[idx_r]) * cos_ofs
-        eta_h0 = pl.c_r * (pl.d0**2 * dr2) ** (-0.5 * pl.alpha)
-        signal[idx_r] = _coherent_signal(rng, params.fading, params.n_elements,
-                                         eta_g0[idx_r], eta_h0, idx_r.size)
-    if idx_n.size:
-        signal[idx_n] = eta_g0[idx_n] * rng.standard_exponential(idx_n.size)
-    rest = counts - 1
-    np.clip(rest, 0, None, out=rest)
-    k_ris = rng.binomial(rest, params.p)
-    i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris,
-                          d2, rw2 - d2)
-    sinr = signal / (i_tot + params.gamma_t_inv)
-    sinr[~occupied] = 0.0
-    return sinr
-
-
 def _run_block(args) -> np.ndarray:
-    params, window, strategy, forced_ris, n_trials, child_seed, pad = args
+    """SINR of one block of trials under either association strategy.
+
+    The strategy sets the serving gains, which trials have a surface and the
+    interferer annulus; one serving-signal draw and one interference sum follow.
+    """
+    params, window, tab, strategy, forced_ris, n_trials, child_seed = args
     rng = np.random.default_rng(child_seed)
-    tab = (_get_table(params.n_elements, params.fading, _TABLE_ROWS, pad)
-           if params.lambda_t > 0.0 else None)
+    pl = params.path
+    rw2 = window.radius**2
+    counts = rng.poisson(params.lambda_t * window.area, n_trials)
     if strategy == "fixed":
-        return _block_fixed(rng, tab, params, window, forced_ris, n_trials)
-    return _block_nearest(rng, tab, params, window, n_trials)
+        # the configured link (surface at perpendicular offset d0); every field point interferes
+        eta_g0 = np.full(n_trials, params.eta_g0)
+        eta_h0 = params.eta_h0
+        has_ris = np.full(n_trials, forced_ris)
+        empty = None
+        rest, low2, span2 = counts, 0.0, rw2
+    else:
+        empty = counts == 0
+        if empty.any():
+            log.warning("%d trials drew an empty field; scoring them as zero SINR",
+                        int(empty.sum()))
+        # squared distance to the nearest of k uniform points on the disk
+        with np.errstate(divide="ignore"):
+            d2 = rw2 * (-np.expm1(np.log(rng.random(n_trials)) / np.maximum(counts, 1)))
+        has_ris = rng.random(n_trials) < params.p
+        eta_g0 = pl.c_d * d2 ** (-0.5 * pl.alpha)
+        d2_ris = d2[has_ris]
+        cos_ofs = np.cos(rng.uniform(0.0, 2.0 * math.pi, d2_ris.size))
+        dr2 = d2_ris + pl.d0**2 + 2.0 * pl.d0 * np.sqrt(d2_ris) * cos_ofs
+        eta_h0 = pl.c_r * (pl.d0**2 * dr2) ** (-0.5 * pl.alpha)
+        # the nearest point serves; the others interfere from beyond it
+        rest, low2, span2 = np.maximum(counts - 1, 0), d2, rw2 - d2
+    signal = np.empty(n_trials)
+    n_ris = int(has_ris.sum())
+    if n_ris:
+        signal[has_ris] = _coherent_signal(rng, params.fading, params.n_elements,
+                                           eta_g0[has_ris], eta_h0, n_ris)
+    if n_ris < n_trials:
+        signal[~has_ris] = eta_g0[~has_ris] * rng.standard_exponential(n_trials - n_ris)
+    k_ris = rng.binomial(rest, params.p)
+    i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris, low2, span2)
+    sinr = signal / (i_tot + params.gamma_t_inv)
+    if empty is not None:
+        sinr[empty] = 0.0
+    return sinr
 
 
 def _block_plan(config: McConfig) -> list[int]:
@@ -413,15 +398,15 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
         if not config.params.lambda_t > 0.0:
             raise ValueError("nearest association requires a positive transmitter density")
 
-    rows_per_trial = config.params.lambda_t * config.window.area
-    pad = max(_POOL_PAD_MIN, int(3 * rows_per_trial) + 1024)
+    tab = None
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
-        _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad,
-                   config.workers)
+        pad = max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
+        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad,
+                         config.workers)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    jobs = [(config.params, config.window, strategy, forced_ris, n, child, pad)
+    jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)
             for n, child in zip(sizes, children)]
     samples = np.concatenate(_run_jobs(_run_block, jobs, config.workers))
     samples.sort()

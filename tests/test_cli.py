@@ -83,19 +83,35 @@ def test_fading_table_size_is_not_a_key(tmp_path, capsys):
 
 
 def test_default_spec_matches_library_defaults():
-    """cli.DEFAULTS (dB units) and the library defaults describe one baseline."""
+    """The KEY_SPECS defaults (dB units) and the library defaults describe one baseline."""
     spec = RunSpec(scenario="custom")
     params = build_params(spec)
     assert params == SystemParams.default()
     from_cli = cli._mc_config(spec, params, default_trials=100)
     assert from_cli == McConfig(trials=100, seed=from_cli.seed, params=params)
-    assert from_cli.window.radius == cli.DEFAULTS["window_radius"]
+    assert from_cli.window.radius == cli.KEY_SPECS["window_radius"][2]
 
 
 def test_config_rejects_bad_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lambda_t = not_a_number\n")
     assert main(["validate-config", str(cfg)]) == 1
+
+
+def test_validate_config_makes_the_run_checks(tmp_path, capsys):
+    """A value the simulator rejects is refused by validate-config and by every run mode."""
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    for text, message in (("trials = -5\n", "trial count must be at least 1"),
+                          ("window_radius = -1\n", "window radius must be positive")):
+        cfg.write_text("scenario = custom\n" + text)
+        assert main(["validate-config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        for mode in MODES:
+            assert main(["run", "custom", "--config", str(cfg), "--mode", mode,
+                         "--out", str(out)]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_config_ok(tmp_path, capsys):
@@ -236,4 +252,22 @@ def test_analytic_csv_bytes_are_unchanged(tmp_path, run_id):
     args, digest = ANALYTIC_CSV_SHA256[run_id]
     out = tmp_path / "out.csv"
     assert main(["run", *args, "--mode", "analytic", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of nearest-association `riscov run <args> --mode mc` CSVs: a change to the
+# simulator's fixed-association path must leave every byte of these samples as it is.
+NEAREST_MC_CSV_SHA256 = {
+    "custom-nearest": (["custom", "--strategy", "nearest", "--trials", "2000"],
+                       "d5a07cc03f6e472bbb5c5ee205a7f041d5097a88cdf015224fe70ee4b97d783b"),
+    "fig8": (["fig8", "--trials", "400"],
+             "e6c1dc4e4691a1d5a2c70703a5e2d21db1e4df58f1b0898ba311b0c9f0c80a45"),
+}
+
+
+@pytest.mark.parametrize("run_id", list(NEAREST_MC_CSV_SHA256))
+def test_nearest_mc_csv_bytes_are_unchanged(tmp_path, run_id):
+    args, digest = NEAREST_MC_CSV_SHA256[run_id]
+    out = tmp_path / "out.csv"
+    assert main(["run", *args, "--mode", "mc", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

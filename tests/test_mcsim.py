@@ -190,9 +190,10 @@ def test_trial_blocks_pass_runs_test():
     sizes = mcsim._block_plan(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
     pad = max(1 << 19, int(3 * cfg.params.lambda_t * cfg.window.area) + 1024)
+    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS, pad)
     means = []
     for n, child in zip(sizes, children):
-        sinr = mcsim._run_block((cfg.params, cfg.window, "fixed", True, n, child, pad))
+        sinr = mcsim._run_block((cfg.params, cfg.window, tab, "fixed", True, n, child))
         means.append(np.log2(1.0 + sinr).mean())
     means = np.asarray(means)
     assert means.size >= 30
@@ -212,11 +213,11 @@ def test_trial_blocks_pass_runs_test():
 # ---------------------------------------------------------------------------
 
 def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
-    """The radial laws of _block_nearest against distances on oracle sample_gpp fields.
+    """The radial laws of nearest-association trials against distances on oracle sample_gpp fields.
 
     The serving distance d^2 = R^2 (1 - U^(1/k)) and the surface distance
     d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) are read back from the path gains
-    the block hands to the serving-signal sampler; interference is stubbed
+    the trial kernel hands to the serving-signal sampler; interference is stubbed
     out.  The offset law is checked through the cos(phi) it implies for each
     pair.  At 28 transmitters per window on average, empty fields (which
     both sides would treat differently) have probability e^-28.
@@ -233,7 +234,7 @@ def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
     monkeypatch.setattr(mcsim, "_coherent_signal", recording_signal)
     monkeypatch.setattr(mcsim, "_interference",
                         lambda rng, tab, params, n_trials, *rest: np.zeros(n_trials))
-    mcsim._block_nearest(np.random.default_rng(20261), None, params, window, n)
+    mcsim._run_block((params, window, None, "nearest", None, n, 20261))
     (eta_g0, eta_h0), = recorded
     pl = params.path
     d2_block = (eta_g0 / pl.c_d) ** (-2.0 / pl.alpha)
@@ -256,6 +257,52 @@ def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
     assert stats.ks_2samp(d2_block, d2_gpp).pvalue > 0.01
     assert stats.ks_2samp(implied_cos(d2_block, dr2_block),
                           implied_cos(d2_gpp, dr2_gpp)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("forced_ris", [True, False])
+def test_fixed_association_serves_the_configured_link(monkeypatch, forced_ris):
+    """Every fixed-association trial is served with exactly eta_g0 and eta_h0.
+
+    The fixed link's surface sits at perpendicular offset d0, the convention of
+    the analytic expressions.  Interference is stubbed out, the noise term is 1
+    and the Rayleigh draws are ones, so a surface-free trial's SINR is its
+    direct gain bit for bit.
+    """
+    base = SystemParams.default()
+    params = SystemParams.default(lambda_t=1e-4, d_g0=35.0, p_tx_w=base.noise_w)
+    assert params.gamma_t_inv == 1.0
+    n = 500
+    recorded = []
+
+    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows):
+        recorded.append((np.broadcast_to(eta_g0, rows), np.broadcast_to(eta_h0, rows)))
+        return np.full(rows, 7.0)
+
+    real_rng = np.random.default_rng
+
+    class UnitExponentials:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_exponential(self, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(mcsim, "_coherent_signal", recording_signal)
+    monkeypatch.setattr(mcsim, "_interference",
+                        lambda rng, tab, params, n_trials, *rest: np.zeros(n_trials))
+    monkeypatch.setattr(np.random, "default_rng", UnitExponentials)
+    sinr = mcsim._run_block((params, Window(1000.0), None, "fixed", forced_ris, n, 3))
+    if forced_ris:
+        (eta_g0, eta_h0), = recorded
+        assert np.array_equal(eta_g0, np.full(n, params.eta_g0))
+        assert np.array_equal(eta_h0, np.full(n, params.eta_h0))
+        assert np.array_equal(sinr, np.full(n, 7.0))
+    else:
+        assert recorded == []
+        assert np.array_equal(sinr, np.full(n, params.eta_g0))
 
 
 def one_shot_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
