@@ -37,7 +37,6 @@ from .jets import (TaylorJet, alternating_tail_sum, jet_div, jet_erfcx, jet_exp,
                    jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow,
                    jet_sqrt, jet_variable)
 from .powerdist import GammaFit, signal_gamma_fit
-from .specfun import hyp2f1_cov
 
 __all__ = [
     "SystemParams",
@@ -211,6 +210,16 @@ def _fixed_exponent(params: SystemParams, x: float) -> float:
     return sum(k * weight * (gain * x) ** d for weight, gain in _tiers(params))
 
 
+def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
+                      order: int) -> TaylorJet:
+    """Association-weighted jet of the two hypergeometric interference factors."""
+    a = params.path.alpha
+    cd = params.path.c_d
+    return TaylorJet(sum(weight * jet_hyp2f1_cov(a, -(gain / cd) * gamma_bar / chi_bar,
+                                                 order).coeffs
+                         for weight, gain in _tiers(params)))
+
+
 # ---------------------------------------------------------------------------
 # Laplace transforms of the aggregate interference power
 # ---------------------------------------------------------------------------
@@ -219,25 +228,22 @@ def laplace_fixed(params: SystemParams, s: float) -> float:
     """E[exp(-s I)] with interferers on the whole plane (fixed association)."""
     if s < 0.0:
         raise ValueError(f"transform argument must be non-negative, got {s}")
-    if s == 0.0:
-        return 1.0
     return math.exp(-_fixed_exponent(params, s))
 
 
 def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
-    """E[exp(-s I)] with interferers no closer than the serving distance d_g0."""
+    """E[exp(-s I)] with interferers no closer than the serving distance d_g0.
+
+    The exponent is pi lambda_t d_g0^2 (1 - H), H the order-0 coefficient of
+    _nearest_hyp_jets at gamma_bar/chi_bar = s c_d d_g0^-alpha.
+    """
     if s < 0.0:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if not d_g0 > 0.0:
         raise ValueError(f"serving distance must be positive, got {d_g0}")
-    if s == 0.0:
-        return 1.0
-    a = params.path.alpha
-    base = math.pi * params.lambda_t * d_g0**2
-    expo = 0.0
-    for weight, gain in _tiers(params):
-        expo += weight * (1.0 - hyp2f1_cov(a, -gain * d_g0 ** -a * s))
-    return math.exp(base * expo)
+    x = s * params.path.c_d * d_g0 ** -params.path.alpha
+    hyp = _nearest_hyp_jets(params, x, 1.0, 0).coeffs[0]
+    return math.exp(math.pi * params.lambda_t * d_g0**2 * (1.0 - hyp))
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +298,6 @@ def _quad_checked(fn: Callable[[float], float], lo: float, hi: float,
                      f"{info['blist'][i]:.6g}] with error {errs[i]:.3g}")
         raise QuadratureError(f"{where}: {out[3]}{worst}")
     return out[0]
-
-
-def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
-                      order: int) -> TaylorJet:
-    """Association-weighted jet of the two hypergeometric interference factors."""
-    a = params.path.alpha
-    cd = params.path.c_d
-    return TaylorJet(sum(weight * jet_hyp2f1_cov(a, -(gain / cd) * gamma_bar / chi_bar,
-                                                 order).coeffs
-                         for weight, gain in _tiers(params)))
 
 
 def _nearest_integrands(params: SystemParams, gamma_bar: float
@@ -399,8 +395,10 @@ def coverage_nearest_intlimited(params: SystemParams, gamma_bar: float) -> float
 # Average achievable rate
 # ---------------------------------------------------------------------------
 
-def rate_from_coverage(coverage_fn: Callable[[float], float],
-                       rel_tol: float = 1e-7) -> float:
+_RATE_REL_TOL = 1e-7    # relative tolerance of the rate quadrature
+
+
+def rate_from_coverage(coverage_fn: Callable[[float], float]) -> float:
     """Rate in bits/s/Hz as (1/ln 2) * integral of coverage/(1+x).
 
     The threshold axis is mapped to (0, 1) by x = t/(1-t).  Raises
@@ -414,7 +412,7 @@ def rate_from_coverage(coverage_fn: Callable[[float], float],
     def integrand(t: float) -> float:
         return coverage_fn(t / (1.0 - t)) / (1.0 - t)
 
-    val = _quad_checked(integrand, 0.0, 1.0, 1e-12, rel_tol, "rate_from_coverage")
+    val = _quad_checked(integrand, 0.0, 1.0, 1e-12, _RATE_REL_TOL, "rate_from_coverage")
     return val / math.log(2.0)
 
 

@@ -307,21 +307,24 @@ def _scenario_fig7(spec: RunSpec):
     base = {"p": 0.9}
     families = [(lam, 2.5) for lam in (1e-5, 5e-5, 1e-4, 1e-3)] + [(1e-4, 4.0)]
     for lam, alpha in families:
-        ana_tail = None
+        mc_vals = []
         for k, p_dbm in enumerate(p_grid):
             params = build_params(spec, lambda_t=lam, alpha=alpha, p_tx_dbm=p_dbm, **base)
             ana = mc = ci = ""
             if do_ana:
                 ana = (analytic.coverage_nearest(params, gamma_bar) if alpha != 4.0
                        else analytic.coverage_nearest_alpha4(params, gamma_bar))
-                ana_tail = ana
             if do_mc:
                 cfg = _mc_config(spec, params, 2000, seed_offset=k)
                 dist = mcsim.simulate_sinr(cfg, "nearest")
                 mc, ci = mcsim.estimate_coverage(dist, gamma_bar)
+                mc_vals.append(mc)
             rows.append([p_dbm, lam, alpha, ana, mc, ci])
-        summaries.append(f"fig7 lambda_t={lam:g} alpha={alpha:g}: "
-                         f"high-power analytic coverage {ana_tail if ana_tail != '' else 'n/a'}")
+        label = f"fig7 lambda_t={lam:g} alpha={alpha:g}"
+        if do_ana:
+            summaries.append(f"{label}: high-power analytic coverage {ana}")
+        if do_mc:
+            summaries.append(f"{label}: mc coverage {mc_vals[0]:.3f}..{mc_vals[-1]:.3f}")
     return ["p_dbm", "lambda_t", "alpha", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
 
 

@@ -22,7 +22,6 @@ from .specfun import hyp2f1_cov
 
 __all__ = [
     "TaylorJet",
-    "jet_constant",
     "jet_variable",
     "jet_spow",
     "jet_exp",
@@ -63,15 +62,6 @@ class TaylorJet:
     @property
     def order(self) -> int:
         return self._c.size - 1
-
-    def array(self) -> np.ndarray:
-        return self._c
-
-    def derivative(self, i: int) -> float:
-        """i-th derivative at the expansion point."""
-        if i > self.order:
-            return 0.0
-        return float(self._c[i]) * math.factorial(i)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorJet):
@@ -130,10 +120,6 @@ def _from_array(a: np.ndarray) -> TaylorJet:
     a.setflags(write=False)
     jet._c = a
     return jet
-
-
-def jet_constant(c: float, order: int) -> TaylorJet:
-    return _from_array(_const_array(c, order))
 
 
 def jet_variable(order: int) -> TaylorJet:
@@ -276,8 +262,9 @@ def jet_hyp2f1_cov(alpha: float, c: float, order: int) -> TaylorJet:
 
         t_{n+1} = ((d - n) t_n - (d/(1-c)) w^n) / (n + 1),   w = c/(1-c).
 
-    |w| < 1 for every c <= 0, so the coefficients stay bounded and the
-    absolute error of the recurrence does not grow.
+    t_0 is hyp2f1_cov(alpha, c), scipy's 2F1.  |w| < 1 for every c <= 0, so
+    the coefficients stay bounded and the absolute error of the recurrence
+    does not grow; at c = 0 the recurrence gives t_1 = d - d = 0 and w = 0.
     """
     if c > 0.0:
         raise ValueError(f"argument coefficient must be non-positive, got {c}")
@@ -285,9 +272,6 @@ def jet_hyp2f1_cov(alpha: float, c: float, order: int) -> TaylorJet:
     n = order + 1
     t = np.empty(n)
     t[0] = hyp2f1_cov(alpha, c)
-    if c == 0.0:
-        t[1:] = 0.0
-        return _from_array(t)
     w = c / (1.0 - c)
     scale = d / (1.0 - c)
     wn = 1.0

@@ -107,6 +107,7 @@ class EmpiricalDistribution:
             raise ValueError("need a non-empty 1-D sample array")
         if np.any(np.diff(s) < 0.0):
             raise ValueError("samples must be sorted ascending")
+        object.__setattr__(self, "sorted_samples", s)
 
     @property
     def n(self) -> int:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ def test_run_fig7_analytic_density_free_tail(tmp_path):
     assert len(tail) == 4
     vals = list(tail.values())
     assert max(vals) - min(vals) <= 0.01
+
+
+def test_run_fig7_mc_summary_reports_mc_coverage(tmp_path, capsys):
+    out = tmp_path / "fig7.csv"
+    assert main(["run", "fig7", "--mode", "mc", "--trials", "100",
+                 "--window-radius", "300", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("fig7 ")]
+    assert len(lines) == 5
+    for line in lines:
+        assert re.search(r": mc coverage \d\.\d{3}\.\.\d\.\d{3}$", line), line
+        assert "analytic" not in line and "None" not in line
 
 
 def test_run_writes_summary(tmp_path, capsys):

@@ -79,6 +79,18 @@ def test_empirical_distribution_queries():
         EmpiricalDistribution(np.array([2.0, 1.0]))
 
 
+def test_empirical_distribution_keeps_the_validated_array():
+    """A list is stored as its float array; a float64 array is kept as given."""
+    dist = EmpiricalDistribution([1.0, 2.0, 3.0])
+    assert isinstance(dist.sorted_samples, np.ndarray)
+    assert dist.sorted_samples.dtype == np.float64
+    assert dist.n == 3
+    assert dist.ccdf(1.5) == pytest.approx(2.0 / 3.0)
+    assert EmpiricalDistribution([1, 2]).quantile(0.5) == 1.5
+    samples = np.array([1.0, 2.0, 3.0])
+    assert EmpiricalDistribution(samples).sorted_samples is samples
+
+
 def test_estimators_require_samples():
     dist = EmpiricalDistribution(np.linspace(1.0, 2.0, 50))
     with pytest.raises(ValueError):

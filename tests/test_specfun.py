@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
-from riscov.jets import jet_constant, jet_erfcx, jet_si_ci, jet_variable
+from riscov.jets import TaylorJet, jet_erfcx, jet_si_ci
 from riscov.specfun import hyp2f1_cov, reg_lower_gamma, reg_upper_gamma
 
 
@@ -123,7 +124,7 @@ def test_reg_upper_gamma_domain(kappa, x):
 # ---------------------------------------------------------------------------
 
 def erfcx_fn(x: float) -> float:
-    return jet_erfcx(jet_constant(x, 0)).coeffs[0]
+    return jet_erfcx(TaylorJet([x])).coeffs[0]
 
 
 def erfc_fn(x: float) -> float:
@@ -132,7 +133,7 @@ def erfc_fn(x: float) -> float:
 
 def sin_cos_integrals(x: float) -> tuple[float, float]:
     """(Si(x), Ci(x)) from the value of a jet_si_ci jet."""
-    si, ci = jet_si_ci(jet_constant(x, 0))
+    si, ci = jet_si_ci(TaylorJet([x]))
     return si.coeffs[0], ci.coeffs[0]
 
 
@@ -183,7 +184,7 @@ def test_si_envelope_bound():
 def test_si_ci_derivative_crosscheck():
     # the order-1 coefficients of Si(x s), Ci(x s) are x Si'(x), x Ci'(x)
     for x in (0.7, 3.0, 9.0, 40.0):
-        si, ci = jet_si_ci(jet_constant(x, 1) * jet_variable(1))
+        si, ci = jet_si_ci(TaylorJet([x, x]))
         assert si.coeffs[1] / x == pytest.approx(math.sin(x) / x, abs=1e-6)
         assert ci.coeffs[1] / x == pytest.approx(math.cos(x) / x, abs=1e-6)
 
@@ -227,6 +228,27 @@ def test_hyp2f1_alpha4_arctan_identity_bulk():
     for ti in t:
         ref = 1.0 + math.sqrt(ti) * math.atan(math.sqrt(ti))
         assert abs(hyp2f1_cov(4.0, -ti) - ref) <= 1e-10 * ref
+
+
+def test_hyp2f1_matches_mpmath_near_alpha_2():
+    """Relative error below 1e-14 against 40-digit mpmath, alpha down to 2.0001.
+
+    The grid spans z from -1e-15 to -1e15 and includes -1/4, -1/2, -1, -2 and
+    -4, where series expansions of this member typically switch branches.  The
+    reference takes the same double d = 2/alpha: near alpha = 2 the member's
+    relative sensitivity to d is about 1/(1 - d), so rounding 2/alpha alone
+    moves it by up to ~1e-12 there.
+    """
+    mp.mp.dps = 40
+    alphas = (2.0001, 2.001, 2.01, 2.1, 2.5, 3.0, 4.0, 5.0, 6.0)
+    zs = [-float(x) for x in np.logspace(-15.0, 15.0, 31)] + [-0.25, -0.5, -1.0, -2.0, -4.0]
+    worst = 0.0
+    for alpha in alphas:
+        d = mp.mpf(2.0 / alpha)
+        for z in zs:
+            ref = mp.hyp2f1(1, -d, 1 - d, z)
+            worst = max(worst, float(abs(hyp2f1_cov(alpha, z) - ref) / ref))
+    assert worst <= 1e-14
 
 
 def test_hyp2f1_monotone_and_bounded_below():
