@@ -284,3 +284,23 @@ def test_nearest_mc_csv_bytes_are_unchanged(tmp_path, run_id):
     out = tmp_path / "out.csv"
     assert main(["run", *args, "--mode", "mc", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of fixed-association `riscov run custom <args> --mode mc` CSVs at the dense
+# point, where the interference kernel does nearly all the work: a change to that
+# kernel must leave every byte of these columns as it is.
+FIXED_MC_CSV_SHA256 = {
+    "fixed_ris": (["--strategy", "fixed_ris"],
+                  "43a6ba48ee6cb376a9c573865b4be2df0081dcff5a32cca43120ce0bd1ccad0b"),
+    "fixed_noris": (["--strategy", "fixed_noris"],
+                    "608c854d1af992bfac4fd4b2dd14cedfb056517b92b00401fd18ee69ea5fa124"),
+}
+
+
+@pytest.mark.parametrize("run_id", list(FIXED_MC_CSV_SHA256))
+def test_fixed_mc_csv_bytes_are_unchanged(tmp_path, run_id):
+    args, digest = FIXED_MC_CSV_SHA256[run_id]
+    out = tmp_path / "out.csv"
+    assert main(["run", "custom", *args, "--lambda-t", "1e-3", "--trials", "2000",
+                 "--mode", "mc", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
