@@ -178,31 +178,31 @@ def _crossing_db(x_db: np.ndarray, values: np.ndarray, level: float) -> float | 
 
 def _scenario_fig2(spec: RunSpec):
     """Signal-power CCDF families over element counts and fading shapes."""
+    from .powerdist import signal_ccdf, signal_gamma_fit
     rows, summaries = [], []
     x_db = np.arange(-65.0, -24.9, 0.5)
     x_lin = 10.0 ** (x_db / 10.0)
-    do_mc = spec.mode in ("mc", "both")
     trials = int(spec.setting("trials")) or 200_000
     for m in (1.0, 2.0, 4.0):
         for n_el in (16, 32, 64):
             params = build_params(spec, m_h=m, m_r=m, n_elements=n_el)
-            from .powerdist import signal_ccdf, signal_gamma_fit
-            fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, n_el)
-            ana = np.array([signal_ccdf(fit, x) for x in x_lin])
-            emp = np.full_like(ana, np.nan)
-            if do_mc:
+            ccdfs = {}
+            if spec.mode in ("analytic", "both"):
+                fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, n_el)
+                ccdfs["analytic"] = np.array([signal_ccdf(fit, x) for x in x_lin])
+            if spec.mode in ("mc", "both"):
                 dist = mcsim.sample_signal_power(params.eta_g0, params.eta_h0,
                                                  params.fading, n_el, trials,
                                                  int(spec.setting("seed")) + n_el + int(m))
-                emp = dist.ccdf(x_lin)
-            for i in range(len(x_db)):
-                rows.append([n_el, m, x_db[i],
-                             ana[i] if spec.mode != "mc" else "",
-                             emp[i] if do_mc else ""])
-            cross = _crossing_db(x_db, ana, 0.8)
-            summaries.append(f"fig2 m={m:g} N={n_el}: analytic CCDF crosses 0.8 at "
-                             f"{cross:.2f} dB" if cross else
-                             f"fig2 m={m:g} N={n_el}: no 0.8 crossing on grid")
+                ccdfs["mc"] = dist.ccdf(x_lin)
+            for kind, ccdf in ccdfs.items():     # summarise the columns computed
+                cross = _crossing_db(x_db, ccdf, 0.8)
+                summaries.append(f"fig2 m={m:g} N={n_el}: " + (
+                    f"{kind} CCDF crosses 0.8 at {cross:.2f} dB" if cross is not None
+                    else f"no {kind} 0.8 crossing on grid"))
+            blank = [""] * len(x_db)
+            rows += [[n_el, m, *r] for r in zip(x_db, ccdfs.get("analytic", blank),
+                                                ccdfs.get("mc", blank))]
     return ["n_elements", "m", "x_db", "ccdf_analytic", "ccdf_mc"], rows, summaries
 
 

@@ -31,6 +31,9 @@ Implementation notes, all distribution-preserving:
   serving gains, which trials have a surface and which field points
   interfere; the Poisson count comes first, then the serving signal, then
   the interference.
+* A trial's interferers are contiguous in each group, so per-trial sums are
+  np.add.reduceat over the segments: float64 sums in numpy's pairwise,
+  buffered order, not sequential ones, so they can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -253,18 +256,37 @@ def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
 # Vectorized kernels
 # ---------------------------------------------------------------------------
 
-def _pow_neg_half_alpha(x2: np.ndarray, alpha: float) -> np.ndarray:
-    """x2^(-alpha/2), with square-root chains for the exponents the scenarios use."""
+def _path_gain(gain, x2: np.ndarray, alpha: float) -> np.ndarray:
+    """gain * x2^(-alpha/2) in a new array, by square-root chains for the scenarios' exponents."""
     if alpha == 2.5:
-        return 1.0 / (x2 * np.sqrt(np.sqrt(x2)))
-    if alpha == 4.0:
-        return 1.0 / (x2 * x2)
-    return np.power(x2, _F32(-0.5 * alpha))
+        out = np.sqrt(x2)
+        np.divide(1.0, np.multiply(np.sqrt(out, out=out), x2, out=out), out=out)
+    elif alpha == 4.0:
+        out = x2 * x2
+        np.divide(1.0, out, out=out)
+    else:
+        out = np.power(x2, _F32(-0.5 * alpha))
+    out *= gain
+    return out
 
 
 def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross):
-    """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from table columns |g|^2, |T|^2, 2 Re(g T*)."""
-    return eta_g * mag2_direct + eta_h * mag2_scatter + np.sqrt(eta_g * eta_h) * cross
+    """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from |g|^2, |T|^2, 2 Re(g T*); overwrites eta_g, eta_h."""
+    root = eta_g * eta_h
+    np.multiply(np.sqrt(root, out=root), cross, out=root)
+    eta_g *= mag2_direct
+    eta_g += np.multiply(eta_h, mag2_scatter, out=eta_h)
+    return np.add(eta_g, root, out=eta_g)
+
+
+def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray) -> None:
+    """Add to total[t] the float64 sum of trial t's weights, the next counts[t] entries of w.
+
+    Only trials with weights get a segment: reduceat returns the first element for an empty one.
+    """
+    filled = counts > 0
+    starts = np.cumsum(counts) - counts
+    total[filled] += np.add.reduceat(w, starts[filled], dtype=np.float64)
 
 
 def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
@@ -276,23 +298,20 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     scalars broadcast.  Returns float64 sums of length n_trials.
     """
     pl = params.path
-    alpha = pl.alpha
-    d0 = pl.d0
     total = np.zeros(n_trials)
-    scalar_bounds = np.isscalar(span2)
 
     def radii2(counts: np.ndarray, m: int) -> np.ndarray:
-        u = rng.random(m, dtype=_F32)
-        if scalar_bounds:
-            r2 = _F32(span2) * u
+        r2 = rng.random(m, dtype=_F32)
+        if np.isscalar(span2):
+            r2 *= _F32(span2)
             if low2 != 0.0:
                 r2 += _F32(low2)
         else:
-            r2 = np.repeat(span2.astype(_F32), counts) * u
+            r2 *= np.repeat(span2.astype(_F32), counts)
             r2 += np.repeat(low2.astype(_F32), counts)
-        return np.maximum(r2, _R2_FLOOR)
+        return np.maximum(r2, _R2_FLOOR, out=r2)
 
-    def rows(counts: np.ndarray, m: int):
+    def rows(m: int):
         """Contiguous table window of m fresh rows (wraps only when oversized)."""
         s = int(rng.integers(0, tab.size))
         if m <= tab.pad:
@@ -302,23 +321,26 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     n_non = int(k_non.sum())
     if n_non:
         r2 = radii2(k_non, n_non)
-        sl = rows(k_non, n_non)
-        w = _F32(pl.c_d) * tab.exp_direct[sl] * _pow_neg_half_alpha(r2, alpha)
-        tid = np.repeat(np.arange(n_trials), k_non)
-        total += np.bincount(tid, weights=w, minlength=n_trials)
+        sl = rows(n_non)
+        w = _path_gain(_F32(pl.c_d) * tab.exp_direct[sl], r2, pl.alpha)
+        _add_trial_sums(total, w, k_non)
 
     n_ris = int(k_ris.sum())
     if n_ris:
         r2 = radii2(k_ris, n_ris)
-        sl = rows(k_ris, n_ris)
-        eta_g = _F32(pl.c_d) * _pow_neg_half_alpha(r2, alpha)
-        d_r2 = r2 + _F32(d0 * d0) + _F32(2.0 * d0) * np.sqrt(r2) * tab.cos_offset[sl]
-        d_r2 = np.maximum(d_r2, _R2_FLOOR)
-        eta_h = _F32(pl.c_r) * _pow_neg_half_alpha(_F32(d0 * d0) * d_r2, alpha)
+        sl = rows(n_ris)
+        eta_g = _path_gain(_F32(pl.c_d), r2, pl.alpha)
+        # r2 becomes d0^2 d_r^2, with d_r^2 = r2 + d0^2 + 2 d0 sqrt(r2) cos(phi)
+        offset = np.sqrt(r2)
+        offset *= _F32(2.0 * pl.d0)
+        r2 += _F32(pl.d0 * pl.d0)
+        r2 += np.multiply(offset, tab.cos_offset[sl], out=offset)
+        np.maximum(r2, _R2_FLOOR, out=r2)
+        r2 *= _F32(pl.d0 * pl.d0)
+        eta_h = _path_gain(_F32(pl.c_r), r2, pl.alpha)
         w = _surface_interferer_power(eta_g, eta_h, tab.mag2_direct[sl],
                                       tab.mag2_scatter[sl], tab.cross[sl])
-        tid = np.repeat(np.arange(n_trials), k_ris)
-        total += np.bincount(tid, weights=w, minlength=n_trials)
+        _add_trial_sums(total, w, k_ris)
     return total
 
 
@@ -462,7 +484,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     """
     mag2_direct, mag2_scatter, cross, _, _ = _table_columns(
         np.random.SeedSequence(seed), n_elements, fading, n_samples, _available_cpus())
-    out = _surface_interferer_power(_F32(eta_gk), _F32(eta_hk), mag2_direct, mag2_scatter,
-                                    cross).astype(float)
+    eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
+    out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)
     out.sort()
     return EmpiricalDistribution(out)

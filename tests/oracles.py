@@ -200,3 +200,52 @@ def nearest_intlimited_coverage_by_sampling(params: SystemParams, gamma_bar: flo
     bare = (params.p * hyp2f1_cov(a, -params.e1 / pl.c_d * gamma_bar)
             + (1.0 - params.p) * hyp2f1_cov(a, -gamma_bar))
     return params.p * total / ORACLE_DRAWS + (1.0 - params.p) / bare
+
+
+def _f32_path_gain(x2: np.ndarray, alpha: float) -> np.ndarray:
+    """x2^(-alpha/2) by the float32 expressions the simulator evaluates."""
+    if alpha == 2.5:
+        return 1.0 / (x2 * np.sqrt(np.sqrt(x2)))
+    if alpha == 4.0:
+        return 1.0 / (x2 * x2)
+    return np.power(x2, np.float32(-0.5 * alpha))
+
+
+def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_trials: int,
+                         k_ris: np.ndarray, k_non: np.ndarray, low2, span2) -> np.ndarray:
+    """Per-trial interference sums, each an exactly rounded math.fsum of its weights.
+
+    Consumes rng as the simulator's kernel does (per group: the float32 radius
+    uniforms, then the table-window start) and builds each interferer's
+    float32 weight from the plain out-of-place expressions of the model, so a
+    one-interferer trial must match the kernel bit for bit.
+    """
+    f32 = np.float32
+    pl = params.path
+    low2 = np.broadcast_to(np.float32(low2) if np.isscalar(low2) else low2.astype(f32), n_trials)
+    span2 = np.broadcast_to(np.float32(span2) if np.isscalar(span2) else span2.astype(f32),
+                            n_trials)
+    total = np.zeros(n_trials)
+    for k, surface in ((k_non, False), (k_ris, True)):
+        m = int(k.sum())
+        if m == 0:
+            continue
+        u = rng.random(m, dtype=f32)
+        start = int(rng.integers(0, tab.size))
+        idx = start + np.arange(m)
+        if m > tab.pad:
+            idx %= tab.size
+        r2 = np.maximum(np.repeat(low2, k) + np.repeat(span2, k) * u, f32(1e-6))
+        if surface:
+            eta_g = f32(pl.c_d) * _f32_path_gain(r2, pl.alpha)
+            d_r2 = r2 + f32(pl.d0**2) + f32(2.0 * pl.d0) * np.sqrt(r2) * tab.cos_offset[idx]
+            d_r2 = np.maximum(d_r2, f32(1e-6))
+            eta_h = f32(pl.c_r) * _f32_path_gain(f32(pl.d0**2) * d_r2, pl.alpha)
+            w = (eta_g * tab.mag2_direct[idx] + eta_h * tab.mag2_scatter[idx]
+                 + np.sqrt(eta_g * eta_h) * tab.cross[idx])
+        else:
+            w = f32(pl.c_d) * tab.exp_direct[idx] * _f32_path_gain(r2, pl.alpha)
+        ends = np.cumsum(k)
+        for t in range(n_trials):
+            total[t] += math.fsum(w[ends[t] - k[t]:ends[t]].astype(float))
+    return total

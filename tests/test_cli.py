@@ -225,6 +225,16 @@ def test_run_fig7_mc_summary_reports_mc_coverage(tmp_path, capsys):
     for line in lines:
         assert re.search(r": mc coverage \d\.\d{3}\.\.\d\.\d{3}$", line), line
         assert "analytic" not in line and "None" not in line
+    # fig2 summarises the CCDF columns it computed: the empirical one in mc mode
+    for mode, kinds in (("mc", ["mc"]), ("both", ["analytic", "mc"]),
+                        ("analytic", ["analytic"])):
+        assert main(["run", "fig2", "--mode", mode, "--trials", "100",
+                     "--out", str(tmp_path / "fig2.csv")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fig2 ")]
+        assert len(lines) == 9 * len(kinds)
+        for family, line in zip([k for _ in range(9) for k in kinds], lines):
+            assert re.search(rf": {family} CCDF crosses 0\.8 at -\d+\.\d\d dB$", line), line
 
 
 def test_run_writes_summary(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from scipy import stats
 
-from oracles import ccdf_rate_integral, nearest_parent, sample_gpp
+from oracles import ccdf_rate_integral, interference_by_fsum, nearest_parent, sample_gpp
 from riscov import mcsim
 from riscov.analytic import (SystemParams, coverage_fixed_noris,
                              coverage_fixed_ris)
@@ -360,6 +360,71 @@ def test_float32_phase_trig_matches_float64():
     for trig in (np.cos, np.sin):
         gap = np.abs((amp * trig(phase)).sum(axis=1) - (amp * trig(wide)).sum(axis=1))
         assert np.all(gap <= bound), trig
+
+
+# ---------------------------------------------------------------------------
+# interference kernel
+# ---------------------------------------------------------------------------
+
+# empty trials first, in the middle and last; the surface group outgrows the
+# test table's pad and wraps, the surface-free group reads one window
+KERNEL_COUNTS = {
+    "spread": ([0, 37, 0, 0, 120, 5, 0], [0, 0, 64, 0, 1, 250, 0]),
+    "surface-free only": ([0, 9, 0, 30, 0], [0, 0, 0, 0, 0]),
+    "all empty": ([0, 0, 0, 0], [0, 0, 0, 0]),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_table():
+    return mcsim._FadingTable(4, FadingParams(m_h=2.0, m_r=2.0), 1 << 12, 1 << 8)
+
+
+def kernel_inputs(alpha: float, bounds: str, n_trials: int):
+    """Params at alpha, and fixed (scalar) or nearest (per-trial) squared-radius bounds."""
+    base = SystemParams.default(lambda_t=1e-3)
+    params = dataclasses.replace(base, path=dataclasses.replace(base.path, alpha=alpha))
+    rw2 = 400.0**2
+    if bounds == "fixed":
+        return params, 0.0, rw2
+    d2 = rw2 * np.random.default_rng(77).random(n_trials) ** 2
+    return params, d2, rw2 - d2
+
+
+def kernel_and_oracle(tab, alpha, bounds, k_non, k_ris):
+    k_non, k_ris = np.array(k_non), np.array(k_ris)
+    n = k_non.size
+    params, low2, span2 = kernel_inputs(alpha, bounds, n)
+    rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    got = mcsim._interference(rng_kernel, tab, params, n, k_ris, k_non, low2, span2)
+    want = interference_by_fsum(rng_oracle, tab, params, n, k_ris, k_non, low2, span2)
+    assert rng_kernel.random() == rng_oracle.random()       # same draws consumed
+    return got, want
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 3.0])
+@pytest.mark.parametrize("bounds", ["fixed", "nearest"])
+@pytest.mark.parametrize("case", list(KERNEL_COUNTS))
+def test_interference_matches_fsum_oracle(kernel_table, alpha, bounds, case):
+    """Per-trial sums within 1e-12 of exactly rounded sums; empty trials are exactly zero."""
+    k_non, k_ris = KERNEL_COUNTS[case]
+    got, want = kernel_and_oracle(kernel_table, alpha, bounds, k_non, k_ris)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    empty = (np.array(k_non) + np.array(k_ris)) == 0
+    assert np.all(got[empty] == 0.0) and np.all(got[~empty] > 0.0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 3.0])
+@pytest.mark.parametrize("bounds", ["fixed", "nearest"])
+@pytest.mark.parametrize("surface", [False, True])
+@pytest.mark.parametrize("n_trials", [100, 400])
+def test_one_interferer_trials_match_oracle_bitwise(kernel_table, alpha, bounds, surface,
+                                                    n_trials):
+    """A one-term sum is exact, so each per-interferer weight must equal the oracle's."""
+    ones, zeros = [1] * n_trials, [0] * n_trials
+    k_non, k_ris = (zeros, ones) if surface else (ones, zeros)
+    got, want = kernel_and_oracle(kernel_table, alpha, bounds, k_non, k_ris)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
