@@ -33,9 +33,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
-from .jets import (TaylorJet, alternating_tail_sum, jet_div, jet_erfcx, jet_exp,
-                   jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow,
-                   jet_sqrt, jet_variable)
+from .jets import (TaylorJet, alternating_tail_sum, jet_erfcx, jet_exp, jet_hyp2f1_cov,
+                   jet_recip, jet_si_ci, jet_sin_cos, jet_spow, jet_variable)
 from .powerdist import GammaFit, signal_gamma_fit
 
 __all__ = [
@@ -256,7 +255,7 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
     Evaluates the alternating derivative sum of exp(V(s)) at s = 1, where V
     collects the noise term and the two interference tiers scaled by the
     fitted signal parameters.  exp(V) is completely monotone, so the sum's
-    terms share one sign and nothing cancels.
+    terms share one sign and nothing cancels.  An order-0 sum is exp(V(1)).
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
@@ -264,9 +263,12 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
     order = _jet_order(fit)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
-    d = 2.0 / params.path.alpha
-    v = jet_variable(order).coeffs * -noise_slope - jet_spow(d, order).coeffs * tier
-    value, _ = alternating_tail_sum(jet_exp(TaylorJet(v)))
+    if order == 0:
+        value = math.exp(-noise_slope - tier)
+    else:
+        d = 2.0 / params.path.alpha
+        v = jet_variable(order).coeffs * -noise_slope - jet_spow(d, order).coeffs * tier
+        value, _ = alternating_tail_sum(jet_exp(TaylorJet(v)))
     return min(max(value, 0.0), 1.0)
 
 
@@ -365,10 +367,9 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     for weight, fit, _ in _nearest_branches(params):
         order = _jet_order(fit)
         quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
-        x1 = quad_coef * jet_variable(order)
+        inv_root = quad_coef**-0.5 * jet_spow(-0.5, order)       # 1/sqrt(quad_coef s)
         x2 = lam_pi * _nearest_hyp_jets(params, gamma_bar, fit.omega, order)
-        root = jet_sqrt(x1)
-        kernel = math.sqrt(math.pi) * jet_erfcx(jet_div(x2, 2.0 * root)) * jet_recip(root)
+        kernel = math.sqrt(math.pi) * jet_erfcx(0.5 * x2 * inv_root) * inv_root
         val, _ = alternating_tail_sum(kernel)
         total += 0.5 * lam_pi * weight * val
     return min(max(total, 0.0), 1.0)

@@ -27,7 +27,6 @@ __all__ = [
     "jet_exp",
     "jet_pow",
     "jet_recip",
-    "jet_sqrt",
     "jet_div",
     "jet_sin_cos",
     "jet_si_ci",
@@ -96,8 +95,7 @@ class TaylorJet:
     def __mul__(self, other):
         if isinstance(other, TaylorJet):
             _check_same_order(self, other)
-            a, b = self._c, other._c
-            return _from_array(np.array([np.dot(a[: k + 1], b[k::-1]) for k in range(a.size)]))
+            return _from_array(np.convolve(self._c, other._c)[: self._c.size])
         return _from_array(self._c * float(other))
 
     __rmul__ = __mul__
@@ -180,21 +178,9 @@ def jet_recip(f: TaylorJet) -> TaylorJet:
     return _from_array(r)
 
 
-def jet_sqrt(f: TaylorJet) -> TaylorJet:
-    return jet_pow(f, 0.5)
-
-
 def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    _check_same_order(a, b)
-    aa, bb = a.coeffs, b.coeffs
-    n = a.order + 1
-    if bb[0] == 0.0:
-        raise ValueError("jet_div requires a nonzero denominator at s = 1")
-    r = np.empty(n)
-    r[0] = aa[0] / bb[0]
-    for k in range(1, n):
-        r[k] = (aa[k] - np.dot(bb[1 : k + 1], r[k - 1 :: -1])) / bb[0]
-    return _from_array(r)
+    """a/b as a times 1/b; needs b(1) != 0."""
+    return a * jet_recip(b)
 
 
 def jet_sin_cos(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:

@@ -7,7 +7,10 @@ moments are the exact ones the two-stage gamma pipeline approximates, and
 the CCDF integral is the coverage-to-rate identity on an empirical
 distribution.  The two coverage samplers draw the interference load
 directly (a positive stable variable by Kanter's method, and a Poisson
-field on an annulus) in place of the jet-evaluated derivative sums.
+field on an annulus) in place of the jet-evaluated derivative sums.  The
+jet division recurrence and the alpha = 4 nearest closed form written on
+square-root, division and reciprocal jets are the formulations the jets
+module and coverage_nearest_alpha4 replaced.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
+from riscov import analytic
 from riscov.analytic import SystemParams
 from riscov.fading import FadingParams
 from riscov.geometry import Window
+from riscov.jets import TaylorJet, jet_erfcx, jet_pow, jet_recip, jet_variable
 from riscov.mcsim import EmpiricalDistribution
 from riscov.powerdist import GammaFit, signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
@@ -249,3 +254,34 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
         for t in range(n_trials):
             total[t] += math.fsum(w[ends[t] - k[t]:ends[t]].astype(float))
     return total
+
+
+def jet_div_by_recurrence(a: TaylorJet, b: TaylorJet) -> np.ndarray:
+    """Coefficients of a/b by the division recurrence r_k = (a_k - sum_j b_j r_(k-j)) / b_0."""
+    aa, bb = a.coeffs, b.coeffs
+    r = np.empty(aa.size)
+    r[0] = aa[0] / bb[0]
+    for k in range(1, aa.size):
+        r[k] = (aa[k] - np.dot(bb[1 : k + 1], r[k - 1 :: -1])) / bb[0]
+    return r
+
+
+def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
+                                         ) -> tuple[float, float]:
+    """coverage_nearest_alpha4 with sqrt(x1) for x1 = q s taken as a jet power.
+
+    Returns the unclamped coverage and the largest erfcx argument at s = 1
+    over the association branches.
+    """
+    lam_pi = math.pi * params.lambda_t
+    total, largest = 0.0, 0.0
+    for weight, fit, _ in analytic._nearest_branches(params):
+        order = analytic._jet_order(fit)
+        quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
+        root = jet_pow(quad_coef * jet_variable(order), 0.5)
+        x2 = lam_pi * analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
+        arg = TaylorJet(jet_div_by_recurrence(x2, 2.0 * root))
+        kernel = math.sqrt(math.pi) * jet_erfcx(arg) * jet_recip(root)
+        total += 0.5 * lam_pi * weight * analytic.alternating_tail_sum(kernel)[0]
+        largest = max(largest, arg.coeffs[0])
+    return total, largest

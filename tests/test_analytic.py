@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
 
-from oracles import (fixed_ris_coverage_by_sampling,
+from oracles import (coverage_nearest_alpha4_by_root_jets, fixed_ris_coverage_by_sampling,
                      nearest_intlimited_coverage_by_sampling, rounded_shape, sample_gpp)
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, SystemParams,
@@ -197,7 +197,8 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
     """The summed functions are completely monotone, so no term cancels another.
 
     Records the cancellation ratio sum |c_i| / |sum (-1)^i c_i| of every jet
-    the two series-evaluated coverages actually sum.
+    the two series-evaluated coverages actually sum (an order-0 fixed link
+    is its closed form and sums none).
     """
     path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
     params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
@@ -215,7 +216,8 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
         mp_ctx.setattr(analytic, "alternating_tail_sum", recording_sum)
         coverage_fixed_ris(params, 10.0**log_gamma)
         coverage_nearest_intlimited(params, 10.0**log_gamma)
-    assert len(ratios) == 1 + (p > 0.0) + (p < 1.0)
+    fixed_order = analytic._jet_order(analytic._fixed_fit(params, True))
+    assert len(ratios) == (fixed_order > 0) + (p > 0.0) + (p < 1.0)
     assert max(ratios) <= 1.0 + 1e-12
 
 
@@ -335,6 +337,25 @@ def test_coverage_nearest_alpha4_p0_single_branch():
     expect = (math.pi * p.lambda_t / 2.0 * math.sqrt(math.pi)
               * sp.erfcx(x4 / (2.0 * math.sqrt(x3))) / math.sqrt(x3))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_elements", [1, 8, 32, 128, 512])
+def test_coverage_nearest_alpha4_matches_root_jet_formulation(n_elements, p):
+    """The binomial-jet 1/sqrt(q s) gives the square-root/division/reciprocal jet value.
+
+    The points keep every erfcx argument at s = 1 at or below 3, where the
+    erfcx recurrence is pinned (tests/test_jets.py).
+    """
+    path = dataclasses.replace(SystemParams.default().path, alpha=4.0)
+    for p_tx_dbm in (-20.0, 0.0):
+        params = params_at(p_tx_dbm, p=p, n_elements=n_elements, path=path)
+        for g_db in (-10.0, 0.0, 10.0):
+            gamma_bar = 10.0 ** (g_db / 10.0)
+            expect, largest_arg = coverage_nearest_alpha4_by_root_jets(params, gamma_bar)
+            assert 0.0 < expect < 1.0 and largest_arg <= 3.0
+            got = coverage_nearest_alpha4(params, gamma_bar)
+            assert got == pytest.approx(expect, rel=1e-13), (p_tx_dbm, g_db)
 
 
 def test_jet_sums_match_high_order_differentiation(fig4_params):
