@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -27,6 +28,7 @@ from .geometry import Window
 __all__ = ["RunSpec", "main", "run", "parse_config", "render_config", "build_params"]
 
 MODES = ("analytic", "mc", "both")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 #: custom-scenario strategies; each names the analytic.coverage_<strategy> function.
 STRATEGIES = ("fixed_ris", "fixed_noris", "nearest", "nearest_alpha4", "nearest_intlimited")
@@ -438,6 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riscov",
         description="Coverage and rate toolkit for surface-assisted networks")
+    parser.add_argument("-v", "--log-level", type=str.upper, choices=LOG_LEVELS,
+                        help="print riscov's log records from this level on to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and write CSV output")
@@ -474,6 +478,10 @@ def _spec_from_args(args) -> RunSpec:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logger = logging.getLogger("riscov")
+    if args.log_level and not logger.handlers:     # one handler, however often main runs
+        logger.addHandler(logging.StreamHandler())
+    logger.setLevel(args.log_level or logger.level)
     try:
         if args.command == "list-scenarios":
             for name in sorted(SCENARIOS):

@@ -25,6 +25,9 @@ Implementation notes, all distribution-preserving:
   worker count and, as the root ignores McConfig.seed, for every seed and
   sweep point of a process.  Float32 phases and cos/sin move an element sum
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
+* A cache file, named by a hash of every input of the table's bits, carries
+  the table across processes.  It is used only if its length, sha256 and
+  chunk 0 (drawn again from its seed) all match, else rebuilt.
 * Trials are grouped into blocks with independent child seeds, run on threads
   sharing one table and joined in plan order: samples ignore the worker count.
 * One kernel runs a block under either strategy.  The strategy sets the
@@ -38,11 +41,16 @@ Implementation notes, all distribution-preserving:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import logging
 import math
 import os
+import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -144,14 +152,18 @@ class _FadingTable:
     """
 
     def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
-                 workers: int = 1):
+                 workers: int = 1, columns: np.ndarray | None = None):
         self.size = size
         self.pad = pad
-        # the exact float bits key the stream, so every (m_h, m_r) gets its own
-        key = [n_elements, *np.float64([fading.m_h, fading.m_r]).view(np.uint64).tolist()]
-        root = np.random.SeedSequence(entropy=_TABLE_ENTROPY, spawn_key=key)
         (self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct,
-         self.cos_offset) = _table_columns(root, n_elements, fading, size + pad, workers)
+         self.cos_offset) = columns if columns is not None else _table_columns(
+            _table_root(n_elements, fading), n_elements, fading, size + pad, workers)
+
+
+def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence:
+    # the exact float bits key the stream, so every (m_h, m_r) gets its own
+    key = [n_elements, *np.float64([fading.m_h, fading.m_r]).view(np.uint64).tolist()]
+    return np.random.SeedSequence(entropy=_TABLE_ENTROPY, spawn_key=key)
 
 
 def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
@@ -184,6 +196,7 @@ def _fill_table_chunk(args) -> None:
 
 
 _TABLE_CACHE: dict[tuple, _FadingTable] = {}
+_CACHE_WARNED = False
 
 
 def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int,
@@ -191,9 +204,46 @@ def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int,
     key = (n_elements, float(fading.m_h), float(fading.m_r), int(size), int(pad))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        tab = _FadingTable(n_elements, fading, size, pad, workers)
+        tab = _FadingTable(n_elements, fading, size, pad, workers,
+                           _stored_columns(n_elements, fading, size, pad, workers))
         _TABLE_CACHE[key] = tab
     return tab
+
+
+def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int,
+                    workers: int) -> np.ndarray:
+    """The table's columns from its checked cache file, else built and saved there."""
+    global _CACHE_WARNED
+    root, rows, t0 = _table_root(n_elements, fading), size + pad, time.perf_counter()
+    key = (root.entropy, root.spawn_key, size, pad, _TABLE_CHUNK_ELEMENTS, np.__version__,
+           hashlib.sha256(Path(__file__).read_bytes()).hexdigest())
+    path = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "riscov",
+                f"fading-n{n_elements}-{hashlib.sha256(repr(key).encode()).hexdigest()[:32]}.f32")
+    with contextlib.suppress(OSError):
+        with open(path, "rb") as fh:    # the raw float32 columns, then their sha256
+            cols, digest = np.fromfile(fh, _F32, 5 * rows), fh.read()
+        step = min(rows, max(1, _TABLE_CHUNK_ELEMENTS // n_elements))
+        if (cols.size == 5 * rows and hashlib.sha256(cols).digest() == digest
+                and cols.reshape(5, rows)[:, :step].tobytes()
+                == _table_columns(root, n_elements, fading, step, 1).tobytes()):
+            log.info("fading table N=%d loaded from %s in %.2f s", n_elements, path,
+                     time.perf_counter() - t0)
+            return cols.reshape(5, rows)
+    cols = _table_columns(_table_root(n_elements, fading), n_elements, fading, rows, workers)
+    built = time.perf_counter() - t0
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+            with open(os.path.join(tmp, path.name), "wb") as fh:
+                cols.tofile(fh)
+                fh.write(hashlib.sha256(cols).digest())
+            os.replace(fh.name, path)
+    except OSError as exc:
+        if not _CACHE_WARNED:
+            log.warning("fading tables are not cached on disk: %s", exc)
+        _CACHE_WARNED, path = True, "nowhere"
+    log.info("fading table N=%d built in %.2f s, saved to %s", n_elements, built, path)
+    return cols
 
 
 def _run_jobs(fn, jobs: list, workers: int) -> list:

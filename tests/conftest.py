@@ -1,8 +1,24 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from riscov.analytic import SystemParams
 from riscov.fading import dbm_to_watts
+
+
+@pytest.fixture(scope="session", autouse=True)
+def table_cache_home():
+    """XDG_CACHE_HOME for the whole session: a temporary directory, removed at the end.
+
+    The simulator caches its fading tables under $XDG_CACHE_HOME/riscov, so the
+    tests never read or write the user's cache.
+    """
+    with tempfile.TemporaryDirectory(prefix="riscov-test-cache-") as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", tmp)
+        yield Path(tmp)
 
 
 @pytest.fixture(scope="session")

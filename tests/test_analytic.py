@@ -259,6 +259,15 @@ def test_coverage_fixed_noris_is_the_exponential_closed_form(alpha, n_elements, 
     assert coverage_fixed_noris(params, gamma_bar) == expect
 
 
+@pytest.mark.xfail(strict=True, reason="jet_exp underflows once the jet order passes about "
+                   "745, so coverage drops to 0; ROADMAP open item 2(a)")
+def test_coverage_fixed_ris_survives_high_jet_order():
+    """N = 4096 at 38 dB: a 30-digit mpmath derivative sum gives 0.6015032595281."""
+    params = SystemParams.default(n_elements=4096, lambda_t=1e-4, p=0.9,
+                                  p_tx_w=dbm_to_watts(-20.0))
+    assert coverage_fixed_ris(params, 10.0**3.8) == pytest.approx(0.6015032595281, abs=1e-9)
+
+
 def test_coverage_fixed_noris_crossing_power():
     from scipy.optimize import brentq
     f = lambda dbm: coverage_fixed_noris(params_at(dbm, lambda_t=1e-5), 1.0) - 0.9
@@ -337,6 +346,23 @@ def test_coverage_nearest_alpha4_p0_single_branch():
     expect = (math.pi * p.lambda_t / 2.0 * math.sqrt(math.pi)
               * sp.erfcx(x4 / (2.0 * math.sqrt(x3))) / math.sqrt(x3))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the forward erfcx recurrence is unstable at large "
+                   "argument and the [0, 1] clamp hides the blow-up; ROADMAP open item 2(c)")
+@pytest.mark.parametrize("n_elements,p,lambda_t,p_tx_dbm,g_db", [
+    (128, 0.9, 1e-3, 30.0, 0.0),
+    (128, 0.5, 1e-3, 10.0, -10.0),
+    (1024, 0.5, 1e-3, 0.0, -10.0),
+])
+def test_coverage_nearest_alpha4_matches_quadrature_at_high_snr(n_elements, p, lambda_t,
+                                                                p_tx_dbm, g_db):
+    path = dataclasses.replace(SystemParams.default().path, alpha=4.0)
+    params = SystemParams.default(n_elements=n_elements, p=p, lambda_t=lambda_t,
+                                  p_tx_w=dbm_to_watts(p_tx_dbm), path=path)
+    gamma_bar = 10.0 ** (g_db / 10.0)
+    assert coverage_nearest_alpha4(params, gamma_bar) == pytest.approx(
+        coverage_nearest(params, gamma_bar), abs=1e-6)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -474,7 +500,7 @@ def coverage_nearest_by_log_quadrature(params: SystemParams, gamma_bar: float) -
 
 
 _MASS_AT_SMALL_U = ("quad in u misses integrand mass at u << 1 (low power or high "
-                    "threshold); see ROADMAP open item 5")
+                    "threshold); see ROADMAP open item 3")
 
 
 @pytest.mark.parametrize("lambda_t,p_tx_dbm,gamma_db", [

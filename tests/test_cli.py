@@ -1,12 +1,13 @@
 import csv
 import hashlib
+import logging
 import math
 import re
 
 import numpy as np
 import pytest
 
-from riscov import analytic, cli
+from riscov import analytic, cli, mcsim
 from riscov.analytic import SystemParams
 from riscov.cli import (MODES, STRATEGIES, RunSpec, build_params, main,
                         parse_config, render_config)
@@ -167,6 +168,40 @@ def test_default_workers_match_one_worker(tmp_path, capsys):
     for mode in MODES:
         assert main(args + ["--mode", mode, "--workers", "-1", "--out", str(default)]) == 1
         assert "error: workers must be 0" in capsys.readouterr().err
+
+
+@pytest.fixture
+def riscov_logger():
+    """The riscov logger, with its handlers and level put back after the test."""
+    logger = logging.getLogger("riscov")
+    handlers, level = logger.handlers[:], logger.level
+    yield logger
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+
+
+def test_log_level_flag_routes_riscov_records(tmp_path, capsys, caplog, monkeypatch,
+                                              riscov_logger):
+    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
+    out = tmp_path / "out.csv"
+    args = ["run", "custom", "--mode", "mc", "--strategy", "nearest", "--lambda-t", "1e-8",
+            "--n-elements", "3", "--trials", "200", "--out", str(out)]
+    assert main(args) == 0          # no flag: no handler of riscov's own, no INFO record
+    csv_bytes = out.read_bytes()
+    assert capsys.readouterr().err == "" and riscov_logger.handlers == []
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "drew an empty field" in caplog.text
+    mcsim._TABLE_CACHE.clear()
+    assert main(["-v", "info", *args]) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"^fading table N=3 loaded from \S+fading-n3-\w+\.f32 in [0-9.]+ s$",
+                     err, re.M), err
+    assert "drew an empty field" in err
+    mcsim._TABLE_CACHE.clear()
+    assert main(["--log-level", "ERROR", *args]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == csv_bytes
+    assert len(riscov_logger.handlers) == 1
 
 
 def test_run_no_interference_matches_rayleigh(tmp_path):

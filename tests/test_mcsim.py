@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import logging
 import math
 import multiprocessing
 import os
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +561,148 @@ def test_replica_spread_matches_binomial_width(monkeypatch):
     stat = (replicas - 1) * estimates.var(ddof=1) / (prob * (1.0 - prob) / trials)
     low, high = stats.chi2.ppf([5e-4, 1.0 - 5e-4], replicas - 1)
     assert low < stat < high, stat
+
+
+# ---------------------------------------------------------------------------
+# fading-table disk cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def table_cache(tmp_path, monkeypatch):
+    """An empty cache directory, an empty in-process cache and small (N = 4) tables."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
+    monkeypatch.setattr(mcsim, "_CACHE_WARNED", False)
+    monkeypatch.setattr(mcsim, "_TABLE_ROWS", 4096)
+    return tmp_path / "home" / "riscov"
+
+
+def small_cached_config() -> McConfig:
+    return make_config(trials=400, seed=11, window=300.0, n_elements=4, lambda_t=1e-3)
+
+
+def cached_files(cache_dir) -> set:
+    return set(cache_dir.glob("*"))
+
+
+def table_messages(caplog) -> list[str]:
+    messages = (r.getMessage() for r in caplog.records)
+    return [m for m in messages if m.startswith("fading table N=")]
+
+
+def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog):
+    cfg = small_cached_config()
+    with caplog.at_level(logging.INFO, logger="riscov"):
+        cold = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
+        (path,) = cached_files(table_cache)
+        mcsim._TABLE_CACHE.clear()
+        warm = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
+    built, loaded = table_messages(caplog)
+    assert built.startswith("fading table N=4 built in ") and built.endswith(f"saved to {path}")
+    assert loaded.startswith(f"fading table N=4 loaded from {path} in ")
+    assert cold.tobytes() == warm.tobytes()
+    (tab,) = mcsim._TABLE_CACHE.values()
+    fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, tab.pad)
+    for name in TABLE_COLUMNS:
+        assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert path.stat().st_size == 5 * 4 * (tab.size + tab.pad) + 32
+    assert oct(path.parent.stat().st_mode & 0o777) == "0o700"
+
+
+def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
+    fading = FadingParams(m_h=2.0, m_r=2.0)
+    good = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+    (path,) = cached_files(table_cache)
+    saved = path.read_bytes()
+
+    def flipped(offset: int) -> bytes:
+        raw = bytearray(saved)
+        raw[offset] ^= 0x01
+        return bytes(raw)
+
+    # the file is the raw float32 columns followed by their sha256
+    damaged = {"first byte": flipped(0), "column byte": flipped(4 * 5000),
+               "digest byte": flipped(len(saved) - 1), "truncated": saved[:-40],
+               "overlong": saved + b"\0"}
+    for case, raw in damaged.items():
+        path.write_bytes(raw)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="riscov"):
+            again = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+        assert [m.split(" in ")[0] for m in table_messages(caplog)] == [
+            "fading table N=4 built"], case
+        assert again.tobytes() == good.tobytes()
+        assert path.read_bytes() == saved
+        assert cached_files(table_cache) == {path}      # no temporary file left
+
+
+def test_table_cache_rebuilds_when_chunk_zero_is_not_the_seeded_draw(table_cache, caplog):
+    """A file whose digest holds but whose chunk 0 another numpy or CPU would draw."""
+    fading = FadingParams(m_h=2.0, m_r=2.0)
+    good = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+    (path,) = cached_files(table_cache)
+    other = good.copy()
+    other[1, 7] = np.nextafter(other[1, 7], np.float32(np.inf))
+    path.write_bytes(other.tobytes() + hashlib.sha256(other).digest())
+    with caplog.at_level(logging.INFO, logger="riscov"):
+        again = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+    assert [m.split(" in ")[0] for m in table_messages(caplog)] == ["fading table N=4 built"]
+    assert again.tobytes() == good.tobytes()
+
+
+def test_table_cache_in_an_uncreatable_place_still_runs(table_cache, tmp_path, monkeypatch,
+                                                        caplog):
+    cfg = small_cached_config()
+    expect = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
+    mcsim._TABLE_CACHE.clear()
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    with caplog.at_level(logging.INFO, logger="riscov"):
+        got = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
+        mcsim._stored_columns(4, FadingParams(m_h=2.0, m_r=3.0), 64, 64, 1)
+    assert got.tobytes() == expect.tobytes()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].startswith("fading tables are not cached")
+    assert all(m.endswith("saved to nowhere") for m in table_messages(caplog))
+    assert blocker.read_text() == ""
+
+
+def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_path,
+                                                               monkeypatch):
+    base = dict(n_elements=4, fading=FadingParams(m_h=2.0, m_r=2.0), size=64, pad=64)
+
+    def file_of(**changes) -> set:
+        before = cached_files(table_cache)
+        args = {**base, **changes}
+        mcsim._stored_columns(args["n_elements"], args["fading"], args["size"], args["pad"], 1)
+        return cached_files(table_cache) - before
+
+    (first,) = file_of()
+    assert file_of() == set()                     # the same key finds the same file
+    after_two = np.nextafter(2.0, 3.0)
+    changes = {"N": dict(n_elements=5),
+               "m_h": dict(fading=FadingParams(m_h=after_two, m_r=2.0)),
+               "m_r": dict(fading=FadingParams(m_h=2.0, m_r=after_two)),
+               "size": dict(size=63, pad=65), "pad": dict(pad=65)}
+    names = {first}
+    for field_name, change in changes.items():
+        moved = file_of(**change)
+        assert len(moved) == 1, field_name
+        names |= moved
+    source = tmp_path / "mcsim.py"
+    source.write_bytes(Path(mcsim.__file__).read_bytes() + b"\n")
+    patches = {"_TABLE_ENTROPY": (mcsim, "_TABLE_ENTROPY", mcsim._TABLE_ENTROPY + 1),
+               "_TABLE_CHUNK_ELEMENTS": (mcsim, "_TABLE_CHUNK_ELEMENTS", 1 << 12),
+               "numpy version": (np, "__version__", np.__version__ + ".other"),
+               "mcsim source": (mcsim, "__file__", str(source))}
+    for field_name, (target, attr, value) in patches.items():
+        with monkeypatch.context() as m:
+            m.setattr(target, attr, value)
+            moved = file_of()
+        assert len(moved) == 1, field_name
+        names |= moved
+    assert len(names) == 1 + len(changes) + len(patches)
 
 
 def test_rayleigh_only_sanity():
