@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
 from .jets import (TaylorJet, alternating_tail_sum, jet_erfcx, jet_exp, jet_hyp2f1_cov,
@@ -286,8 +285,17 @@ def coverage_fixed_noris(params: SystemParams, gamma_bar: float) -> float:
 # Coverage, nearest association
 # ---------------------------------------------------------------------------
 
+# scipy.integrate.quad itself, bound on the first _quad_checked call: importing
+# scipy takes longer than a simulator process's whole set-up, and only the
+# quadrature paths need it.
+quad = None
+
+
 def _quad_checked(fn: Callable[[float], float], lo: float, hi: float,
                   epsabs: float, epsrel: float, where: str) -> float:
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
     out = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=300, full_output=1)
     if len(out) >= 4:
         info = out[2]

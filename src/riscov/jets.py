@@ -9,6 +9,13 @@ member hyp2f1_cov.  A TaylorJet carries the coefficients f^(i)(1)/i! up to a
 fixed order, so those derivative sums reduce to an alternating sum of jet
 coefficients.  All recurrences are the standard power-series ones and are
 exact to the carried order; the expansion point is always s0 = 1.
+
+The recurrences take their convolution sums with ndarray.dot, which numpy
+hands to the BLAS ddot kernel, so coefficient bits follow that kernel:
+OpenBLAS's AVX-512 ddot rounds a length-2 sum as one fused multiply-add,
+where its Haswell and Prescott kernels add the products in order.
+scipy.special (erfcx, Si/Ci) is imported on the first call that needs it,
+not at module import, so a simulator process never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .specfun import hyp2f1_cov
 
@@ -212,7 +218,8 @@ def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
     dc = jet_div(cj, u).coeffs
     si = np.empty(n)
     ci = np.empty(n)
-    si0, ci0 = _sp.sici(a[0])
+    from scipy.special import sici
+    si0, ci0 = sici(a[0])
     si[0], ci[0] = si0, ci0
     ja = a[1:] * np.arange(1.0, n)
     for k in range(1, n):
@@ -226,7 +233,8 @@ def jet_erfcx(u: TaylorJet) -> TaylorJet:
     a = u.coeffs
     n = u.order + 1
     v = np.empty(n)
-    v[0] = _sp.erfcx(a[0])
+    from scipy.special import erfcx
+    v[0] = erfcx(a[0])
     two_over_rtpi = 2.0 / math.sqrt(math.pi)
     ja = a[1:] * np.arange(1.0, n)
     g = []          # g[m]: coefficient m of 2 u v - 2/sqrt(pi), formed once v[m] is known

@@ -4,12 +4,12 @@ Everything here is real-valued and restricted to the parameter ranges that
 actually occur in the network model: path-loss exponents alpha > 2 and
 non-positive hypergeometric arguments.  The Gauss hypergeometric member
 2F1(1, -2/alpha; 1 - 2/alpha; z) and the regularized incomplete gammas are
-scipy.special evaluations behind checks of that domain.
+scipy.special evaluations behind checks of that domain.  Each function
+imports scipy.special on its first call, not at module import, so a
+simulator process never loads scipy.
 """
 
 from __future__ import annotations
-
-from scipy import special as _sp
 
 __all__ = [
     "reg_upper_gamma",
@@ -27,7 +27,8 @@ def reg_upper_gamma(kappa: float, x: float) -> float:
         raise ValueError(f"shape must be positive, got {kappa}")
     if x < 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
-    return float(_sp.gammaincc(kappa, x))
+    from scipy.special import gammaincc
+    return float(gammaincc(kappa, x))
 
 
 def reg_lower_gamma(kappa: float, x: float) -> float:
@@ -36,7 +37,8 @@ def reg_lower_gamma(kappa: float, x: float) -> float:
         raise ValueError(f"shape must be positive, got {kappa}")
     if x < 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
-    return float(_sp.gammainc(kappa, x))
+    from scipy.special import gammainc
+    return float(gammainc(kappa, x))
 
 
 def hyp2f1_cov(alpha: float, z: float) -> float:
@@ -50,5 +52,6 @@ def hyp2f1_cov(alpha: float, z: float) -> float:
         raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
     if z > 0.0:
         raise ValueError(f"argument must be non-positive, got {z}")
+    from scipy.special import hyp2f1
     d = 2.0 / alpha
-    return float(_sp.hyp2f1(1.0, -d, 1.0 - d, z))
+    return float(hyp2f1(1.0, -d, 1.0 - d, z))

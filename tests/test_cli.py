@@ -272,6 +272,20 @@ def test_run_fig7_mc_summary_reports_mc_coverage(tmp_path, capsys):
             assert re.search(rf": {family} CCDF crosses 0\.8 at -\d+\.\d\d dB$", line), line
 
 
+def test_run_fig6_summary_reports_rate_ranges(tmp_path, capsys):
+    # one line per density and computed rate column, first..last power
+    for mode, kinds in (("mc", ["mc"]), ("both", ["analytic", "mc"])):
+        assert main(["run", "fig6", "--mode", mode, "--trials", "100",
+                     "--window-radius", "300", "--out", str(tmp_path / "fig6.csv")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fig6 ")]
+        assert len(lines) == 3 * len(kinds)
+        for (lam, kind), line in zip([(lam, k) for lam in ("1e-06", "1e-05", "0.0001")
+                                      for k in kinds], lines):
+            assert re.search(rf"^fig6 lambda_t={lam}: {kind} rate \d+\.\d{{3}}\.\.\d+\.\d{{3}}$",
+                             line), line
+
+
 def test_run_writes_summary(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     assert main(["run", "fig3", "--mode", "analytic", "--out", str(out)]) == 0

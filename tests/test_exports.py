@@ -3,18 +3,24 @@
 perfbench/spans.py wraps the functions a module lists in __all__, so a name
 listed there that no longer exists breaks the traced benchmark pass, and a
 public function left out of it is never traced.  The README's library
-example must keep importing.
+example must keep importing, and importing riscov must not load scipy.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import riscov
+from riscov.analytic import SystemParams, coverage_nearest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(riscov.__path__)
                  if m.name != "__main__")
@@ -50,10 +56,41 @@ def test_package_reexports_only_public_names():
 
 
 def test_readme_library_example_imports():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     example = readme.split("## Library example", 1)[1].split("```python", 1)[1]
     example = example.split("```", 1)[0]
     tree = ast.parse(example)
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+_SIMULATE_THEN_EVALUATE = """
+import sys
+import riscov, riscov.cli, riscov.mcsim
+from riscov.analytic import SystemParams, coverage_nearest
+from riscov.geometry import Window
+
+assert riscov.cli.main(["list-scenarios"]) == 0
+params = SystemParams.default(n_elements=4)
+for strategy, forced in (("fixed", True), ("nearest", None)):
+    cfg = riscov.mcsim.McConfig(trials=100, seed=7, params=params, window=Window(300.0))
+    assert riscov.mcsim.simulate_sinr(cfg, strategy, forced_ris=forced).n == 100
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("scipy.integrate" in sys.modules)
+print(repr(coverage_nearest(SystemParams.default(p=0.9), 1.0)))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_simulating_never_loads_scipy_until_an_analytic_call():
+    """The CLI and the simulator run on numpy alone; scipy loads on first analytic use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE_THEN_EVALUATE], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    *_, scipy_modules, before, value, after = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert before == "False"
+    assert after == "True"
+    assert float(value) == coverage_nearest(SystemParams.default(p=0.9), 1.0)
