@@ -4,7 +4,8 @@ All internal math is linear; dB and dBm values are converted once at the
 boundary with the helpers below.  Direct links are Rayleigh; the two hops of
 a reflected link are Nakagami-m with unit spread, so squared magnitudes are
 Gamma(m, 1/m).  The serving-link path gains are SystemParams.eta_g0 and
-eta_h0; the per-element fading draws are mcsim._element_amplitudes.
+eta_h0; mcsim._hop_power draws a hop's power and mcsim._element_amplitudes
+the per-element amplitudes.
 """
 
 from __future__ import annotations

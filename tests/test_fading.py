@@ -109,11 +109,18 @@ def test_nakagami_m1_is_rayleigh():
 
 
 def test_nakagami_unit_power():
-    for m in (0.5, 1.0, 2.0, 4.5):
+    for m in (0.5, 1.0, 2.0, 3.0, 4.0, 4.5):
         amp = _amplitudes(m, m, 400_000, seed=int(10 * m))
         mean_sq = (amp**2).mean()
         sd = (amp**2).std(ddof=1) / math.sqrt(amp.size)
         assert abs(mean_sq - 1.0) <= 3.0 * sd
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 4.0, 1.5, 4.5, 6.0])
+def test_hop_power_is_gamma(m):
+    """Both branches of the hop-power sampler (exponential sums, rng.gamma) are Gamma(m, 1/m)."""
+    power = mcsim._hop_power(np.random.default_rng(int(100 * m)), m, (200_000,))
+    assert stats.kstest(power, lambda x: special.gammainc(m, m * x)).pvalue > 0.01
 
 
 def test_nakagami_mean_formula():

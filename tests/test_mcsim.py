@@ -320,18 +320,30 @@ def test_fixed_association_serves_the_configured_link(monkeypatch, forced_ris):
         assert np.array_equal(sinr, np.full(n, params.eta_g0))
 
 
+def one_shot_hop_power(rng, m: float, shape: tuple) -> np.ndarray:
+    """Gamma(m, 1/m) in one call: a whole m up to the cutoff sums m exponentials per element."""
+    if float(m).is_integer() and m <= mcsim._EXP_SUM_MAX_SHAPE:
+        exps = rng.standard_exponential((*shape, int(m)))
+        return sum(exps[..., i] for i in range(int(m))) / m
+    return rng.gamma(m, 1.0 / m, shape)
+
+
 def one_shot_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
     """Reference for _random_phase_sum: each per-element quantity drawn in one (rows, N) call."""
-    amp = (np.sqrt(rng.gamma(fading.m_h, 1.0 / fading.m_h, (rows, n_elements)))
-           * np.sqrt(rng.gamma(fading.m_r, 1.0 / fading.m_r, (rows, n_elements))))
-    phase = rng.random((rows, n_elements), dtype=np.float32) * np.float32(2.0 * math.pi)
+    shape = (rows, n_elements)
+    amp = np.sqrt(one_shot_hop_power(rng, fading.m_h, shape)
+                  * one_shot_hop_power(rng, fading.m_r, shape))
+    phase = rng.random(shape, dtype=np.float32) * np.float32(2.0 * math.pi)
     return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
 
 
 @pytest.mark.parametrize("n_elements,rows,m", [(1, 70_000, 2.0), (32, 5000, 1.5),
                                                (4096, 40, 3.0)])
 def test_blocked_draws_match_one_shot_draws(n_elements, rows, m):
-    """Block-wise draws give the same values and leave the generator in the same state."""
+    """Block-wise draws give the same values and leave the generator in the same state.
+
+    m = 2 and 3 take the exponential sums of _hop_power, m = 1.5 its rng.gamma branch.
+    """
     fading = FadingParams(m_h=m, m_r=2.0)
     rng_blocked, rng_reference = np.random.default_rng(11), np.random.default_rng(11)
     got = mcsim._random_phase_sum(rng_blocked, fading, n_elements, rows)
