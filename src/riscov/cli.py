@@ -52,7 +52,6 @@ KEY_SPECS: dict[str, tuple[str, type, object]] = {
     "window_radius": ("simulation window radius, m", float, 5000.0),
     "trials": ("Monte Carlo trials per point (0 = per-scenario default)", int, 0),
     "seed": ("Monte Carlo seed", int, 1),
-    "workers": ("simulation threads (0 = all available CPUs)", int, 0),
     "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str, "fixed_ris"),
 }
 
@@ -78,9 +77,6 @@ class RunSpec:
         if self.setting("strategy") not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.setting('strategy')!r}; "
                              f"choose from {', '.join(STRATEGIES)}")
-        if int(self.setting("workers")) < 0:
-            raise ValueError("workers must be 0 (all available CPUs) or more, "
-                             f"got {self.setting('workers')}")
 
     def setting(self, key: str):
         return self.overrides.get(key, KEY_SPECS[key][2])
@@ -108,12 +104,10 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
 def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
                seed_offset: int = 0) -> mcsim.McConfig:
     trials = int(spec.setting("trials")) or default_trials
-    workers = int(spec.setting("workers"))
     return mcsim.McConfig(trials=trials,
                           seed=int(spec.setting("seed")) + seed_offset,
                           params=params,
-                          window=Window(float(spec.setting("window_radius"))),
-                          **({"workers": workers} if workers else {}))
+                          window=Window(float(spec.setting("window_radius"))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,32 +386,22 @@ def _scenario_custom(spec: RunSpec):
     return ["gamma_bar_db", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
 
 
+#: scenario id -> (function returning columns, rows and summaries; one-line help)
 SCENARIOS = {
-    "fig2": _scenario_fig2,
-    "fig3": _scenario_fig3,
-    "fig4": _scenario_fig4,
-    "fig5": _scenario_fig5,
-    "fig6": _scenario_fig6,
-    "fig7": _scenario_fig7,
-    "fig8": _scenario_fig8,
-    "custom": _scenario_custom,
-}
-
-_SCENARIO_HELP = {
-    "fig2": "signal-power CCDF vs gamma fit, m x N families",
-    "fig3": "per-interferer power CCDF vs exponential model",
-    "fig4": "fixed association with surface: coverage vs transmit power",
-    "fig5": "fixed association without surface: coverage vs transmit power",
-    "fig6": "fixed association: rate vs transmit power",
-    "fig7": "nearest association: coverage vs transmit power",
-    "fig8": "nearest association, noise-free: coverage and rate vs p",
-    "custom": "one configuration on the default threshold grid",
+    "fig2": (_scenario_fig2, "signal-power CCDF vs gamma fit, m x N families"),
+    "fig3": (_scenario_fig3, "per-interferer power CCDF vs exponential model"),
+    "fig4": (_scenario_fig4, "fixed association with surface: coverage vs transmit power"),
+    "fig5": (_scenario_fig5, "fixed association without surface: coverage vs transmit power"),
+    "fig6": (_scenario_fig6, "fixed association: rate vs transmit power"),
+    "fig7": (_scenario_fig7, "nearest association: coverage vs transmit power"),
+    "fig8": (_scenario_fig8, "nearest association, noise-free: coverage and rate vs p"),
+    "custom": (_scenario_custom, "one configuration on the default threshold grid"),
 }
 
 
 def run(spec: RunSpec) -> int:
     """Execute a run spec: write its CSV artifact and print curve summaries."""
-    columns, rows, summaries = SCENARIOS[spec.scenario](spec)
+    columns, rows, summaries = SCENARIOS[spec.scenario][0](spec)
     out = spec.out or f"{spec.scenario}.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -488,8 +472,8 @@ def main(argv=None) -> int:
     logger.setLevel(args.log_level or logger.level)
     try:
         if args.command == "list-scenarios":
-            for name in sorted(SCENARIOS):
-                print(f"{name:8s} {_SCENARIO_HELP[name]}")
+            for name, (_, help_text) in sorted(SCENARIOS.items()):
+                print(f"{name:8s} {help_text}")
             return 0
         if args.command == "validate-config":
             with open(args.config) as fh:

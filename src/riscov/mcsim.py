@@ -25,14 +25,16 @@ Implementation notes, all distribution-preserving:
   The serving link never uses the table.
 * The table is built on the thread pool in fixed chunks, chunk k seeded by
   child k of a root of fixed entropy and (N, m_h, m_r): one table for any
-  worker count and, as the root ignores McConfig.seed, for every seed and
+  thread count and, as the root ignores McConfig.seed, for every seed and
   sweep point of a process.  Float32 phases and cos/sin move an element sum
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
 * A cache file, named by a hash of every input of the table's bits, carries
   the table across processes.  It is used only if its length, sha256 and
   chunk 0 (drawn again from its seed) all match, else rebuilt.
 * Trials are grouped into blocks with independent child seeds, run on threads
-  sharing one table and joined in plan order: samples ignore the worker count.
+  sharing one table and joined in plan order: samples ignore the thread count.
+  The pool has one thread per CPU the process may run on (its affinity mask,
+  so `taskset` limits it), at most one per block or table chunk.
 * One kernel runs a block under either strategy.  The strategy sets the
   serving gains, which trials have a surface and which field points
   interfere; the Poisson count comes first, then the serving signal, then
@@ -45,6 +47,7 @@ Implementation notes, all distribution-preserving:
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import logging
 import math
@@ -104,13 +107,10 @@ class McConfig:
     seed: int
     params: SystemParams
     window: Window = field(default_factory=lambda: Window(5000.0))
-    workers: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,12 @@ class _FadingTable:
     """
 
     def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
-                 workers: int = 1, columns: np.ndarray | None = None):
+                 columns: np.ndarray | None = None):
         self.size = size
         self.pad = pad
         (self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct,
          self.cos_offset) = columns if columns is not None else _table_columns(
-            _table_root(n_elements, fading), n_elements, fading, size + pad, workers)
+            _table_root(n_elements, fading), n_elements, fading, size + pad)
 
 
 def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence:
@@ -174,17 +174,20 @@ def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence
 
 
 def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
-                   rows: int, workers: int) -> np.ndarray:
+                   rows: int) -> np.ndarray:
     """(5, rows) float32 table columns in fixed chunks, chunk k from child k of root.
 
-    The chunk plan depends on N alone, so the columns ignore the worker count.
+    The chunk plan depends on N alone, so the columns ignore the thread count.
+    Child k is keyed as root.spawn would key it on a fresh root, without
+    spawning: a root used before gives the same columns.
     """
     step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
     cols = np.empty((5, rows), dtype=_F32)
-    starts = range(0, rows, step)
-    chunks = [(cols[:, lo:lo + step], child, n_elements, fading)
-              for lo, child in zip(starts, root.spawn(len(starts)))]
-    _run_jobs(_fill_table_chunk, chunks, workers)
+    chunks = [(cols[:, lo:lo + step],
+               np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, k)),
+               n_elements, fading)
+              for k, lo in enumerate(range(0, rows, step))]
+    _run_jobs(_fill_table_chunk, chunks)
     return cols
 
 
@@ -202,23 +205,16 @@ def _fill_table_chunk(args) -> None:
     out[4] = np.cos(rng.uniform(0.0, 2.0 * math.pi, rows))
 
 
-_TABLE_CACHE: dict[tuple, _FadingTable] = {}
 _CACHE_WARNED = False
 
 
-def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int,
-               workers: int = 1) -> _FadingTable:
-    key = (n_elements, float(fading.m_h), float(fading.m_r), int(size), int(pad))
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _FadingTable(n_elements, fading, size, pad, workers,
-                           _stored_columns(n_elements, fading, size, pad, workers))
-        _TABLE_CACHE[key] = tab
-    return tab
+@functools.lru_cache(maxsize=None)
+def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int) -> _FadingTable:
+    return _FadingTable(n_elements, fading, size, pad,
+                        _stored_columns(n_elements, fading, size, pad))
 
 
-def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int,
-                    workers: int) -> np.ndarray:
+def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int) -> np.ndarray:
     """The table's columns from its checked cache file, else built and saved there."""
     global _CACHE_WARNED
     root, rows, t0 = _table_root(n_elements, fading), size + pad, time.perf_counter()
@@ -232,11 +228,11 @@ def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int,
         step = min(rows, max(1, _TABLE_CHUNK_ELEMENTS // n_elements))
         if (cols.size == 5 * rows and hashlib.sha256(cols).digest() == digest
                 and cols.reshape(5, rows)[:, :step].tobytes()
-                == _table_columns(root, n_elements, fading, step, 1).tobytes()):
+                == _table_columns(root, n_elements, fading, step).tobytes()):
             log.info("fading table N=%d loaded from %s in %.2f s", n_elements, path,
                      time.perf_counter() - t0)
             return cols.reshape(5, rows)
-    cols = _table_columns(_table_root(n_elements, fading), n_elements, fading, rows, workers)
+    cols = _table_columns(root, n_elements, fading, rows)
     built = time.perf_counter() - t0
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -253,12 +249,12 @@ def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int,
     return cols
 
 
-def _run_jobs(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], on min(workers, len(jobs)) threads when that exceeds one."""
-    threads = min(workers, len(jobs))
+def _run_jobs(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], on one thread per available CPU, at most one per job."""
+    threads = min(_available_cpus(), len(jobs))
     if threads > 1:
         # numpy's random fills and ufuncs release the GIL, so jobs overlap
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(threads) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]
 
@@ -505,13 +501,12 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
         pad = max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
-        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad,
-                         config.workers)
+        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)
             for n, child in zip(sizes, children)]
-    samples = np.concatenate(_run_jobs(_run_block, jobs, config.workers))
+    samples = np.concatenate(_run_jobs(_run_block, jobs))
     samples.sort()
     return EmpiricalDistribution(samples)
 
@@ -541,12 +536,20 @@ def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
 # Distribution-validation sampling
 # ---------------------------------------------------------------------------
 
+def _check_sample_sizes(n_elements: int, n_samples: int) -> None:
+    if n_elements < 1:
+        raise ValueError(f"element count must be at least 1, got {n_elements}")
+    if n_samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {n_samples}")
+
+
 def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
                         n_samples: int, seed) -> EmpiricalDistribution:
     """Draws of the coherently combined serving power (surface present)."""
+    _check_sample_sizes(n_elements, n_samples)
     rng = np.random.default_rng(seed)
     out = np.empty(n_samples)
-    chunk = max(1, (1 << 23) // max(n_elements, 1))
+    chunk = max(1, (1 << 23) // n_elements)
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
         out[lo:hi] = _coherent_signal(rng, fading, n_elements, eta_g0, eta_h0, hi - lo)
@@ -562,8 +565,9 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     combined as the interference kernel combines them, so these are draws of
     the float32 table the simulator uses.
     """
+    _check_sample_sizes(n_elements, n_samples)
     mag2_direct, mag2_scatter, cross, _, _ = _table_columns(
-        np.random.SeedSequence(seed), n_elements, fading, n_samples, _available_cpus())
+        np.random.SeedSequence(seed), n_elements, fading, n_samples)
     eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
     out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)
     out.sort()

@@ -93,8 +93,9 @@ def test_traced_threaded_simulation_records_spans_only_in_the_caller(monkeypatch
 
     # every wrapper reads the tracer's clock at install time
     monkeypatch.setattr(spans, "time", types.SimpleNamespace(perf_counter=clock))
+    monkeypatch.setattr(mcsim, "_available_cpus", lambda: 2)
     config = mcsim.McConfig(trials=4000, seed=3, params=SystemParams.default(n_elements=4),
-                            window=Window(1000.0), workers=2)
+                            window=Window(1000.0))
     assert len(mcsim._block_plan(config)) > 1
     tracer = spans.Tracer()
     tracer.install()

@@ -75,13 +75,15 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_fading_table_size_is_not_a_key(tmp_path, capsys):
-    """The simulator fixes its table size, so a config naming it is refused."""
+    """The simulator fixes its table size and sizes its thread pool from the CPUs it may
+    use, so a config naming either is refused."""
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("scenario = custom\npool_size = 4096\n")
-    assert main(["validate-config", str(cfg)]) == 1
-    assert "error: line 2: unknown config key 'pool_size'" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["run", "custom", "--pool-size", "4096"])
+    for key in ("pool_size", "workers"):
+        cfg.write_text(f"scenario = custom\n{key} = 4\n")
+        assert main(["validate-config", str(cfg)]) == 1
+        assert f"error: line 2: unknown config key '{key}'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["run", "custom", f"--{key.replace('_', '-')}", "4"])
 
 
 def test_default_spec_matches_library_defaults():
@@ -157,17 +159,14 @@ def test_run_reproducible_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_default_workers_match_one_worker(tmp_path, capsys):
-    args = ["run", "custom", "--trials", "2000"]
+def test_default_workers_match_one_worker(tmp_path, monkeypatch):
+    args = ["run", "custom", "--trials", "2000", "--mode", "mc"]
     serial = tmp_path / "serial.csv"
     default = tmp_path / "default.csv"
-    assert main(args + ["--mode", "mc", "--workers", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--mode", "mc", "--out", str(default)]) == 0
+    assert main(args + ["--out", str(default)]) == 0
+    monkeypatch.setattr(mcsim, "_available_cpus", lambda: 1)
+    assert main(args + ["--out", str(serial)]) == 0
     assert serial.read_bytes() == default.read_bytes()
-    capsys.readouterr()
-    for mode in MODES:
-        assert main(args + ["--mode", mode, "--workers", "-1", "--out", str(default)]) == 1
-        assert "error: workers must be 0" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -182,7 +181,7 @@ def riscov_logger():
 
 def test_log_level_flag_routes_riscov_records(tmp_path, capsys, caplog, monkeypatch,
                                               riscov_logger):
-    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
+    mcsim._get_table.cache_clear()
     out = tmp_path / "out.csv"
     args = ["run", "custom", "--mode", "mc", "--strategy", "nearest", "--lambda-t", "1e-8",
             "--n-elements", "3", "--trials", "200", "--out", str(out)]
@@ -191,13 +190,13 @@ def test_log_level_flag_routes_riscov_records(tmp_path, capsys, caplog, monkeypa
     assert capsys.readouterr().err == "" and riscov_logger.handlers == []
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "drew an empty field" in caplog.text
-    mcsim._TABLE_CACHE.clear()
+    mcsim._get_table.cache_clear()
     assert main(["-v", "info", *args]) == 0
     err = capsys.readouterr().err
     assert re.search(r"^fading table N=3 loaded from \S+fading-n3-\w+\.f32 in [0-9.]+ s$",
                      err, re.M), err
     assert "drew an empty field" in err
-    mcsim._TABLE_CACHE.clear()
+    mcsim._get_table.cache_clear()
     assert main(["--log-level", "ERROR", *args]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_bytes() == csv_bytes
@@ -362,4 +361,24 @@ def test_fixed_mc_csv_bytes_are_unchanged(tmp_path, run_id):
     out = tmp_path / "out.csv"
     assert main(["run", "custom", *args, "--lambda-t", "1e-3", "--trials", "2000",
                  "--mode", "mc", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `riscov run <args> --mode mc` CSVs that read no interference-kernel draws:
+# fig3 reads the first three fading-table columns through sample_interferer_power,
+# and at zero density the simulator builds no table and sums no interference.
+KERNEL_FREE_MC_CSV_SHA256 = {
+    "fig3": (["fig3", "--trials", "3000"],
+             "706a3c6c80b90fd998c3e77e9a92c7fe9bb8e911a20712d2d0aadfc016e92a8b"),
+    "fixed_ris-lambda0": (["custom", "--strategy", "fixed_ris", "--lambda-t", "0",
+                           "--trials", "2000"],
+                          "81bdce2b38aaacb34235a519272d4885e1e690a2e222c5496895c59df74bf0f2"),
+}
+
+
+@pytest.mark.parametrize("run_id", list(KERNEL_FREE_MC_CSV_SHA256))
+def test_kernel_free_mc_csv_bytes_are_unchanged(tmp_path, run_id):
+    args, digest = KERNEL_FREE_MC_CSV_SHA256[run_id]
+    out = tmp_path / "out.csv"
+    assert main(["run", *args, "--mode", "mc", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

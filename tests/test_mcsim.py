@@ -132,7 +132,12 @@ def test_identical_config_identical_samples():
     assert not np.array_equal(a.sorted_samples, c.sorted_samples)
 
 
-def test_worker_count_does_not_change_samples():
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Make the simulator see cpus available CPUs, as an affinity mask of that size would."""
+    monkeypatch.setattr(mcsim, "_available_cpus", lambda: cpus)
+
+
+def test_worker_count_does_not_change_samples(monkeypatch):
     base = make_config(trials=4000, seed=21, window=1000.0)
     n_blocks = len(mcsim._block_plan(base))
     assert n_blocks > 3
@@ -140,25 +145,20 @@ def test_worker_count_does_not_change_samples():
     sys.setswitchinterval(1e-5)     # many thread switches inside every block
     try:
         for strategy, forced in (("fixed", False), ("fixed", True), ("nearest", None)):
-            serial = simulate_sinr(dataclasses.replace(base, workers=1), strategy, forced)
-            for cfg in (base, *(dataclasses.replace(base, workers=w)
-                                for w in (2, 3, n_blocks + 3))):
-                other = simulate_sinr(cfg, strategy, forced)
+            use_cpus(monkeypatch, 1)
+            serial = simulate_sinr(base, strategy, forced)
+            for cpus in (2, 3, n_blocks + 3):
+                use_cpus(monkeypatch, cpus)
+                other = simulate_sinr(base, strategy, forced)
                 assert np.array_equal(other.sorted_samples, serial.sorted_samples), \
-                    (strategy, forced, cfg.workers)
+                    (strategy, forced, cpus)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_default_workers_are_the_available_cpus():
-    cfg = make_config(trials=100)
-    expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count())
-    assert cfg.workers == expected >= 1
-
-
 def test_blocks_run_on_threads_not_processes(monkeypatch):
-    cfg = dataclasses.replace(make_config(trials=4000, seed=24, window=1000.0), workers=2)
+    use_cpus(monkeypatch, 2)
+    cfg = make_config(trials=4000, seed=24, window=1000.0)
     assert len(mcsim._block_plan(cfg)) > 2
     original = mcsim._run_block
     barrier = threading.Barrier(2, timeout=30)
@@ -186,12 +186,20 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    cfg = dataclasses.replace(make_config(trials=4000, seed=25, window=1000.0), workers=64)
+    cfg = make_config(trials=4000, seed=25, window=1000.0)
+    n_blocks = len(mcsim._block_plan(cfg))
     # the fading table has its own pool (test_table_pool_never_exceeds_the_chunk_count)
-    simulate_sinr(dataclasses.replace(cfg, trials=200, workers=2), "fixed", forced_ris=False)
+    simulate_sinr(dataclasses.replace(cfg, trials=200), "fixed", forced_ris=False)
     monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+    # unpatched, the pool has one thread per CPU of the affinity mask
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     simulate_sinr(cfg, "fixed", forced_ris=False)
-    assert sizes == [len(mcsim._block_plan(cfg))]
+    assert sizes == ([min(cpus, n_blocks)] if cpus > 1 else [])
+    sizes.clear()
+    use_cpus(monkeypatch, 64)
+    simulate_sinr(cfg, "fixed", forced_ris=False)
+    assert sizes == [n_blocks]
     # a single block runs inline, in the calling thread
     one = dataclasses.replace(cfg, trials=200)
     assert len(mcsim._block_plan(one)) == 1
@@ -446,13 +454,32 @@ def test_one_interferer_trials_match_oracle_bitwise(kernel_table, alpha, bounds,
 # fading table
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def fresh_tables():
+    """An empty in-process table cache, emptied again after the test."""
+    mcsim._get_table.cache_clear()
+    yield
+    mcsim._get_table.cache_clear()
+
+
+def only_cached_table(cfg: McConfig) -> mcsim._FadingTable:
+    """The one table the in-process cache holds, the one simulate_sinr(cfg) read."""
+    info = mcsim._get_table.cache_info()
+    assert info.currsize == 1
+    pad = max(mcsim._POOL_PAD_MIN, int(3 * cfg.params.lambda_t * cfg.window.area) + 1024)
+    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS, pad)
+    assert mcsim._get_table.cache_info().misses == info.misses     # a hit, not a new table
+    return tab
+
+
 TABLE_COLUMNS = ("mag2_direct", "mag2_scatter", "cross", "exp_direct", "cos_offset")
 
 
-def small_chunk_table(monkeypatch, workers, size=4096, pad=5000):
+def small_chunk_table(monkeypatch, cpus, size=4096, pad=5000):
     """N = 4 table in chunks of 1024 rows: 9 chunks, the last one partial."""
     monkeypatch.setattr(mcsim, "_TABLE_CHUNK_ELEMENTS", 4096)
-    return mcsim._FadingTable(4, FadingParams(m_h=1.5, m_r=2.5), size, pad, workers)
+    use_cpus(monkeypatch, cpus)
+    return mcsim._FadingTable(4, FadingParams(m_h=1.5, m_r=2.5), size, pad)
 
 
 def test_table_is_the_same_for_any_worker_count(monkeypatch):
@@ -460,11 +487,11 @@ def test_table_is_the_same_for_any_worker_count(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         serial = small_chunk_table(monkeypatch, 1)
-        for workers in (2, 3, 12):
-            other = small_chunk_table(monkeypatch, workers)
+        for cpus in (2, 3, 12):
+            other = small_chunk_table(monkeypatch, cpus)
             for name in TABLE_COLUMNS:
                 assert np.array_equal(getattr(other, name), getattr(serial, name)), \
-                    (workers, name)
+                    (cpus, name)
     finally:
         sys.setswitchinterval(interval)
     for name in TABLE_COLUMNS:
@@ -510,11 +537,12 @@ def test_table_pool_never_exceeds_the_chunk_count(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_table_build_peak_memory():
+def test_table_build_peak_memory(monkeypatch):
     """The N = 32 build on two threads holds the table plus two chunks' temporaries."""
+    use_cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
-        tab = mcsim._FadingTable(32, FadingParams(m_h=2.0, m_r=2.0), 1 << 20, 1 << 19, 2)
+        tab = mcsim._FadingTable(32, FadingParams(m_h=2.0, m_r=2.0), 1 << 20, 1 << 19)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -537,7 +565,7 @@ def test_table_stream_is_keyed_on_exact_shapes():
 @pytest.mark.parametrize("n_elements", [4, 32])
 def test_table_columns_meet_moment_identities(n_elements):
     """E|g|^2 = 1, E|T|^2 = N, E[cross] = 0, E[exp] = 1, E[cos phi] = 0, within 4 SE."""
-    tab = mcsim._FadingTable(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 16, 1 << 16, 2)
+    tab = mcsim._FadingTable(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 16, 1 << 16)
     for name, expect in (("mag2_direct", 1.0), ("mag2_scatter", float(n_elements)),
                          ("cross", 0.0), ("exp_direct", 1.0), ("cos_offset", 0.0)):
         col = getattr(tab, name).astype(np.float64)
@@ -545,7 +573,7 @@ def test_table_columns_meet_moment_identities(n_elements):
         assert abs(col.mean() - expect) <= 4.0 * se, (name, col.mean(), se)
 
 
-def test_replica_spread_matches_binomial_width(monkeypatch):
+def test_replica_spread_matches_binomial_width(monkeypatch, fresh_tables):
     """Coverage estimates of replicas with their own tables spread like binomials.
 
     Each replica reuses every row of its table about six times (314
@@ -555,16 +583,15 @@ def test_replica_spread_matches_binomial_width(monkeypatch):
     """
     replicas, trials = 30, 10_000
     params = SystemParams.default(lambda_t=4e-4, n_elements=2)
-    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
     monkeypatch.setattr(mcsim, "_TABLE_ROWS", 4096)
     estimates = []
     for r in range(replicas):
         monkeypatch.setattr(mcsim, "_TABLE_ENTROPY", 0x51DE + r)
-        mcsim._TABLE_CACHE.clear()
+        mcsim._get_table.cache_clear()
         cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0))
         estimates.append(estimate_coverage(simulate_sinr(cfg, "fixed", forced_ris=False),
                                            0.25)[0])
-        (tab,) = mcsim._TABLE_CACHE.values()
+        tab = only_cached_table(cfg)
         rows = tab.size + tab.pad
         assert trials * params.lambda_t * cfg.window.area >= 5 * rows
     estimates = np.asarray(estimates)
@@ -580,10 +607,9 @@ def test_replica_spread_matches_binomial_width(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def table_cache(tmp_path, monkeypatch):
+def table_cache(tmp_path, monkeypatch, fresh_tables):
     """An empty cache directory, an empty in-process cache and small (N = 4) tables."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
-    monkeypatch.setattr(mcsim, "_TABLE_CACHE", {})
     monkeypatch.setattr(mcsim, "_CACHE_WARNED", False)
     monkeypatch.setattr(mcsim, "_TABLE_ROWS", 4096)
     return tmp_path / "home" / "riscov"
@@ -607,13 +633,13 @@ def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog)
     with caplog.at_level(logging.INFO, logger="riscov"):
         cold = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
         (path,) = cached_files(table_cache)
-        mcsim._TABLE_CACHE.clear()
+        mcsim._get_table.cache_clear()
         warm = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
     built, loaded = table_messages(caplog)
     assert built.startswith("fading table N=4 built in ") and built.endswith(f"saved to {path}")
     assert loaded.startswith(f"fading table N=4 loaded from {path} in ")
     assert cold.tobytes() == warm.tobytes()
-    (tab,) = mcsim._TABLE_CACHE.values()
+    tab = only_cached_table(cfg)
     fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, tab.pad)
     for name in TABLE_COLUMNS:
         assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
@@ -623,7 +649,7 @@ def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog)
 
 def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
     fading = FadingParams(m_h=2.0, m_r=2.0)
-    good = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+    good = mcsim._stored_columns(4, fading, 4096, 4096)
     (path,) = cached_files(table_cache)
     saved = path.read_bytes()
 
@@ -640,7 +666,7 @@ def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
         path.write_bytes(raw)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="riscov"):
-            again = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+            again = mcsim._stored_columns(4, fading, 4096, 4096)
         assert [m.split(" in ")[0] for m in table_messages(caplog)] == [
             "fading table N=4 built"], case
         assert again.tobytes() == good.tobytes()
@@ -651,13 +677,13 @@ def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
 def test_table_cache_rebuilds_when_chunk_zero_is_not_the_seeded_draw(table_cache, caplog):
     """A file whose digest holds but whose chunk 0 another numpy or CPU would draw."""
     fading = FadingParams(m_h=2.0, m_r=2.0)
-    good = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+    good = mcsim._stored_columns(4, fading, 4096, 4096)
     (path,) = cached_files(table_cache)
     other = good.copy()
     other[1, 7] = np.nextafter(other[1, 7], np.float32(np.inf))
     path.write_bytes(other.tobytes() + hashlib.sha256(other).digest())
     with caplog.at_level(logging.INFO, logger="riscov"):
-        again = mcsim._stored_columns(4, fading, 4096, 4096, 1)
+        again = mcsim._stored_columns(4, fading, 4096, 4096)
     assert [m.split(" in ")[0] for m in table_messages(caplog)] == ["fading table N=4 built"]
     assert again.tobytes() == good.tobytes()
 
@@ -666,13 +692,13 @@ def test_table_cache_in_an_uncreatable_place_still_runs(table_cache, tmp_path, m
                                                         caplog):
     cfg = small_cached_config()
     expect = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
-    mcsim._TABLE_CACHE.clear()
+    mcsim._get_table.cache_clear()
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     with caplog.at_level(logging.INFO, logger="riscov"):
         got = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
-        mcsim._stored_columns(4, FadingParams(m_h=2.0, m_r=3.0), 64, 64, 1)
+        mcsim._stored_columns(4, FadingParams(m_h=2.0, m_r=3.0), 64, 64)
     assert got.tobytes() == expect.tobytes()
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].startswith("fading tables are not cached")
@@ -687,7 +713,7 @@ def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_p
     def file_of(**changes) -> set:
         before = cached_files(table_cache)
         args = {**base, **changes}
-        mcsim._stored_columns(args["n_elements"], args["fading"], args["size"], args["pad"], 1)
+        mcsim._stored_columns(args["n_elements"], args["fading"], args["size"], args["pad"])
         return cached_files(table_cache) - before
 
     (first,) = file_of()

@@ -56,6 +56,16 @@ def test_sr_moments_validation():
         sr_moments(FadingParams(1.0, 1.0), 0)
 
 
+@pytest.mark.parametrize("sampler", [sample_signal_power, sample_interferer_power])
+@pytest.mark.parametrize("n_elements,n_samples,message", [
+    (0, 100, "element count must be at least 1, got 0"),
+    (-3, 100, "element count must be at least 1, got -3"),
+    (16, 0, "sample count must be at least 1, got 0")])
+def test_samplers_reject_empty_sizes(sampler, n_elements, n_samples, message):
+    with pytest.raises(ValueError, match=message):
+        sampler(ETA_G0, ETA_H0, FadingParams(2.0, 2.0), n_elements, n_samples, seed=1)
+
+
 def test_sr_gamma_fit_values():
     fit = sr_gamma_fit(FadingParams(1.0, 1.0), 16)
     assert fit.kappa == pytest.approx(25.76, abs=0.02)
