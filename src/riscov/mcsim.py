@@ -18,11 +18,13 @@ Implementation notes, all distribution-preserving:
   sampler and the tests compare the two.
 * Interferer fading is expensive (per-element Nakagami magnitudes and
   uniform phases for every surface-bearing interferer), so it is drawn once
-  into a large seeded table of per-cluster composites
-  (|g|^2, |T|^2, 2 Re(g T*)) and each interferer consumes one fresh row of
-  the table; rows inside a trial are distinct.  The marginal law of each
-  composite is the full per-element one; no Gaussian shortcut is taken.
-  The serving link never uses the table.
+  into a large seeded table of four float32 columns: the per-cluster
+  composites |g|^2, |T|^2, 2 Re(g T*) and the offset angle's cos(phi).
+  Each block with interferers draws one window start and reads distinct
+  rows: the surface-free group the window's first rows (its Rayleigh power
+  is the Exp(1) column |g|^2), the surface group the next.  The marginal
+  law of each composite is the full per-element one; no Gaussian shortcut
+  is taken.  The serving link never uses the table.
 * The table is built on the thread pool in fixed chunks, chunk k seeded by
   child k of a root of fixed entropy and (N, m_h, m_r): one table for any
   thread count and, as the root ignores McConfig.seed, for every seed and
@@ -90,6 +92,7 @@ _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
+_TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
 
 
 def _available_cpus() -> int:
@@ -153,16 +156,16 @@ class _FadingTable:
     """Seeded per-cluster fading composites for randomly phased interferers.
 
     Row j holds (|g|^2, |T|^2, 2 Re(g T*)) for one draw of a Rayleigh direct
-    coefficient g and a randomly phased element sum T, plus an independent
-    exponential for surface-free interferers and an independent cos(phi) for
-    the surface-offset geometry.
+    coefficient g and a randomly phased element sum T, and an independent
+    cos(phi) for the surface-offset geometry.  |g|^2 is Exp(1), the power of
+    a surface-free interferer's Rayleigh link, so that group reads it too.
     """
 
     def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
                  columns: np.ndarray | None = None):
         self.size = size
         self.pad = pad
-        (self.mag2_direct, self.mag2_scatter, self.cross, self.exp_direct,
+        (self.mag2_direct, self.mag2_scatter, self.cross,
          self.cos_offset) = columns if columns is not None else _table_columns(
             _table_root(n_elements, fading), n_elements, fading, size + pad)
 
@@ -175,14 +178,14 @@ def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence
 
 def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
                    rows: int) -> np.ndarray:
-    """(5, rows) float32 table columns in fixed chunks, chunk k from child k of root.
+    """The (_TABLE_COLUMNS, rows) float32 table in fixed chunks, chunk k from child k of root.
 
     The chunk plan depends on N alone, so the columns ignore the thread count.
     Child k is keyed as root.spawn would key it on a fresh root, without
     spawning: a root used before gives the same columns.
     """
     step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
-    cols = np.empty((5, rows), dtype=_F32)
+    cols = np.empty((_TABLE_COLUMNS, rows), dtype=_F32)
     chunks = [(cols[:, lo:lo + step],
                np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, k)),
                n_elements, fading)
@@ -192,7 +195,7 @@ def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: Fading
 
 
 def _fill_table_chunk(args) -> None:
-    """Draw the five table columns of one chunk into out from the chunk's own seed."""
+    """Draw the table columns of one chunk into out from the chunk's own seed."""
     out, seed, n_elements, fading = args
     rng = np.random.default_rng(seed)
     rows = out.shape[1]
@@ -201,8 +204,7 @@ def _fill_table_chunk(args) -> None:
     out[0] = g[0] ** 2 + g[1] ** 2
     out[1] = t_re**2 + t_im**2
     out[2] = 2.0 * (g[0] * t_re + g[1] * t_im)
-    out[3] = rng.standard_exponential(rows)
-    out[4] = np.cos(rng.uniform(0.0, 2.0 * math.pi, rows))
+    out[3] = np.cos(rng.uniform(0.0, 2.0 * math.pi, rows))
 
 
 _CACHE_WARNED = False
@@ -224,14 +226,14 @@ def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int) 
                 f"fading-n{n_elements}-{hashlib.sha256(repr(key).encode()).hexdigest()[:32]}.f32")
     with contextlib.suppress(OSError):
         with open(path, "rb") as fh:    # the raw float32 columns, then their sha256
-            cols, digest = np.fromfile(fh, _F32, 5 * rows), fh.read()
+            cols, digest = np.fromfile(fh, _F32, _TABLE_COLUMNS * rows), fh.read()
         step = min(rows, max(1, _TABLE_CHUNK_ELEMENTS // n_elements))
-        if (cols.size == 5 * rows and hashlib.sha256(cols).digest() == digest
-                and cols.reshape(5, rows)[:, :step].tobytes()
+        if (cols.size == _TABLE_COLUMNS * rows and hashlib.sha256(cols).digest() == digest
+                and cols.reshape(_TABLE_COLUMNS, rows)[:, :step].tobytes()
                 == _table_columns(root, n_elements, fading, step).tobytes()):
             log.info("fading table N=%d loaded from %s in %.2f s", n_elements, path,
                      time.perf_counter() - t0)
-            return cols.reshape(5, rows)
+            return cols.reshape(_TABLE_COLUMNS, rows)
     cols = _table_columns(root, n_elements, fading, rows)
     built = time.perf_counter() - t0
     try:
@@ -370,8 +372,10 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
                   low2: np.ndarray | float, span2: np.ndarray | float) -> np.ndarray:
     """Aggregate interference per trial from group row counts.
 
-    Parent squared radii are uniform on (low2, low2 + span2) per trial;
-    scalars broadcast.  Returns float64 sums of length n_trials.
+    A block with interferers reads one window of distinct table rows, from
+    one start draw: the surface-free group its first rows, the surface group
+    the next.  Parent squared radii are uniform on (low2, low2 + span2) per
+    trial; scalars broadcast.  Returns float64 sums of length n_trials.
     """
     pl = params.path
     total = np.zeros(n_trials)
@@ -387,24 +391,25 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
             r2 += np.repeat(low2.astype(_F32), counts)
         return np.maximum(r2, _R2_FLOOR, out=r2)
 
-    def rows(m: int):
-        """Contiguous table window of m fresh rows (wraps only when oversized)."""
-        s = int(rng.integers(0, tab.size))
-        if m <= tab.pad:
-            return slice(s, s + m)
-        return (s + np.arange(m)) % tab.size
+    n_non, n_ris = int(k_non.sum()), int(k_ris.sum())
+    if n_non + n_ris == 0:
+        return total
+    start = int(rng.integers(0, tab.size))
 
-    n_non = int(k_non.sum())
+    def rows(lo: int, hi: int):
+        """Rows lo..hi of the block's window: contiguous, wrapping only when oversized."""
+        if n_non + n_ris <= tab.pad:
+            return slice(start + lo, start + hi)
+        return (start + np.arange(lo, hi)) % tab.size
+
     if n_non:
         r2 = radii2(k_non, n_non)
-        sl = rows(n_non)
-        w = _path_gain(_F32(pl.c_d) * tab.exp_direct[sl], r2, pl.alpha)
+        w = _path_gain(_F32(pl.c_d) * tab.mag2_direct[rows(0, n_non)], r2, pl.alpha)
         _add_trial_sums(total, w, k_non)
 
-    n_ris = int(k_ris.sum())
     if n_ris:
         r2 = radii2(k_ris, n_ris)
-        sl = rows(n_ris)
+        sl = rows(n_non, n_non + n_ris)
         eta_g = _path_gain(_F32(pl.c_d), r2, pl.alpha)
         # r2 becomes d0^2 d_r^2, with d_r^2 = r2 + d0^2 + 2 d0 sqrt(r2) cos(phi)
         offset = np.sqrt(r2)
@@ -566,7 +571,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     the float32 table the simulator uses.
     """
     _check_sample_sizes(n_elements, n_samples)
-    mag2_direct, mag2_scatter, cross, _, _ = _table_columns(
+    mag2_direct, mag2_scatter, cross, _ = _table_columns(
         np.random.SeedSequence(seed), n_elements, fading, n_samples)
     eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
     out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)

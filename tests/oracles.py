@@ -220,10 +220,12 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
                          k_ris: np.ndarray, k_non: np.ndarray, low2, span2) -> np.ndarray:
     """Per-trial interference sums, each an exactly rounded math.fsum of its weights.
 
-    Consumes rng as the simulator's kernel does (per group: the float32 radius
-    uniforms, then the table-window start) and builds each interferer's
-    float32 weight from the plain out-of-place expressions of the model, so a
-    one-interferer trial must match the kernel bit for bit.
+    Consumes rng as the simulator's kernel does (one table-window start for
+    a block with interferers, then per group the float32 radius uniforms;
+    the surface-free group reads the window's first rows, the surface group
+    the next) and builds each interferer's float32 weight from the plain
+    out-of-place expressions of the model, so a one-interferer trial must
+    match the kernel bit for bit.
     """
     f32 = np.float32
     pl = params.path
@@ -231,15 +233,17 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
     span2 = np.broadcast_to(np.float32(span2) if np.isscalar(span2) else span2.astype(f32),
                             n_trials)
     total = np.zeros(n_trials)
-    for k, surface in ((k_non, False), (k_ris, True)):
+    n_non, n_all = int(k_non.sum()), int(k_non.sum() + k_ris.sum())
+    if n_all == 0:
+        return total
+    window = int(rng.integers(0, tab.size)) + np.arange(n_all)
+    if n_all > tab.pad:
+        window %= tab.size
+    for k, surface, idx in ((k_non, False, window[:n_non]), (k_ris, True, window[n_non:])):
         m = int(k.sum())
         if m == 0:
             continue
         u = rng.random(m, dtype=f32)
-        start = int(rng.integers(0, tab.size))
-        idx = start + np.arange(m)
-        if m > tab.pad:
-            idx %= tab.size
         r2 = np.maximum(np.repeat(low2, k) + np.repeat(span2, k) * u, f32(1e-6))
         if surface:
             eta_g = f32(pl.c_d) * _f32_path_gain(r2, pl.alpha)
@@ -249,7 +253,7 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
             w = (eta_g * tab.mag2_direct[idx] + eta_h * tab.mag2_scatter[idx]
                  + np.sqrt(eta_g * eta_h) * tab.cross[idx])
         else:
-            w = f32(pl.c_d) * tab.exp_direct[idx] * _f32_path_gain(r2, pl.alpha)
+            w = f32(pl.c_d) * tab.mag2_direct[idx] * _f32_path_gain(r2, pl.alpha)
         ends = np.cumsum(k)
         for t in range(n_trials):
             total[t] += math.fsum(w[ends[t] - k[t]:ends[t]].astype(float))

