@@ -98,13 +98,6 @@ class SystemParams:
 
     # -- derived quantities --------------------------------------------------
     @property
-    def gamma_t(self) -> float:
-        """Transmit SNR P/sigma^2 (infinite when interference limited)."""
-        if self.interference_limited:
-            return math.inf
-        return self.p_tx_w / self.noise_w
-
-    @property
     def gamma_t_inv(self) -> float:
         if self.interference_limited:
             return 0.0

@@ -103,8 +103,11 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
 
 def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
                seed_offset: int = 0) -> mcsim.McConfig:
-    trials = int(spec.setting("trials")) or default_trials
-    return mcsim.McConfig(trials=trials,
+    trials = int(spec.setting("trials"))
+    if 0 < trials < mcsim.MIN_SAMPLES:
+        raise ValueError(f"trials must be 0 (the scenario default) or at least "
+                         f"{mcsim.MIN_SAMPLES}, got {trials}")
+    return mcsim.McConfig(trials=trials or default_trials,
                           seed=int(spec.setting("seed")) + seed_offset,
                           params=params,
                           window=Window(float(spec.setting("window_radius"))))
@@ -480,8 +483,13 @@ def main(argv=None) -> int:
                 spec = parse_config(fh.read())
         else:
             spec = _spec_from_args(args)
-        # every mode makes the simulator's checks, so a config that validates also runs
-        _mc_config(spec, build_params(spec), default_trials=1)
+        # every mode makes the simulator's checks, and a mode with analytic columns
+        # evaluates the custom strategy once, so a config that validates also runs
+        params = build_params(spec)
+        _mc_config(spec, params, default_trials=1)
+        if spec.scenario == "custom" and spec.mode != "mc":
+            getattr(analytic, f"coverage_{spec.setting('strategy')}")(
+                params, float(analytic.default_threshold_grid()[0]))
         if args.command == "run":
             return run(spec)
         sys.stdout.write(render_config(spec))

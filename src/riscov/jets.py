@@ -214,8 +214,9 @@ def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
         raise ValueError("jet_si_ci requires u(1) > 0")
     n = u.order + 1
     sj, cj = jet_sin_cos(u)
-    ds = jet_div(sj, u).coeffs
-    dc = jet_div(cj, u).coeffs
+    inv = jet_recip(u)
+    ds = (sj * inv).coeffs
+    dc = (cj * inv).coeffs
     si = np.empty(n)
     ci = np.empty(n)
     from scipy.special import sici

@@ -9,6 +9,11 @@ Implementation notes, all distribution-preserving:
 * A hop's power Gamma(m, 1/m) with a whole shape m up to 3 is drawn as the
   mean of m unit exponentials: the Erlang law, the same distribution, at
   about half the cost of a gamma draw for m = 2.  Other shapes draw gamma.
+* Per-element fading comes a block of _DRAW_BLOCK // N rows at a time: hop
+  h, then hop r, then (for a randomly phased sum) float32 phases, reduced to
+  per-row sums before the next block.  So _DRAW_BLOCK is part of the stream,
+  and no (rows, N) array is held: sample_signal_power at 200k x N = 64 peaks
+  at 6.4 MB traced.
 * Only distances to the origin matter, so cluster geometry is sampled
   radially: parent squared radii are uniform on (0, R^2) and a surface
   offset enters through the law d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) with
@@ -82,7 +87,7 @@ _F32 = np.float32
 _R2_FLOOR = _F32(1e-6)      # 1 mm^2; keeps float32 path-gain finite
 _TABLE_ROWS = 1 << 20       # fading-table rows, before the pad that keeps windows contiguous
 _POOL_PAD_MIN = 1 << 19
-# elements of one block of per-element draws (see _element_amplitudes)
+# elements of one block of per-element draws; it sets their stream (see _element_amplitudes)
 _DRAW_BLOCK = 1 << 16
 # whole Nakagami shapes up to this one draw a hop's power as a sum of unit exponentials
 # (see _hop_power); on a 2-core x86-64 box an exponential takes about 9 ns and one
@@ -93,6 +98,7 @@ _MAX_BLOCK_TRIALS = 8192
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
 _TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
+MIN_SAMPLES = 100           # the estimators refuse fewer samples
 
 
 def _available_cpus() -> int:
@@ -114,6 +120,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +277,7 @@ def _hop_power(rng, m: float, shape: tuple) -> np.ndarray:
     """Gamma(m, 1/m) draws of the given shape: powers of a unit-power Nakagami-m hop.
 
     A whole m up to _EXP_SUM_MAX_SHAPE takes the mean of m unit exponentials,
-    exactly Gamma(m, 1/m) (the Erlang law); an element's m exponentials are
-    consecutive in the stream, so rows drawn in blocks match one draw.  Any
-    other m keeps rng.gamma.
+    exactly Gamma(m, 1/m) (the Erlang law); any other m keeps rng.gamma.
     """
     if not (float(m).is_integer() and m <= _EXP_SUM_MAX_SHAPE):
         return rng.gamma(m, 1.0 / m, shape)
@@ -285,37 +291,27 @@ def _hop_power(rng, m: float, shape: tuple) -> np.ndarray:
 
 
 def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
-    """(rows, N) products |h||r| of two unit-power Nakagami hops, sqrt of their powers' product.
+    """(rows, N) products |h||r| of two unit-power Nakagami hops: hop h, then hop r, then sqrt.
 
-    Each hop's power comes from _hop_power: for a whole shape up to
-    _EXP_SUM_MAX_SHAPE, the mean of m unit exponentials (the Erlang law,
-    exactly Gamma(m, 1/m)).  Per-element
-    draws, here and in _random_phase_sum, come a block of rows at a time: the
-    stream is that of one draw over all rows (hop h, then hop r), and the
-    result is the only (rows, N) array alive.
+    Its callers draw blocks of _DRAW_BLOCK // N rows (at least one), so no
+    (rows, N) array is held and the block size is part of their stream.
     """
-    amp = np.empty((rows, n_elements))
-    step = max(1, _DRAW_BLOCK // n_elements)
-    blocks = [amp[lo:lo + step] for lo in range(0, rows, step)]
-    for block in blocks:
-        block[...] = _hop_power(rng, fading.m_h, block.shape)
-    for block in blocks:
-        block *= _hop_power(rng, fading.m_r, block.shape)
+    amp = _hop_power(rng, fading.m_h, (rows, n_elements))
+    amp *= _hop_power(rng, fading.m_r, (rows, n_elements))
     return np.sqrt(amp, out=amp)
 
 
 def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
                       rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the element sum under independent uniform phases."""
-    amp = _element_amplitudes(rng, fading, n_elements, rows)
+    """Re and Im of the element sum under uniform phases; a block draws amplitudes, then phases."""
     out = np.empty((2, rows))
     step = max(1, _DRAW_BLOCK // n_elements)
     for lo in range(0, rows, step):
-        block = amp[lo:lo + step]
-        phase = rng.random(block.shape, dtype=_F32)
+        amp = _element_amplitudes(rng, fading, n_elements, min(step, rows - lo))
+        phase = rng.random(amp.shape, dtype=_F32)
         phase *= _F32(2.0 * math.pi)
-        out[0, lo:lo + step] = (block * np.cos(phase)).sum(axis=1)
-        out[1, lo:lo + step] = (block * np.sin(phase)).sum(axis=1)
+        out[0, lo:lo + step] = (amp * np.cos(phase)).sum(axis=1)
+        out[1, lo:lo + step] = (amp * np.sin(phase)).sum(axis=1)
     return out[0], out[1]
 
 
@@ -323,10 +319,13 @@ def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
                      rows: int) -> np.ndarray:
     """Surface-assisted serving power with aligned phases (fresh fading).
 
+    g0 is drawn for all rows first, then the element sums block by block.
     eta_g0 and eta_h0 are scalars or arrays of length rows.
     """
     g0 = np.sqrt(rng.standard_exponential(rows))
-    elem = _element_amplitudes(rng, fading, n_elements, rows).sum(axis=1)
+    step = max(1, _DRAW_BLOCK // n_elements)
+    elem = np.concatenate([_element_amplitudes(rng, fading, n_elements, min(step, rows - lo))
+                           .sum(axis=1) for lo in range(0, rows, step)])
     return (np.sqrt(eta_g0) * g0 + np.sqrt(eta_h0) * elem) ** 2
 
 
@@ -522,16 +521,16 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
 
 def estimate_coverage(dist: EmpiricalDistribution, gamma_bar: float) -> tuple[float, float]:
     """Empirical P(SINR > gamma_bar) with its 95% binomial half-width."""
-    if dist.n < 100:
-        raise ValueError(f"need at least 100 samples, got {dist.n}")
+    if dist.n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {dist.n}")
     prob = float(dist.ccdf(gamma_bar))
     return prob, dist.ci_halfwidth(prob)
 
 
 def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
     """Sample mean of log2(1 + SINR) in bits/s/Hz with its 95% half-width."""
-    if dist.n < 100:
-        raise ValueError(f"need at least 100 samples, got {dist.n}")
+    if dist.n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {dist.n}")
     rates = np.log2(1.0 + dist.sorted_samples)
     mean = float(rates.mean())
     return mean, float(1.96 * rates.std(ddof=1) / math.sqrt(dist.n))
@@ -552,12 +551,8 @@ def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
                         n_samples: int, seed) -> EmpiricalDistribution:
     """Draws of the coherently combined serving power (surface present)."""
     _check_sample_sizes(n_elements, n_samples)
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    chunk = max(1, (1 << 23) // n_elements)
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        out[lo:hi] = _coherent_signal(rng, fading, n_elements, eta_g0, eta_h0, hi - lo)
+    out = _coherent_signal(np.random.default_rng(seed), fading, n_elements, eta_g0, eta_h0,
+                           n_samples)
     out.sort()
     return EmpiricalDistribution(out)
 

@@ -59,9 +59,8 @@ def test_params_validation():
 
 
 def test_gamma_t_semantics(base_params):
-    assert base_params.gamma_t == pytest.approx(1e-3 / 1e-10)
+    assert base_params.gamma_t_inv == pytest.approx(1e-10 / 1e-3)
     nf = SystemParams.default(interference_limited=True)
-    assert nf.gamma_t == math.inf
     assert nf.gamma_t_inv == 0.0
 
 

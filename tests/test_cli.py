@@ -107,6 +107,9 @@ def test_validate_config_makes_the_run_checks(tmp_path, capsys):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"
     for text, message in (("trials = -5\n", "trial count must be at least 1"),
+                          ("trials = 50\n", "trials must be 0 (the scenario default) or at "
+                                            "least 100, got 50"),
+                          ("seed = -1\n", "seed must be non-negative, got -1"),
                           ("window_radius = -1\n", "window radius must be positive")):
         cfg.write_text("scenario = custom\n" + text)
         assert main(["validate-config", str(cfg)]) == 1
@@ -115,6 +118,26 @@ def test_validate_config_makes_the_run_checks(tmp_path, capsys):
             assert main(["run", "custom", "--config", str(cfg), "--mode", mode,
                          "--out", str(out)]) == 1
             assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("strategy = nearest\nlambda_t = 0\n",
+     "nearest association requires a positive transmitter density"),
+    ("strategy = nearest_alpha4\n", "this closed form requires a path-loss exponent of 4"),
+    ("strategy = nearest_alpha4\nalpha = 4\ninterference_limited = 1\n",
+     "noise-free regime: use coverage_nearest_intlimited"),
+])
+def test_validate_config_makes_the_analytic_checks(tmp_path, capsys, text, message):
+    """A custom strategy the analytic columns refuse is refused by every mode that computes them."""
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    for mode in ("analytic", "both"):
+        cfg.write_text(f"scenario = custom\nmode = {mode}\n" + text)
+        assert main(["validate-config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(["run", "custom", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -330,9 +353,9 @@ def test_analytic_csv_bytes_are_unchanged(tmp_path, run_id):
 # simulator's fixed-association path must leave every byte of these samples as it is.
 NEAREST_MC_CSV_SHA256 = {
     "custom-nearest": (["custom", "--strategy", "nearest", "--trials", "2000"],
-                       "034882702e01a8de707a36ba9222963a4f3cb35f8e39ec90b8b6bf01362a360c"),
+                       "5b72a86bb8b3be79b41b7d855bfa44e65ec2d6755bb4996bae59547760249147"),
     "fig8": (["fig8", "--trials", "400"],
-             "7f86a7b029ae256b2cd9c9177cc4c70d815a14c29b23bbbe20811e2c657892c1"),
+             "ec8e176a91e354237c8ea91dabcebe79f0285c38cc78789dacc6217e6e2753c1"),
 }
 
 
@@ -349,9 +372,9 @@ def test_nearest_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 # kernel must leave every byte of these columns as it is.
 FIXED_MC_CSV_SHA256 = {
     "fixed_ris": (["--strategy", "fixed_ris"],
-                  "0e92222c057de10de511c1a2f6d3e50769a858ca2b002f943c4f76e7cc16fbe6"),
+                  "baec2e6698c1bfc0d44ecbb2261f57813717d12b4f366562b8e3d9c55fbe32c8"),
     "fixed_noris": (["--strategy", "fixed_noris"],
-                    "468212d830167bf36b2a76f676f387fb2ecc932afa0004582a983911573284a7"),
+                    "dd269d1414a67732aed69a22a43dc684c70a342510bab606ad2afa24654cb851"),
 }
 
 
@@ -369,7 +392,7 @@ def test_fixed_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 # and at zero density the simulator builds no table and sums no interference.
 KERNEL_FREE_MC_CSV_SHA256 = {
     "fig3": (["fig3", "--trials", "3000"],
-             "706a3c6c80b90fd998c3e77e9a92c7fe9bb8e911a20712d2d0aadfc016e92a8b"),
+             "8ecb82845f885bb6fccfb8135b9cd216dbddb73858a4c200ba27f6f0b25bda54"),
     "fixed_ris-lambda0": (["custom", "--strategy", "fixed_ris", "--lambda-t", "0",
                            "--trials", "2000"],
                           "81bdce2b38aaacb34235a519272d4885e1e690a2e222c5496895c59df74bf0f2"),

@@ -59,6 +59,8 @@ def truncated_noris_coverage(params: SystemParams, gamma_bar: float,
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(trials=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        make_config(seed=-1)
 
 
 def test_strategy_validation():
@@ -337,40 +339,59 @@ def one_shot_hop_power(rng, m: float, shape: tuple) -> np.ndarray:
     return rng.gamma(m, 1.0 / m, shape)
 
 
-def one_shot_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
-    """Reference for _random_phase_sum: each per-element quantity drawn in one (rows, N) call."""
-    shape = (rows, n_elements)
-    amp = np.sqrt(one_shot_hop_power(rng, fading.m_h, shape)
-                  * one_shot_hop_power(rng, fading.m_r, shape))
-    phase = rng.random(shape, dtype=np.float32) * np.float32(2.0 * math.pi)
-    return (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
+def per_block_phase_sum(rng, fading: FadingParams, n_elements: int, rows: int):
+    """Reference for _random_phase_sum: per block of _DRAW_BLOCK // N rows, hop h, hop r, phases."""
+    step = max(1, mcsim._DRAW_BLOCK // n_elements)
+    sums = []
+    for lo in range(0, rows, step):
+        shape = (min(step, rows - lo), n_elements)
+        amp = np.sqrt(one_shot_hop_power(rng, fading.m_h, shape)
+                      * one_shot_hop_power(rng, fading.m_r, shape))
+        phase = rng.random(shape, dtype=np.float32) * np.float32(2.0 * math.pi)
+        sums.append([(amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)])
+    return np.concatenate(sums, axis=1)
 
 
 @pytest.mark.parametrize("n_elements,rows,m", [(1, 70_000, 2.0), (32, 5000, 1.5),
                                                (4096, 40, 3.0)])
-def test_blocked_draws_match_one_shot_draws(n_elements, rows, m):
-    """Block-wise draws give the same values and leave the generator in the same state.
+def test_block_draws_match_per_block_oracle(n_elements, rows, m):
+    """Values and final generator state match the per-block reference; each case spans blocks.
 
     m = 2 and 3 take the exponential sums of _hop_power, m = 1.5 its rng.gamma branch.
     """
+    assert rows > mcsim._DRAW_BLOCK // n_elements
     fading = FadingParams(m_h=m, m_r=2.0)
     rng_blocked, rng_reference = np.random.default_rng(11), np.random.default_rng(11)
     got = mcsim._random_phase_sum(rng_blocked, fading, n_elements, rows)
-    expect = one_shot_phase_sum(rng_reference, fading, n_elements, rows)
+    expect = per_block_phase_sum(rng_reference, fading, n_elements, rows)
     assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
     assert rng_blocked.random() == rng_reference.random()
 
 
-def test_random_phase_sum_holds_one_full_size_array():
-    rows, n_elements = 1 << 16, 32
+def traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        mcsim._random_phase_sum(np.random.default_rng(3), FadingParams(m_h=2.0, m_r=2.0),
-                                n_elements, rows)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * rows * n_elements * 8
+
+
+@pytest.mark.parametrize("n_elements", [32, 1024])
+def test_per_element_draws_hold_one_block(n_elements):
+    """Peak memory is the per-row outputs plus one block's temporaries, whatever rows x N is.
+
+    One block of _DRAW_BLOCK elements peaks at about 52 bytes an element of
+    temporaries (3.4 MB); a (rows, N) float64 array would take 16.8 MB here,
+    and 102 MB in sample_signal_power at 200k x 64.
+    """
+    fading, rows = FadingParams(m_h=2.0, m_r=2.0), (1 << 21) // n_elements
+    block_bytes = 80 * mcsim._DRAW_BLOCK
+    peak = traced_peak(mcsim._random_phase_sum, np.random.default_rng(3), fading, n_elements,
+                       rows)
+    assert peak < 16 * rows + block_bytes
+    peak = traced_peak(mcsim.sample_signal_power, 1.0, 1.0, fading, 64, 200_000, 3)
+    assert peak < 16 << 20
 
 
 def test_float32_phase_trig_matches_float64():

@@ -1,0 +1,40 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "mc_shift.py"
+
+
+@pytest.fixture(scope="module")
+def mc_shift():
+    spec = importlib.util.spec_from_file_location("mc_shift", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HEADER = "p,coverage_analytic,coverage_mc,mc_ci,rate_analytic,rate_mc\n"
+
+
+def test_mc_shift_reports_the_worst_row_per_column(tmp_path, mc_shift, capsys):
+    """sigma = sqrt(ci_old^2 + ci_new^2) / 1.96: 0.0588 and 0.0784 give 0.05."""
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(HEADER + "0.1,,0.5,0.0588,,1.0\n0.2,,0.4,0.0588,,2.0\n0.3,,0,0,,\n")
+    new.write_text(HEADER + "0.1,,0.55,0.0784,,1.5\n0.2,,0.3,0.0784,,2.1\n0.3,,0,0,,\n")
+    assert mc_shift.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "coverage_mc: worst |d|/sigma = 2 at row 1 (p=0.2) of 3",
+        "rate_mc: worst |d| (no mc_ci column) = 0.5 at row 0 (p=0.1) of 3",
+    ]
+    new.write_text(HEADER + "0.1,,0.5,0.0588,,1.0\n0.2,,0.4,0.0588,,2.0\n0.3,,0.01,0,,\n")
+    assert mc_shift.shifts(str(old), str(new))[0].startswith("coverage_mc: worst |d|/sigma = inf")
+
+
+def test_mc_shift_refuses_different_grids(tmp_path, mc_shift, capsys):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(HEADER + "0.1,,0.5,0.01,,1.0\n")
+    new.write_text(HEADER)
+    assert mc_shift.main([str(old), str(new)]) == 1
+    assert "differ in header or row count" in capsys.readouterr().err
+    assert mc_shift.main([str(old)]) == 2
