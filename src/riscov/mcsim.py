@@ -9,11 +9,9 @@ Implementation notes, all distribution-preserving:
 * A hop's power Gamma(m, 1/m) with a whole shape m up to 3 is drawn as the
   mean of m unit exponentials: the Erlang law, the same distribution, at
   about half the cost of a gamma draw for m = 2.  Other shapes draw gamma.
-* Per-element fading comes a block of _DRAW_BLOCK // N rows at a time: hop
-  h, then hop r, then (for a randomly phased sum) float32 phases, reduced to
-  per-row sums before the next block.  So _DRAW_BLOCK is part of the stream,
-  and no (rows, N) array is held: sample_signal_power at 200k x N = 64 peaks
-  at 6.4 MB traced.
+* Per-element fading comes _DRAW_BLOCK // N rows at a time (hop h, hop r,
+  then any float32 phases), reduced to per-row sums before the next block:
+  _DRAW_BLOCK sets the stream, and no (rows, N) array is held.
 * Only distances to the origin matter, so cluster geometry is sampled
   radially: parent squared radii are uniform on (0, R^2) and a surface
   offset enters through the law d_r^2 = r^2 + d0^2 + 2 r d0 cos(phi) with
@@ -506,6 +504,10 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
         # build (or fetch) the shared fading table before the threads start
         pad = max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
         tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad)
+    # glibc hands a free heap top back to the OS above twice the largest chunk freed
+    # from mmap, so each block would fault its few MB of temporaries in afresh (30 %
+    # of a sparse sweep); freeing 8 MB raises that bar for the process
+    np.empty(1 << 20)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)

@@ -4,6 +4,8 @@ import logging
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -392,6 +394,34 @@ def test_per_element_draws_hold_one_block(n_elements):
     assert peak < 16 * rows + block_bytes
     peak = traced_peak(mcsim.sample_signal_power, 1.0, 1.0, fading, 64, 200_000, 3)
     assert peak < 16 << 20
+
+
+_REPEAT_SPARSE_POINT = """
+import resource
+from riscov import mcsim
+from riscov.analytic import SystemParams
+mcsim._available_cpus = lambda: 1
+cfg = mcsim.McConfig(trials=20_000, seed=1, params=SystemParams.default(lambda_t=1e-6, p=0.9))
+mcsim.simulate_sinr(cfg, "nearest")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mcsim.simulate_sinr(cfg, "nearest")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts page faults under glibc")
+def test_blocks_keep_their_freed_temporaries_mapped():
+    """In a fresh process, a repeated sparse point at N = 32 takes few page faults.
+
+    Its six blocks free a few MB of temporaries each; a heap that hands them
+    back to the OS faults them in again, about 1400 faults a block.
+    """
+    src = Path(mcsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_SPARSE_POINT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert int(proc.stdout) < 1000
 
 
 def test_float32_phase_trig_matches_float64():
