@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
-from .jets import (TaylorJet, alternating_tail_sum, jet_erfcx, jet_exp, jet_hyp2f1_cov,
-                   jet_recip, jet_si_ci, jet_sin_cos, jet_spow, jet_variable)
+from .jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_erfcx, jet_exp,
+                   jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow, jet_variable)
 from .powerdist import GammaFit, signal_gamma_fit
 
 __all__ = [
@@ -309,25 +309,18 @@ def _nearest_integrands(params: SystemParams, gamma_bar: float
 
     u = lambda_t pi r^2 folds the serving-distance density into a unit
     exponential.  Each branch integrates the derivative sum of
-    exp(-q u^(alpha/2) s - u H(s)); every jet and constant that does not
-    depend on u is built here, once.  An order-0 jet's derivative sum is its
-    value, so a one-coefficient branch is math.exp of that coefficient.
+    exp(-q u^(alpha/2) s - u H(s)), exp_tail_sum(H, u, q u^(alpha/2)); the
+    jet H and the constant q do not depend on u and are built here, once.
     """
     half_a = 0.5 * params.path.alpha
     u_scale = (params.lambda_t * math.pi) ** -half_a
     branches = []
     for weight, fit, name in _nearest_branches(params):
-        order = _jet_order(fit)
-        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, order).coeffs
+        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit))
         noise = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega) * u_scale
-        if order == 0:
-            def integrand(u: float, noise=noise, hyp=float(hyp[0])) -> float:
-                return math.exp(-noise * u**half_a - u * hyp)
-        else:
-            def integrand(u: float, noise=noise, hyp=hyp,
-                          lead=jet_variable(order).coeffs) -> float:
-                expo = lead * (-noise * u**half_a) - u * hyp
-                return alternating_tail_sum(jet_exp(TaylorJet(expo)))[0]
+
+        def integrand(u: float, noise=noise, hyp=hyp) -> float:
+            return exp_tail_sum(hyp, u, noise * u**half_a)
         branches.append((weight, integrand, name))
     return branches
 

@@ -358,6 +358,13 @@ def _scenario_fig8(spec: RunSpec):
             "rate_analytic", "rate_mc"], rows, summaries
 
 
+def _sim_strategy(strategy: str) -> tuple[str, bool | None]:
+    """simulate_sinr's strategy and forced_ris for a custom-scenario strategy."""
+    if strategy.startswith("fixed"):
+        return "fixed", strategy == "fixed_ris"
+    return "nearest", None
+
+
 def _scenario_custom(spec: RunSpec):
     rows, summaries = [], []
     params = build_params(spec)
@@ -373,12 +380,8 @@ def _scenario_custom(spec: RunSpec):
     mc = [""] * len(grid)
     ci = [""] * len(grid)
     if do_mc:
-        sim_strategy = "fixed" if strategy.startswith("fixed") else "nearest"
-        forced = None
-        if sim_strategy == "fixed":
-            forced = strategy == "fixed_ris"
         cfg = _mc_config(spec, params, 20_000)
-        dist = mcsim.simulate_sinr(cfg, sim_strategy, forced_ris=forced)
+        dist = mcsim.simulate_sinr(cfg, *_sim_strategy(strategy))
         pairs = [mcsim.estimate_coverage(dist, float(g)) for g in grid]
         mc = [p for p, _ in pairs]
         ci = [c for _, c in pairs]
@@ -483,13 +486,18 @@ def main(argv=None) -> int:
                 spec = parse_config(fh.read())
         else:
             spec = _spec_from_args(args)
-        # every mode makes the simulator's checks, and a mode with analytic columns
-        # evaluates the custom strategy once, so a config that validates also runs
+        # every mode makes the simulator's checks, and for the custom scenario a mode
+        # with analytic columns evaluates its strategy once and a mode with MC columns
+        # checks the simulator's strategy rules, so a config that validates also runs
         params = build_params(spec)
-        _mc_config(spec, params, default_trials=1)
-        if spec.scenario == "custom" and spec.mode != "mc":
-            getattr(analytic, f"coverage_{spec.setting('strategy')}")(
-                params, float(analytic.default_threshold_grid()[0]))
+        mc_config = _mc_config(spec, params, default_trials=1)
+        if spec.scenario == "custom":
+            strategy = str(spec.setting("strategy"))
+            if spec.mode != "mc":
+                getattr(analytic, f"coverage_{strategy}")(
+                    params, float(analytic.default_threshold_grid()[0]))
+            if spec.mode != "analytic":
+                mc_config.check_strategy(*_sim_strategy(strategy))
         if args.command == "run":
             return run(spec)
         sys.stdout.write(render_config(spec))

@@ -10,12 +10,21 @@ fixed order, so those derivative sums reduce to an alternating sum of jet
 coefficients.  All recurrences are the standard power-series ones and are
 exact to the carried order; the expansion point is always s0 = 1.
 
-The recurrences take their convolution sums with ndarray.dot, which numpy
-hands to the BLAS ddot kernel, so coefficient bits follow that kernel:
+The convolution sums are BLAS calls, so coefficient bits follow the CPU's
+BLAS kernels:
+* jet_exp and jet_recip solve their recurrence as one lower-triangular
+  system, a block of up to _SOLVE_BLOCK coefficients per dtrsv from
+  scipy.linalg.blas; the terms earlier blocks feed into a block are one
+  np.correlate, a ddot per row.  dtrsv takes each row's sum with OpenBLAS's
+  ddot kernel, so within its 64-row panels a coefficient rounds as a ddot
+  recurrence would round it.
+* jet_sin_cos, jet_si_ci and jet_erfcx take theirs with ndarray.dot, the
+  BLAS ddot.
 OpenBLAS's AVX-512 ddot rounds a length-2 sum as one fused multiply-add,
 where its Haswell and Prescott kernels add the products in order.
-scipy.special (erfcx, Si/Ci) is imported on the first call that needs it,
-not at module import, so a simulator process never loads scipy.
+exp_tail_sum runs low orders on Python floats, which never fuse.  scipy
+(erfcx, Si/Ci, dtrsv) is imported on the first call that needs it, not at
+module import, so a simulator process never loads scipy.
 """
 
 from __future__ import annotations
@@ -39,9 +48,17 @@ __all__ = [
     "jet_erfcx",
     "jet_hyp2f1_cov",
     "alternating_tail_sum",
+    "exp_tail_sum",
 ]
 
 _TINY = np.finfo(float).tiny
+
+# Coefficients per dtrsv: the model's jets up to N = 512 (order 448) are one
+# solve, and a longer jet's working memory is one _SOLVE_BLOCK-square matrix.
+_SOLVE_BLOCK = 512
+
+# scipy.linalg.blas's dtrsv, bound by the first triangular solve
+_dtrsv = None
 
 
 class TaylorJet:
@@ -143,16 +160,63 @@ def jet_spow(q: float, order: int) -> TaylorJet:
     return _from_array(out)
 
 
+def _lower_triangle(low: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m x m column-major matrix with low[i - j - 1] at (i, j), i > j, and its diagonal.
+
+    The diagonal is a writable view.  Row r of the (m, m + 1) buffer is
+    (diagonal, low[:m - 1], 0); read as one m x m column-major array, entry
+    (i, j) of the lower triangle is element i - j of that pattern.  The
+    strict upper triangle holds wrapped-around values, which a
+    lower-triangular dtrsv never reads.
+    """
+    buf = np.empty((m, m + 1))
+    buf[:, 1:m] = low[: m - 1]
+    buf[:, m] = 0.0
+    return buf.reshape(-1)[: m * m].reshape(m, m).T, buf[:, 0]
+
+
+def _triangular_solve(low: np.ndarray, diag: np.ndarray, head: float) -> np.ndarray:
+    """x with diag[k] x_k + sum_{j=1..k} low[j-1] x_(k-j) = (head if k == 0 else 0).
+
+    The solve runs on y = x reversed, where the system is upper triangular,
+    so dtrsv (lower, transposed) takes each row's dot product from x_(k-1)
+    down to x_0, the order of the recurrence.  The first block takes the
+    remainder of n over _SOLVE_BLOCK.  Each later block's right-hand side is
+    the correlation of low with the x already solved: one np.correlate, a
+    ddot per row, which OpenBLAS runs on one thread at these lengths.  (A
+    dgemv runs on OpenBLAS's thread pool: on a loaded 2-core box it took
+    37 ms of a 41 ms order-3638 solve, where np.correlate takes about
+    1 ms.)  An underflowed head gives zeros, not NaN.
+    """
+    global _dtrsv
+    if _dtrsv is None:
+        from scipy.linalg.blas import dtrsv as _dtrsv
+    n = low.size + 1
+    y = np.zeros(n)
+    y[-1] = head
+    first = (n - 1) % _SOLVE_BLOCK + 1
+    tri, tri_diag = _lower_triangle(low, first)
+    tri_diag[:] = diag[first - 1 :: -1]
+    _dtrsv(tri, y, offx=n - first, lower=1, trans=1, overwrite_x=1)
+    b = _SOLVE_BLOCK
+    if n > first:
+        tri, tri_diag = _lower_triangle(low, b)
+    for s in range(first, n, b):
+        # y[n - s:] is (x_(s-1), ..., x_0); row r of the block gets
+        # -sum_t low[r + t] y[n - s + t], stored at y[n - s - 1 - r]
+        np.negative(np.correlate(low[: s + b - 1], y[n - s :])[::-1], out=y[n - s - b : n - s])
+        tri_diag[:] = diag[s + b - 1 : s - 1 : -1]
+        _dtrsv(tri, y, offx=n - s - b, lower=1, trans=1, overwrite_x=1)
+    return y[::-1].copy()
+
+
 def jet_exp(v: TaylorJet) -> TaylorJet:
-    """exp of a jet via the logarithmic-derivative recurrence."""
+    """exp of a jet.  Solves k e_k = sum_{j=1..k} j a_j e_(k-j), e_0 = exp(a_0)."""
     a = v.coeffs
-    n = a.size
-    e = np.empty(n)
-    e[0] = math.exp(a[0])
-    ja = a[1:] * np.arange(1.0, n)
-    for k in range(1, n):
-        e[k] = ja[:k].dot(e[k - 1 :: -1]) / k
-    return _from_array(e)
+    k = np.arange(float(a.size))
+    low = a[1:] * -k[1:]
+    k[0] = 1.0
+    return _from_array(_triangular_solve(low, k, math.exp(a[0])))
 
 
 def jet_pow(f: TaylorJet, q: float) -> TaylorJet:
@@ -172,16 +236,11 @@ def jet_pow(f: TaylorJet, q: float) -> TaylorJet:
 
 
 def jet_recip(f: TaylorJet) -> TaylorJet:
-    """1/f; needs f(1) != 0."""
+    """1/f; needs f(1) != 0.  Solves sum_{j=0..k} a_j r_(k-j) = (1 if k == 0 else 0)."""
     a = f.coeffs
-    n = f.order + 1
     if a[0] == 0.0:
         raise ValueError("jet_recip requires a nonzero leading coefficient")
-    r = np.empty(n)
-    r[0] = 1.0 / a[0]
-    for k in range(1, n):
-        r[k] = -np.dot(a[1 : k + 1], r[k - 1 :: -1]) / a[0]
-    return _from_array(r)
+    return _from_array(_triangular_solve(a[1:], np.full(a.size, a[0]), 1.0))
 
 
 def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
@@ -297,3 +356,49 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
         sign = -sign
     ratio = absum / max(abs(total), _TINY)
     return total, ratio
+
+
+# Up to this order exp_tail_sum runs the exp recurrence on Python floats.
+# Measured crossover (2-core x86-64 box, best of 7 interleaved rounds): the
+# float path took 3.8/7.5/12.2/16.3/17.7 us at orders 4/8/12/14/16, and
+# jet_exp plus alternating_tail_sum 12.8/13.3/14.5/24.3/17.0 us; at order
+# 23 (N = 32) the float path takes 1.8x as long.
+_FLOAT_SUM_MAX_ORDER = 14
+
+
+def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
+    """Alternating derivative sum at s = 1 of exp(-x s - y g(s)).
+
+    Equals alternating_tail_sum(jet_exp(-x * jet_variable(g.order) - y * g))[0],
+    whose exponent coefficients it forms bit for bit.  Up to
+    _FLOAT_SUM_MAX_ORDER the recurrence and the sum run on Python floats,
+    which add the products in order without fused multiply-adds; above it
+    the value is jet_exp's.
+    """
+    c = g.coeffs
+    if c.size > _FLOAT_SUM_MAX_ORDER + 1:
+        a = c * -y
+        a[:2] -= x
+        return alternating_tail_sum(jet_exp(_from_array(a)))[0]
+    a = [-(y * v) for v in c.tolist()]
+    a[0] -= x
+    total = math.exp(a[0])
+    if len(a) == 1:
+        return total
+    a[1] -= x
+    ja = [j * aj for j, aj in enumerate(a)]
+    e = [total]
+    comp = 0.0
+    sign = 1.0
+    for k in range(1, len(a)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += ja[j] * e[k - j]
+        ek = acc / k
+        e.append(ek)
+        sign = -sign
+        term = sign * ek - comp          # Kahan, as in alternating_tail_sum
+        t = total + term
+        comp = (t - total) - term
+        total = t
+    return total

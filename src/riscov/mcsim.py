@@ -121,6 +121,18 @@ class McConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
+    def check_strategy(self, strategy: str, forced_ris: bool | None) -> None:
+        """Raise ValueError unless simulate_sinr can serve the user by strategy here."""
+        if strategy not in ("fixed", "nearest"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy == "fixed" and forced_ris is None:
+            raise ValueError("fixed association requires forced_ris True or False")
+        if strategy == "nearest":
+            if forced_ris is not None:
+                raise ValueError("nearest association uses each cluster's own surface flag")
+            if not self.params.lambda_t > 0.0:
+                raise ValueError("nearest association requires a positive transmitter density")
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -489,16 +501,7 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     strategy "nearest" serves from the closest sampled transmitter and uses
     that cluster's own surface flag, so forced_ris must stay None.
     """
-    if strategy not in ("fixed", "nearest"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "fixed" and forced_ris is None:
-        raise ValueError("fixed association requires forced_ris True or False")
-    if strategy == "nearest":
-        if forced_ris is not None:
-            raise ValueError("nearest association uses each cluster's own surface flag")
-        if not config.params.lambda_t > 0.0:
-            raise ValueError("nearest association requires a positive transmitter density")
-
+    config.check_strategy(strategy, forced_ris)
     tab = None
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start

@@ -220,6 +220,38 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
     assert max(ratios) <= 1.0 + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(2.05, 6.0), n_elements=st.integers(1, 512),
+       log_lambda=st.floats(-7.0, -1.0), log_gamma=st.floats(-2.0, 3.0),
+       p=st.floats(0.0, 1.0), p_tx_dbm=st.floats(-40.0, 30.0),
+       noise_free=st.booleans(), log_u=st.floats(-8.0, 2.0))
+def test_nearest_integrand_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma, p,
+                                              p_tx_dbm, noise_free, log_u):
+    """exp(-x s - u H(s)) is completely monotone too, so its sums do not cancel.
+
+    Records the cancellation ratio of the exp jet behind every exp_tail_sum
+    the nearest-association integrands take at u.
+    """
+    path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
+    params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
+                                  path=path, p_tx_w=dbm_to_watts(p_tx_dbm),
+                                  interference_limited=noise_free)
+    real_sum = analytic.exp_tail_sum
+    ratios = []
+
+    def recording_sum(g, y, x):
+        expo = TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
+        ratios.append(alternating_tail_sum(jet_exp(expo))[1])
+        return real_sum(g, y, x)
+
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(analytic, "exp_tail_sum", recording_sum)
+        for _, integrand, _ in analytic._nearest_integrands(params, 10.0**log_gamma):
+            integrand(10.0**log_u)
+    assert len(ratios) == (p > 0.0) + (p < 1.0)
+    assert max(ratios) <= 1.0 + 1e-12
+
+
 def test_coverage_fixed_ris_matches_stable_sampling(fig4_params):
     p = fig4_params(1e-3)
     assert coverage_fixed_ris(p, 1.0) == pytest.approx(

@@ -141,6 +141,24 @@ def test_validate_config_makes_the_analytic_checks(tmp_path, capsys, text, messa
     assert not out.exists()
 
 
+def test_validate_config_makes_the_simulator_strategy_checks(tmp_path, capsys):
+    """A custom strategy the simulator refuses is refused by every mode that simulates it."""
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    message = "nearest association requires a positive transmitter density"
+    for mode in ("mc", "both"):
+        cfg.write_text(f"scenario = custom\nmode = {mode}\nstrategy = nearest\nlambda_t = 0\n")
+        assert main(["validate-config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(["run", "custom", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    for strategy in STRATEGIES:
+        cfg.write_text(f"scenario = custom\nmode = mc\nstrategy = {strategy}\n")
+        assert main(["validate-config", str(cfg)]) == 0
+        assert "config ok" in capsys.readouterr().out
+
+
 def test_validate_config_ok(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("# baseline tweak\nscenario = custom\nlambda_t = 5e-5\n"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from oracles import jet_div_by_recurrence
-from riscov.jets import (TaylorJet, alternating_tail_sum, jet_div, jet_erfcx,
+from riscov import jets
+from riscov.analytic import SystemParams, _nearest_hyp_jets
+from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_div, jet_erfcx,
                          jet_exp, jet_hyp2f1_cov, jet_pow, jet_recip, jet_si_ci,
                          jet_sin_cos, jet_spow, jet_variable)
 
@@ -171,6 +175,116 @@ def test_jet_exp_vs_symbolic_polynomials():
             scale = max(abs(ref), 1e-3)
             assert abs(got.coeffs[i] - ref) <= 1e-12 * scale
             q = q.diff(s) + dpoly * q
+
+
+def _mp_exp_coeffs(a, dps=40):
+    """exp of the jet a by its recurrence in mpmath, from a's float coefficients."""
+    with mp.workdps(dps):
+        a = [mp.mpf(float(v)) for v in a]
+        e = [mp.exp(a[0])]
+        for k in range(1, len(a)):
+            e.append(mp.fsum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+        return [float(v) for v in e]
+
+
+def _mp_recip_coeffs(a, dps=40):
+    """1/a for the jet a by its recurrence in mpmath, from a's float coefficients."""
+    with mp.workdps(dps):
+        a = [mp.mpf(float(v)) for v in a]
+        r = [1 / a[0]]
+        for k in range(1, len(a)):
+            r.append(-mp.fsum(a[j] * r[k - j] for j in range(1, k + 1)) / a[0])
+        return [float(v) for v in r]
+
+
+@pytest.mark.parametrize("order", [449, 700])
+def test_high_order_exp_and_recip_vs_mpmath(order):
+    """N = 512's order is one triangular solve; order 700 adds a second block.
+
+    exp(-2 s - 5 s^0.8) and 1/(1 + 3 s^0.8) are completely monotone, so
+    their coefficients alternate in sign and no recurrence sum cancels:
+    each coefficient keeps its relative accuracy.
+    """
+    v = -2.0 * jet_variable(order) - 5.0 * jet_spow(0.8, order)
+    assert np.allclose(jet_exp(v).coeffs, _mp_exp_coeffs(v.coeffs), rtol=1e-12, atol=0.0)
+    f = 1.0 + 3.0 * jet_spow(0.8, order)
+    assert np.allclose(jet_recip(f).coeffs, _mp_recip_coeffs(f.coeffs), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 150), block=st.integers(1, 70), x=st.floats(0.0, 5.0),
+       y=st.floats(0.1, 5.0), d=st.floats(0.34, 0.98))
+def test_blocked_solves_match_one_block(order, block, x, y, d):
+    """Any block size gives the single-solve coefficients up to rounding."""
+    v = -x * jet_variable(order) - y * jet_spow(d, order)
+    f = 1.0 + y * jet_spow(d, order)
+    whole_exp, whole_recip = jet_exp(v).coeffs, jet_recip(f).coeffs
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(jets, "_SOLVE_BLOCK", block)
+        assert np.allclose(jet_exp(v).coeffs, whole_exp, rtol=1e-13, atol=0.0)
+        assert np.allclose(jet_recip(f).coeffs, whole_recip, rtol=1e-13, atol=0.0)
+
+
+def test_jet_exp_at_order_3638_holds_no_square_matrix():
+    """N = 4096: the blocked solve's working memory is O(block), not O(order^2).
+
+    A dense 3639 x 3639 solve alone needs 106 MB.
+    """
+    v = -0.3 * jet_variable(3638) - 2.0 * jet_spow(0.8, 3638)
+    expect = jet_exp(v).coeffs          # the first call also binds scipy's dtrsv
+    tracemalloc.start()
+    try:
+        got = jet_exp(v).coeffs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expect)
+    assert peak < 20e6
+
+
+def test_jet_exp_of_an_underflowed_value_is_zero():
+    """exp(a_0) below the smallest double gives zero coefficients, not NaN."""
+    v = -800.0 * jet_variable(1000) - 5.0 * jet_spow(0.8, 1000)
+    assert not np.any(jet_exp(v).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# exp_tail_sum
+# ---------------------------------------------------------------------------
+
+def _exp_tail_sum_by_jets(g: TaylorJet, y: float, x: float) -> float:
+    expo = TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
+    return alternating_tail_sum(jet_exp(expo))[0]
+
+
+@pytest.mark.parametrize("path", ["float", "jet_exp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), hyp=st.booleans(), x=st.floats(0.0, 30.0), y=st.floats(0.0, 30.0),
+       alpha=st.floats(2.05, 6.0))
+def test_exp_tail_sum_matches_jet_exp(path, data, hyp, x, y, alpha):
+    """Both sides of the cutoff equal the derivative sum of the exp jet.
+
+    g is s^(2/alpha), as in fixed coverage, or the nearest-association
+    hypergeometric jet.  Sums below 1e-300 are compared absolutely: their
+    coefficients are subnormal.
+    """
+    cutoff = jets._FLOAT_SUM_MAX_ORDER
+    order = data.draw(st.integers(0, cutoff) if path == "float"
+                      else st.integers(cutoff + 1, 3 * cutoff))
+    if hyp:
+        params = SystemParams.default(
+            p=data.draw(st.floats(0.0, 1.0)), n_elements=data.draw(st.integers(1, 512)),
+            path=dataclasses.replace(SystemParams.default().path, alpha=alpha))
+        g = _nearest_hyp_jets(params, 10.0 ** data.draw(st.floats(-2.0, 2.0)), 1.0, order)
+    else:
+        g = jet_spow(2.0 / alpha, order)
+    expect = _exp_tail_sum_by_jets(g, y, x)
+    assert math.isclose(exp_tail_sum(g, y, x), expect, rel_tol=1e-14, abs_tol=1e-300)
+
+
+def test_exp_tail_sum_order_zero_is_its_value():
+    g = TaylorJet([0.7])
+    assert exp_tail_sum(g, 2.0, 0.3) == math.exp(-0.3 - 2.0 * 0.7)
 
 
 # ---------------------------------------------------------------------------
