@@ -53,9 +53,11 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 
-# Coefficients per dtrsv: the model's jets up to N = 512 (order 448) are one
-# solve, and a longer jet's working memory is one _SOLVE_BLOCK-square matrix.
-_SOLVE_BLOCK = 512
+# Coefficients per dtrsv; a longer jet's working memory is one such square
+# matrix.  On a 2-core x86-64 box jet_exp at order 448 (N = 512) took 105,
+# 85, 91 and 143 us with blocks of 64, 128, 256 and 512, and a 512 block's
+# 1.6 MB matrix raised the analytic benchmark's peak RSS by 1.7 MB.
+_SOLVE_BLOCK = 128
 
 # scipy.linalg.blas's dtrsv, bound by the first triangular solve
 _dtrsv = None
@@ -184,9 +186,9 @@ def _triangular_solve(low: np.ndarray, diag: np.ndarray, head: float) -> np.ndar
     remainder of n over _SOLVE_BLOCK.  Each later block's right-hand side is
     the correlation of low with the x already solved: one np.correlate, a
     ddot per row, which OpenBLAS runs on one thread at these lengths.  (A
-    dgemv runs on OpenBLAS's thread pool: on a loaded 2-core box it took
-    37 ms of a 41 ms order-3638 solve, where np.correlate takes about
-    1 ms.)  An underflowed head gives zeros, not NaN.
+    dgemv runs on OpenBLAS's thread pool: with 512-coefficient blocks on a
+    loaded 2-core box it took 37 ms of a 41 ms order-3638 solve, where
+    np.correlate took about 1 ms.)  An underflowed head gives zeros, not NaN.
     """
     global _dtrsv
     if _dtrsv is None:
