@@ -382,17 +382,17 @@ def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
         a = c * -y
         a[:2] -= x
         return alternating_tail_sum(jet_exp(_from_array(a)))[0]
-    a = [-(y * v) for v in c.tolist()]
-    a[0] -= x
-    total = math.exp(a[0])
-    if len(a) == 1:
+    cl = c.tolist()
+    ny = -y
+    total = math.exp(ny * cl[0] - x)
+    if len(cl) == 1:
         return total
-    a[1] -= x
-    ja = [j * aj for j, aj in enumerate(a)]
+    ja = [j * (ny * v) for j, v in enumerate(cl)]      # j a_j; a_0 is not needed
+    ja[1] = ny * cl[1] - x
     e = [total]
     comp = 0.0
     sign = 1.0
-    for k in range(1, len(a)):
+    for k in range(1, len(cl)):
         acc = 0.0
         for j in range(1, k + 1):
             acc += ja[j] * e[k - j]

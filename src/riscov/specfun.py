@@ -1,4 +1,4 @@
-"""Scalar special functions used by the coverage and rate expressions.
+"""Real special functions used by the coverage and rate expressions.
 
 Everything here is real-valued and restricted to the parameter ranges that
 actually occur in the network model: path-loss exponents alpha > 2 and
@@ -10,6 +10,8 @@ simulator process never loads scipy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "reg_upper_gamma",
@@ -41,17 +43,20 @@ def reg_lower_gamma(kappa: float, x: float) -> float:
     return float(gammainc(kappa, x))
 
 
-def hyp2f1_cov(alpha: float, z: float) -> float:
+def hyp2f1_cov(alpha: float, z):
     """2F1(1, -2/alpha; 1 - 2/alpha; z) on the non-positive real axis.
 
     This is the only hypergeometric member the interference expressions
     need.  With d = 2/alpha in (0, 1) the result is >= 1, increases in |z|
-    and grows like pi*d*csc(pi*d) * |z|^d as z -> -inf.
+    and grows like pi*d*csc(pi*d) * |z|^d as z -> -inf.  z may be a float,
+    which gives a float, or an array, which gives an array.
     """
     if not alpha > 2.0:
         raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
-    if z > 0.0:
-        raise ValueError(f"argument must be non-positive, got {z}")
+    positive = np.asarray(z) > 0.0
+    if positive.any():
+        raise ValueError(f"argument must be non-positive, got {np.max(z)}")
     from scipy.special import hyp2f1
     d = 2.0 / alpha
-    return float(hyp2f1(1.0, -d, 1.0 - d, z))
+    out = hyp2f1(1.0, -d, 1.0 - d, z)
+    return float(out) if positive.ndim == 0 else out

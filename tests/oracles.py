@@ -10,7 +10,11 @@ directly (a positive stable variable by Kanter's method, and a Poisson
 field on an annulus) in place of the jet-evaluated derivative sums.  The
 jet division recurrence and the alpha = 4 nearest closed form written on
 square-root, division and reciprocal jets are the formulations the jets
-module and coverage_nearest_alpha4 replaced.
+module and coverage_nearest_alpha4 replaced, and the exponent-list loop is
+exp_tail_sum's float path as it was before it formed j a_j directly.  The
+fixed-association rate is an mpmath quadrature of Hamdi's integrand, and
+the log-x quad is the adaptive reference for rate_from_coverage's
+trapezoid rule.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy import special as sp
+from scipy.integrate import quad
 
 from riscov import analytic
 from riscov.analytic import SystemParams
@@ -289,3 +295,72 @@ def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
         total += 0.5 * lam_pi * weight * analytic.alternating_tail_sum(kernel)[0]
         largest = max(largest, arg.coeffs[0])
     return total, largest
+
+
+def exp_tail_sum_by_exponent_list(g: TaylorJet, y: float, x: float) -> float:
+    """exp_tail_sum's float path as it was written, on a list of exponent coefficients a_j."""
+    a = [-(y * v) for v in g.coeffs.tolist()]
+    a[0] -= x
+    total = math.exp(a[0])
+    if len(a) == 1:
+        return total
+    a[1] -= x
+    ja = [j * aj for j, aj in enumerate(a)]
+    e = [total]
+    comp = 0.0
+    sign = 1.0
+    for k in range(1, len(a)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += ja[j] * e[k - j]
+        ek = acc / k
+        e.append(ek)
+        sign = -sign
+        term = sign * ek - comp
+        t = total + term
+        comp = (t - total) - term
+        total = t
+    return total
+
+
+def rate_fixed_by_mpmath(params: SystemParams, with_ris: bool, dps: int = 30) -> float:
+    """Fixed-association rate E[log2(1 + S/Y)] by mpmath quadrature of Hamdi's integrand.
+
+    S ~ Gamma(k, omega) with k the rounded shape of the serving-signal fit,
+    and Y = sigma^2/P + I with E[exp(-z I)] = exp(-K z^(2/alpha)), K the
+    whole-plane constant 2 pi^2 lambda_t csc(2 pi/alpha)/alpha times the
+    tier-weighted gains to the power 2/alpha.  The integrand
+    (1/z)(1 - (1 + z omega)^-k) E[exp(-z Y)] is integrated in t = ln z
+    between breakpoints one apart in t around t = -ln(k omega).
+    """
+    fit = signal_gamma_fit(params.eta_g0, params.eta_h0 if with_ris else 0.0,
+                           params.fading, params.n_elements)
+    k = rounded_shape(fit.kappa)
+    with mp.workdps(dps):
+        a = mp.mpf(params.path.alpha)
+        d = 2 / a
+        gain_k = (2 * mp.pi**2 * params.lambda_t / mp.sin(2 * mp.pi / a) / a
+                  * (params.p * mp.mpf(params.e1) ** d
+                     + (1 - params.p) * mp.mpf(params.path.c_d) ** d))
+        omega = mp.mpf(fit.omega)
+        noise = mp.mpf(params.gamma_t_inv)
+
+        def integrand(t):
+            z = mp.exp(t)
+            return -mp.expm1(-k * mp.log1p(z * omega)) * mp.exp(-z * noise - gain_k * z**d)
+
+        centre = -mp.log(k * omega)
+        value = mp.quad(integrand, [centre + j for j in range(-40, 61)])
+        return float(value / mp.log(2))
+
+
+def rate_from_coverage_by_log_quad(coverage_fn) -> float:
+    """(1/ln 2) * integral of coverage(x)/(1 + x) by adaptive quad in s = ln x.
+
+    The integrand coverage(e^s)/(1 + e^-s) is at most e^s, so s in
+    [ln 1e-18, ln 1e30] holds all of the mass of a coverage that is
+    negligible by x = 1e30.
+    """
+    value, _ = quad(lambda s: coverage_fn(math.exp(s)) / (1.0 + math.exp(-s)),
+                    math.log(1e-18), math.log(1e30), epsabs=1e-14, epsrel=1e-12, limit=500)
+    return value / math.log(2.0)

@@ -10,9 +10,10 @@ from scipy import special as sp
 from scipy.integrate import quad
 
 from oracles import (coverage_nearest_alpha4_by_root_jets, fixed_ris_coverage_by_sampling,
-                     nearest_intlimited_coverage_by_sampling, rounded_shape, sample_gpp)
+                     nearest_intlimited_coverage_by_sampling, rate_fixed_by_mpmath,
+                     rate_from_coverage_by_log_quad, rounded_shape, sample_gpp)
 import riscov.analytic as analytic
-from riscov.analytic import (DivergenceError, SystemParams,
+from riscov.analytic import (DivergenceError, QuadratureError, SystemParams,
                              coverage_fixed_noris, coverage_fixed_ris,
                              coverage_nearest, coverage_nearest_alpha4,
                              coverage_nearest_intlimited,
@@ -576,6 +577,64 @@ def test_rate_exponential_coverage_closed_form():
 def test_rate_divergence_flagged():
     with pytest.raises(DivergenceError):
         rate_from_coverage(lambda x: 1.0)
+
+
+def test_rate_step_coverage_is_refused():
+    """A jump in the coverage stops the trapezoid levels converging."""
+    with pytest.raises(QuadratureError):
+        rate_from_coverage(lambda x: 1.0 if x < 1.0 else 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(2.2, 5.0), n_elements=st.integers(1, 48), p=st.floats(0.0, 1.0),
+       lambda_t=st.floats(1e-6, 1e-3), p_tx_dbm=st.floats(-40.0, 20.0), with_ris=st.booleans())
+def test_rate_from_coverage_matches_log_x_quad_on_fixed_coverage(alpha, n_elements, p, lambda_t,
+                                                                 p_tx_dbm, with_ris):
+    path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
+    params = SystemParams.default(lambda_t=lambda_t, p=p, n_elements=n_elements, path=path,
+                                  p_tx_w=dbm_to_watts(p_tx_dbm))
+    coverage = coverage_fixed_ris if with_ris else coverage_fixed_noris
+    got = rate_from_coverage(lambda g: coverage(params, g))
+    assert got == pytest.approx(rate_from_coverage_by_log_quad(lambda g: coverage(params, g)),
+                                rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(0.5, 8.0), c=st.floats(0.0, 5.0))
+def test_rate_from_coverage_matches_log_x_quad_on_rational_exponential(k, c):
+    """coverage (1 + x)^-k e^-cx: polynomial decay at c = 0, exponential otherwise."""
+    def coverage(x):
+        return (1.0 + x) ** -k * math.exp(-c * x)
+    got = rate_from_coverage(coverage)
+    assert got == pytest.approx(rate_from_coverage_by_log_quad(coverage), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_elements", [1024, 4096])
+def test_rate_fixed_matches_mpmath_hamdi_quadrature(n_elements):
+    """Where the jet order passes 745 the coverage series underflows (ROADMAP
+    open item 2(a)); the rate never forms it."""
+    params = SystemParams.default(lambda_t=1e-4, p=0.5, n_elements=n_elements,
+                                  p_tx_w=dbm_to_watts(-24.0))
+    assert rate_fixed(params, True) == pytest.approx(rate_fixed_by_mpmath(params, True),
+                                                     rel=0.0, abs=1e-10)
+
+
+def test_rate_fixed_matches_alpha4_closed_form():
+    path = dataclasses.replace(SystemParams.default().path, alpha=4.0)
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        params = SystemParams.default(lambda_t=10 ** rng.uniform(-5, -3.5),
+                                      p=float(rng.uniform(0.0, 1.0)),
+                                      n_elements=int(rng.integers(8, 49)),
+                                      path=path, interference_limited=True)
+        for with_ris in (True, False):
+            assert rate_fixed(params, with_ris) == pytest.approx(
+                rate_fixed_alpha4_intlim(params, with_ris), rel=1e-12)
+
+
+def test_rate_fixed_noise_free_without_interference_diverges():
+    with pytest.raises(DivergenceError):
+        rate_fixed(SystemParams.default(lambda_t=0.0, interference_limited=True), True)
 
 
 def test_rate_fixed_monotone_in_power():

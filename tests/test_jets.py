@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from oracles import jet_div_by_recurrence
+from oracles import exp_tail_sum_by_exponent_list, jet_div_by_recurrence
 from riscov import jets
 from riscov.analytic import SystemParams, _nearest_hyp_jets
 from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_div, jet_erfcx,
@@ -280,6 +280,25 @@ def test_exp_tail_sum_matches_jet_exp(path, data, hyp, x, y, alpha):
         g = jet_spow(2.0 / alpha, order)
     expect = _exp_tail_sum_by_jets(g, y, x)
     assert math.isclose(exp_tail_sum(g, y, x), expect, rel_tol=1e-14, abs_tol=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, jets._FLOAT_SUM_MAX_ORDER), hyp=st.booleans(), data=st.data(),
+       x=st.floats(0.0, 30.0), y=st.floats(0.0, 30.0), alpha=st.floats(2.05, 6.0))
+def test_exp_tail_sum_float_path_keeps_its_bits(order, hyp, data, x, y, alpha):
+    """The float path equals the exponent-list loop it replaced, bit for bit.
+
+    g is a nearest-association hypergeometric jet or s^(2/alpha), as in
+    test_exp_tail_sum_matches_jet_exp.
+    """
+    if hyp:
+        params = SystemParams.default(
+            p=data.draw(st.floats(0.0, 1.0)), n_elements=data.draw(st.integers(1, 512)),
+            path=dataclasses.replace(SystemParams.default().path, alpha=alpha))
+        g = _nearest_hyp_jets(params, 10.0 ** data.draw(st.floats(-2.0, 2.0)), 1.0, order)
+    else:
+        g = jet_spow(2.0 / alpha, order)
+    assert exp_tail_sum(g, y, x) == exp_tail_sum_by_exponent_list(g, y, x)
 
 
 def test_exp_tail_sum_order_zero_is_its_value():
