@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
-from .jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_erfcx, jet_exp,
-                   jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow, jet_variable)
+from .jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_erfcx, jet_hyp2f1_cov,
+                   jet_recip, jet_si_ci, jet_sin_cos, jet_spow)
 from .powerdist import GammaFit, signal_gamma_fit
 from .specfun import hyp2f1_cov
 
@@ -261,23 +261,19 @@ def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
 def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> float:
     """Coverage of a fixed-distance serving link, with or without a surface.
 
-    Evaluates the alternating derivative sum of exp(V(s)) at s = 1, where V
-    collects the noise term and the two interference tiers scaled by the
-    fitted signal parameters.  exp(V) is completely monotone, so the sum's
-    terms share one sign and nothing cancels.  An order-0 sum is exp(V(1)).
+    The alternating derivative sum at s = 1 of exp(-x s - y s^(2/alpha)),
+    x the noise term and y the two interference tiers, both scaled by the
+    fitted signal parameters.  exp_tail_sum evaluates it, as it does the
+    nearest-association integrands.  The function is completely monotone,
+    so the sum's terms share one sign and nothing cancels; an order-0 sum
+    is the function's value.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
     fit = _fixed_fit(params, with_ris)
-    order = _jet_order(fit)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
-    if order == 0:
-        value = math.exp(-noise_slope - tier)
-    else:
-        d = 2.0 / params.path.alpha
-        v = jet_variable(order).coeffs * -noise_slope - jet_spow(d, order).coeffs * tier
-        value, _ = alternating_tail_sum(jet_exp(TaylorJet(v)))
+    value = exp_tail_sum(jet_spow(2.0 / params.path.alpha, _jet_order(fit)), tier, noise_slope)
     return min(max(value, 0.0), 1.0)
 
 

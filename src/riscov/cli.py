@@ -498,6 +498,10 @@ def main(argv=None) -> int:
                     params, float(analytic.default_threshold_grid()[0]))
             if spec.mode != "analytic":
                 mc_config.check_strategy(*_sim_strategy(strategy))
+                # the simulator keeps the noise term unless the config drops it
+                if strategy == "nearest_intlimited" and not params.interference_limited:
+                    raise ValueError("noisy regime: nearest_intlimited simulates only with "
+                                     "interference_limited = 1")
         if args.command == "run":
             return run(spec)
         sys.stdout.write(render_config(spec))

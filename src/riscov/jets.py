@@ -8,7 +8,9 @@ for smooth F built from exp, powers, erfcx, Si/Ci and the hypergeometric
 member hyp2f1_cov.  A TaylorJet carries the coefficients f^(i)(1)/i! up to a
 fixed order, so those derivative sums reduce to an alternating sum of jet
 coefficients.  All recurrences are the standard power-series ones and are
-exact to the carried order; the expansion point is always s0 = 1.
+exact to the carried order; the expansion point is always s0 = 1.  Every
+sum of an exponential exp(-x s - y g(s)) is one exp_tail_sum: fixed
+coverage (g = s^(2/alpha)) and each nearest integrand (g hypergeometric).
 
 The convolution sums are BLAS calls, so coefficient bits follow the CPU's
 BLAS kernels:
@@ -361,10 +363,11 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
 
 
 # Up to this order exp_tail_sum runs the exp recurrence on Python floats.
-# Measured crossover (2-core x86-64 box, best of 7 interleaved rounds): the
-# float path took 3.8/7.5/12.2/16.3/17.7 us at orders 4/8/12/14/16, and
-# jet_exp plus alternating_tail_sum 12.8/13.3/14.5/24.3/17.0 us; at order
-# 23 (N = 32) the float path takes 1.8x as long.
+# Measured crossover (2-core x86-64 box, one pinned CPU, best of 15
+# interleaved rounds, g = s^0.8): the float path took 7.9/9.6/11.6/13.5 us
+# at orders 12/14/16/18, and jet_exp plus alternating_tail_sum
+# 11.0/11.3/11.6/11.8 us.  The two meet at order 16; a cutoff there would
+# save at most 1 us a call and move the last bits of orders 15 and 16.
 _FLOAT_SUM_MAX_ORDER = 14
 
 

@@ -10,8 +10,9 @@ directly (a positive stable variable by Kanter's method, and a Poisson
 field on an annulus) in place of the jet-evaluated derivative sums.  The
 jet division recurrence and the alpha = 4 nearest closed form written on
 square-root, division and reciprocal jets are the formulations the jets
-module and coverage_nearest_alpha4 replaced, and the exponent-list loop is
-exp_tail_sum's float path as it was before it formed j a_j directly.  The
+module and coverage_nearest_alpha4 replaced; exp_tail_sum's exponent is
+built here as a jet, and the exponent-list loop is exp_tail_sum's float
+path as it was before it formed j a_j directly.  The
 fixed-association rate is an mpmath quadrature of Hamdi's integrand, and
 the log-x quad is the adaptive reference for rate_from_coverage's
 trapezoid rule.
@@ -295,6 +296,11 @@ def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
         total += 0.5 * lam_pi * weight * analytic.alternating_tail_sum(kernel)[0]
         largest = max(largest, arg.coeffs[0])
     return total, largest
+
+
+def exp_tail_sum_exponent(g: TaylorJet, y: float, x: float) -> TaylorJet:
+    """The exponent jet -x s - y g(s) whose exp exp_tail_sum(g, y, x) sums."""
+    return TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
 
 
 def exp_tail_sum_by_exponent_list(g: TaylorJet, y: float, x: float) -> float:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
 
-from oracles import (coverage_nearest_alpha4_by_root_jets, fixed_ris_coverage_by_sampling,
-                     nearest_intlimited_coverage_by_sampling, rate_fixed_by_mpmath,
-                     rate_from_coverage_by_log_quad, rounded_shape, sample_gpp)
+from oracles import (coverage_nearest_alpha4_by_root_jets, exp_tail_sum_exponent,
+                     fixed_ris_coverage_by_sampling, nearest_intlimited_coverage_by_sampling,
+                     rate_fixed_by_mpmath, rate_from_coverage_by_log_quad, rounded_shape,
+                     sample_gpp)
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, QuadratureError, SystemParams,
                              coverage_fixed_noris, coverage_fixed_ris,
@@ -197,15 +198,21 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
     """The summed functions are completely monotone, so no term cancels another.
 
     Records the cancellation ratio sum |c_i| / |sum (-1)^i c_i| of every jet
-    the two series-evaluated coverages actually sum (an order-0 fixed link
-    is its closed form and sums none).
+    the two series-evaluated coverages sum: the exp jet behind the fixed
+    link's exp_tail_sum, which it takes at every order, and each
+    association branch's reciprocal jet.
     """
     path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
     params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
                                   path=path, p_tx_w=dbm_to_watts(p_tx_dbm),
                                   interference_limited=noise_free)
+    real_exp_sum = analytic.exp_tail_sum
     real_sum = analytic.alternating_tail_sum
     ratios = []
+
+    def recording_exp_sum(g, y, x):
+        ratios.append(alternating_tail_sum(jet_exp(exp_tail_sum_exponent(g, y, x)))[1])
+        return real_exp_sum(g, y, x)
 
     def recording_sum(jet):
         value, ratio = real_sum(jet)
@@ -213,11 +220,11 @@ def test_derivative_sums_do_not_cancel(alpha, n_elements, log_lambda, log_gamma,
         return value, ratio
 
     with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(analytic, "exp_tail_sum", recording_exp_sum)
         mp_ctx.setattr(analytic, "alternating_tail_sum", recording_sum)
         coverage_fixed_ris(params, 10.0**log_gamma)
         coverage_nearest_intlimited(params, 10.0**log_gamma)
-    fixed_order = analytic._jet_order(analytic._fixed_fit(params, True))
-    assert len(ratios) == (fixed_order > 0) + (p > 0.0) + (p < 1.0)
+    assert len(ratios) == 1 + (p > 0.0) + (p < 1.0)
     assert max(ratios) <= 1.0 + 1e-12
 
 
@@ -241,8 +248,7 @@ def test_nearest_integrand_sums_do_not_cancel(alpha, n_elements, log_lambda, log
     ratios = []
 
     def recording_sum(g, y, x):
-        expo = TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
-        ratios.append(alternating_tail_sum(jet_exp(expo))[1])
+        ratios.append(alternating_tail_sum(jet_exp(exp_tail_sum_exponent(g, y, x)))[1])
         return real_sum(g, y, x)
 
     with pytest.MonkeyPatch.context() as mp_ctx:

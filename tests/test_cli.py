@@ -154,9 +154,45 @@ def test_validate_config_makes_the_simulator_strategy_checks(tmp_path, capsys):
         assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
     for strategy in STRATEGIES:
-        cfg.write_text(f"scenario = custom\nmode = mc\nstrategy = {strategy}\n")
+        noise_free = "interference_limited = 1\n" if strategy == "nearest_intlimited" else ""
+        cfg.write_text(f"scenario = custom\nmode = mc\nstrategy = {strategy}\n{noise_free}")
         assert main(["validate-config", str(cfg)]) == 0
         assert "config ok" in capsys.readouterr().out
+
+
+NOISY_INTLIMITED = "noisy regime: nearest_intlimited simulates only with interference_limited = 1"
+
+
+@pytest.mark.parametrize("mode", ["mc", "both"])
+def test_run_refuses_a_noisy_intlimited_simulation(tmp_path, capsys, mode):
+    """The noise-free strategy's simulated column would be the noisy model's."""
+    out = tmp_path / "x.csv"
+    assert main(["run", "custom", "--strategy", "nearest_intlimited", "--mode", mode,
+                 "--p", "0.9", "--p-tx-dbm", "-30", "--trials", "400",
+                 "--out", str(out)]) == 1
+    assert f"error: {NOISY_INTLIMITED}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["mc", "both"])
+def test_validate_config_refuses_a_noisy_intlimited_simulation(tmp_path, capsys, mode):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = custom\nmode = {mode}\nstrategy = nearest_intlimited\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert f"error: {NOISY_INTLIMITED}" in capsys.readouterr().err
+
+
+def test_run_noise_free_intlimited_simulates_beside_its_formula(tmp_path):
+    """Both columns are of one model: they differ by the formula's distance approximation
+    and sampling error (4e-2 at most here), not by a noise term."""
+    out = tmp_path / "x.csv"
+    assert main(["run", "custom", "--strategy", "nearest_intlimited", "--mode", "both",
+                 "--interference-limited", "1", "--p", "0.9", "--trials", "2000",
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 50
+    for row in rows:
+        assert abs(float(row["coverage_analytic"]) - float(row["coverage_mc"])) < 0.1
 
 
 def test_validate_config_ok(tmp_path, capsys):

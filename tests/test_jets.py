@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from oracles import exp_tail_sum_by_exponent_list, jet_div_by_recurrence
+from oracles import exp_tail_sum_by_exponent_list, exp_tail_sum_exponent, jet_div_by_recurrence
 from riscov import jets
 from riscov.analytic import SystemParams, _nearest_hyp_jets
 from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_div, jet_erfcx,
@@ -253,8 +253,7 @@ def test_jet_exp_of_an_underflowed_value_is_zero():
 # ---------------------------------------------------------------------------
 
 def _exp_tail_sum_by_jets(g: TaylorJet, y: float, x: float) -> float:
-    expo = TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
-    return alternating_tail_sum(jet_exp(expo))[0]
+    return alternating_tail_sum(jet_exp(exp_tail_sum_exponent(g, y, x)))[0]
 
 
 @pytest.mark.parametrize("path", ["float", "jet_exp"])
