@@ -170,6 +170,12 @@ def _fixed_fit(params: SystemParams, with_ris: bool) -> GammaFit:
 
 
 @lru_cache(maxsize=256)
+def _fixed_power_jet(alpha: float, order: int) -> TaylorJet:
+    """s^(2/alpha) around s = 1; jets are read-only, so every threshold shares one."""
+    return jet_spow(2.0 / alpha, order)
+
+
+@lru_cache(maxsize=256)
 def _nearest_branches(params: SystemParams) -> tuple[tuple[float, GammaFit, str], ...]:
     """(weight, signal fit, name) of each association branch of nonzero weight.
 
@@ -273,7 +279,7 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
     fit = _fixed_fit(params, with_ris)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
-    value = exp_tail_sum(jet_spow(2.0 / params.path.alpha, _jet_order(fit)), tier, noise_slope)
+    value = exp_tail_sum(_fixed_power_jet(params.path.alpha, _jet_order(fit)), tier, noise_slope)
     return min(max(value, 0.0), 1.0)
 
 

@@ -24,7 +24,10 @@ BLAS kernels:
   BLAS ddot.
 OpenBLAS's AVX-512 ddot rounds a length-2 sum as one fused multiply-add,
 where its Haswell and Prescott kernels add the products in order.
-exp_tail_sum runs low orders on Python floats, which never fuse.  scipy
+exp_tail_sum runs low orders on Python floats, which never fuse: each jet
+length has a straight-line kernel, generated from integer indices and
+compiled on first use, that does the recurrence's float operations one by
+one in a fixed order, so its bits do not depend on the CPU.  scipy
 (erfcx, Si/Ci, dtrsv) is imported on the first call that needs it, not at
 module import, so a simulator process never loads scipy.
 """
@@ -363,12 +366,52 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
 
 
 # Up to this order exp_tail_sum runs the exp recurrence on Python floats.
-# Measured crossover (2-core x86-64 box, one pinned CPU, best of 15
-# interleaved rounds, g = s^0.8): the float path took 7.9/9.6/11.6/13.5 us
-# at orders 12/14/16/18, and jet_exp plus alternating_tail_sum
-# 11.0/11.3/11.6/11.8 us.  The two meet at order 16; a cutoff there would
-# save at most 1 us a call and move the last bits of orders 15 and 16.
+# Measured (2-core x86-64 box, one pinned CPU, best of 15 interleaved rounds,
+# g = s^0.8): the straight-line kernel took 3.6/4.2/5.2/6.4/7.2/8.6/10.6 us
+# at orders 12/14/.../24, and jet_exp plus alternating_tail_sum 13.7-17.7 us
+# at each; the two meet near order 36.  The cutoff stays at 14 all the same:
+# raising it would move the last bits of every order it takes over from
+# jet_exp (fig7's N = 32 rows are order 23).
 _FLOAT_SUM_MAX_ORDER = 14
+
+# exp_tail_sum's kernels by coefficient count, each built on first use
+_TAIL_KERNELS = {}
+
+
+def _tail_kernel(n: int):
+    """exp_tail_sum's float recurrence for n >= 2 coefficients, as straight-line code.
+
+    The kernel f(c, y, x) unpacks the coefficient list c into locals and
+    does the recurrence's float operations one by one, in the order of the
+    loop it replaces: e_0 = exp((-y) c_0 - x), a_1 = (-y) c_1 - x and
+    a_j = j ((-y) c_j); e_k = (0.0 + a_1 e_(k-1) + ... + a_k e_0) / k; and
+    the Kahan update of alternating_tail_sum for each term (-1)^k e_k.  The
+    loop's integer factors j and k appear as the literals j.0 and k.0, the
+    doubles those ints convert to, so every operation rounds as it did.
+
+    The source is built from integer indices only and compiled with exec.
+    The coefficients, y and x are arguments, never formatted into the
+    source: no value passes through text on its way into the arithmetic,
+    and one kernel, compiled once, serves every jet of its length.
+    """
+    lines = ["def kernel(c, y, x):",
+             f"    {', '.join(f'c{j}' for j in range(n))} = c",
+             "    ny = -y",
+             "    e0 = exp(ny * c0 - x)",
+             "    a1 = ny * c1 - x"]
+    lines += [f"    a{j} = {j}.0 * (ny * c{j})" for j in range(2, n)]
+    lines += ["    s0 = e0", "    q0 = 0.0"]
+    for k in range(1, n):
+        products = " + ".join(f"a{j} * e{k - j}" for j in range(1, k + 1))
+        lines += [f"    e{k} = (0.0 + {products}) / {k}.0",
+                  f"    r{k} = {'-1.0' if k % 2 else '1.0'} * e{k} - q{k - 1}",
+                  f"    s{k} = s{k - 1} + r{k}"]
+        if k < n - 1:      # the last compensation is never read
+            lines.append(f"    q{k} = (s{k} - s{k - 1}) - r{k}")
+    lines.append(f"    return s{n - 1}")
+    namespace = {"exp": math.exp}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
@@ -377,33 +420,21 @@ def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
     Equals alternating_tail_sum(jet_exp(-x * jet_variable(g.order) - y * g))[0],
     whose exponent coefficients it forms bit for bit.  Up to
     _FLOAT_SUM_MAX_ORDER the recurrence and the sum run on Python floats,
-    which add the products in order without fused multiply-adds; above it
-    the value is jet_exp's.
+    which add the products in order without fused multiply-adds: order 0 is
+    exp((-y) c_0 - x), and each longer jet goes through the straight-line
+    kernel for its length (_tail_kernel), built on the first call and kept.
+    Above the cutoff the value is jet_exp's.
     """
     c = g.coeffs
-    if c.size > _FLOAT_SUM_MAX_ORDER + 1:
+    n = c.size
+    if n > _FLOAT_SUM_MAX_ORDER + 1:
         a = c * -y
         a[:2] -= x
         return alternating_tail_sum(jet_exp(_from_array(a)))[0]
     cl = c.tolist()
-    ny = -y
-    total = math.exp(ny * cl[0] - x)
-    if len(cl) == 1:
-        return total
-    ja = [j * (ny * v) for j, v in enumerate(cl)]      # j a_j; a_0 is not needed
-    ja[1] = ny * cl[1] - x
-    e = [total]
-    comp = 0.0
-    sign = 1.0
-    for k in range(1, len(cl)):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += ja[j] * e[k - j]
-        ek = acc / k
-        e.append(ek)
-        sign = -sign
-        term = sign * ek - comp          # Kahan, as in alternating_tail_sum
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+    if n == 1:
+        return math.exp(-y * cl[0] - x)
+    kernel = _TAIL_KERNELS.get(n)
+    if kernel is None:
+        kernel = _TAIL_KERNELS[n] = _tail_kernel(n)
+    return kernel(cl, y, x)

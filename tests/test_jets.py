@@ -305,6 +305,41 @@ def test_exp_tail_sum_order_zero_is_its_value():
     assert exp_tail_sum(g, 2.0, 0.3) == math.exp(-0.3 - 2.0 * 0.7)
 
 
+@pytest.mark.parametrize("jet, y, x", [
+    ("spow", 0.0, 1.3),
+    ("spow", 2.5, 0.0),
+    ("spow", 800.0, 0.5),       # y c_0 > 745: e_0 underflows to 0
+    ("spow", 3.1, 0.4),
+    ("hyp", 3.1, 0.4),
+])
+@pytest.mark.parametrize("order", range(jets._FLOAT_SUM_MAX_ORDER + 1))
+def test_every_float_order_keeps_its_bits(order, jet, y, x):
+    """Each order's kernel equals the exponent-list loop, sign of zero included."""
+    if jet == "hyp":
+        g = _nearest_hyp_jets(SystemParams.default(p=0.9), 2.0, 1.0, order)
+    else:
+        g = jet_spow(0.8, order)
+    got, want = exp_tail_sum(g, y, x), exp_tail_sum_by_exponent_list(g, y, x)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_tail_kernels_are_built_once_per_length(monkeypatch):
+    built = []
+    build = jets._tail_kernel
+    monkeypatch.setattr(jets, "_TAIL_KERNELS", {})
+    monkeypatch.setattr(jets, "_tail_kernel", lambda n: built.append(n) or build(n))
+    g = jet_spow(0.8, 6)
+    first = exp_tail_sum(g, 1.2, 0.3)
+    kernel = jets._TAIL_KERNELS[7]
+    assert exp_tail_sum(g, 1.2, 0.3) == first
+    assert exp_tail_sum(jet_spow(0.4, 6), 2.0, 0.1) == exp_tail_sum_by_exponent_list(
+        jet_spow(0.4, 6), 2.0, 0.1)
+    exp_tail_sum(TaylorJet([0.7]), 2.0, 0.3)            # order 0 takes no kernel
+    assert built == [7]
+    assert jets._TAIL_KERNELS == {7: kernel}
+
+
 # ---------------------------------------------------------------------------
 # transcendental compositions vs high-precision differentiation
 # ---------------------------------------------------------------------------

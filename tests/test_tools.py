@@ -38,3 +38,30 @@ def test_mc_shift_refuses_different_grids(tmp_path, mc_shift, capsys):
     assert mc_shift.main([str(old), str(new)]) == 1
     assert "differ in header or row count" in capsys.readouterr().err
     assert mc_shift.main([str(old)]) == 2
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    path = TOOL.parent / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_statistics_on_synthetic_runs(bench_pairs):
+    halved = bench_pairs.pair_stats([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0], "lower")
+    assert halved.ratios == [0.5, 0.5, 0.5, 0.5]
+    assert (halved.median, halved.low, halved.high, halved.wins) == (0.5, 0.5, 0.5, 4)
+
+    base, change = [1.0] * 5, [0.8, 0.9, 0.95, 1.1, 1.2]
+    lower = bench_pairs.pair_stats(base, change, "lower")
+    assert lower.median == 0.95 and lower.wins == 3
+    assert 0.8 <= lower.low <= lower.median <= lower.high <= 1.2
+    assert lower.low < lower.high
+    higher = bench_pairs.pair_stats(base, change, "higher")
+    assert higher.wins == 2 and (higher.low, higher.high) == (lower.low, lower.high)
+    assert bench_pairs.pair_stats(base, change, "lower", resamples=200) == \
+        bench_pairs.pair_stats(base, change, "lower", resamples=200)
+    with pytest.raises(ValueError):
+        bench_pairs.pair_stats([1.0], [1.0, 2.0], "lower")
