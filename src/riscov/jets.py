@@ -35,6 +35,7 @@ module import, so a simulator process never loads scipy.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -374,10 +375,8 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
 # jet_exp (fig7's N = 32 rows are order 23).
 _FLOAT_SUM_MAX_ORDER = 14
 
-# exp_tail_sum's kernels by coefficient count, each built on first use
-_TAIL_KERNELS = {}
 
-
+@lru_cache(maxsize=None)
 def _tail_kernel(n: int):
     """exp_tail_sum's float recurrence for n >= 2 coefficients, as straight-line code.
 
@@ -392,7 +391,8 @@ def _tail_kernel(n: int):
     The source is built from integer indices only and compiled with exec.
     The coefficients, y and x are arguments, never formatted into the
     source: no value passes through text on its way into the arithmetic,
-    and one kernel, compiled once, serves every jet of its length.
+    and one kernel, compiled on the first call for its length and cached,
+    serves every jet of that length.
     """
     lines = ["def kernel(c, y, x):",
              f"    {', '.join(f'c{j}' for j in range(n))} = c",
@@ -422,7 +422,7 @@ def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
     _FLOAT_SUM_MAX_ORDER the recurrence and the sum run on Python floats,
     which add the products in order without fused multiply-adds: order 0 is
     exp((-y) c_0 - x), and each longer jet goes through the straight-line
-    kernel for its length (_tail_kernel), built on the first call and kept.
+    kernel for its length (_tail_kernel).
     Above the cutoff the value is jet_exp's.
     """
     c = g.coeffs
@@ -434,7 +434,4 @@ def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
     cl = c.tolist()
     if n == 1:
         return math.exp(-y * cl[0] - x)
-    kernel = _TAIL_KERNELS.get(n)
-    if kernel is None:
-        kernel = _TAIL_KERNELS[n] = _tail_kernel(n)
-    return kernel(cl, y, x)
+    return _tail_kernel(n)(cl, y, x)

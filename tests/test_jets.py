@@ -324,20 +324,18 @@ def test_every_float_order_keeps_its_bits(order, jet, y, x):
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-def test_tail_kernels_are_built_once_per_length(monkeypatch):
-    built = []
-    build = jets._tail_kernel
-    monkeypatch.setattr(jets, "_TAIL_KERNELS", {})
-    monkeypatch.setattr(jets, "_tail_kernel", lambda n: built.append(n) or build(n))
+def test_tail_kernels_are_built_once_per_length():
+    jets._tail_kernel.cache_clear()
     g = jet_spow(0.8, 6)
     first = exp_tail_sum(g, 1.2, 0.3)
-    kernel = jets._TAIL_KERNELS[7]
+    kernel = jets._tail_kernel(7)
     assert exp_tail_sum(g, 1.2, 0.3) == first
     assert exp_tail_sum(jet_spow(0.4, 6), 2.0, 0.1) == exp_tail_sum_by_exponent_list(
         jet_spow(0.4, 6), 2.0, 0.1)
     exp_tail_sum(TaylorJet([0.7]), 2.0, 0.3)            # order 0 takes no kernel
-    assert built == [7]
-    assert jets._TAIL_KERNELS == {7: kernel}
+    info = jets._tail_kernel.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert jets._tail_kernel(7) is kernel
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,4 @@ def test_bench_pairs_statistics_on_synthetic_runs(bench_pairs):
         bench_pairs.pair_stats(base, change, "lower", resamples=200)
     with pytest.raises(ValueError):
         bench_pairs.pair_stats([1.0], [1.0, 2.0], "lower")
+    assert bench_pairs.spread([4.0, 1.0, 3.0, 2.0]) == "2.5 [1.25, 3.75]"

@@ -12,8 +12,8 @@ drifting load falls on both sides alike.
 
 For every end-to-end metric it prints each pair's ratio (change / base),
 the median ratio with a percentile-bootstrap 95 % interval, the pairs the
-change wins, and the base's interquartile range beside the difference of
-the medians.  Then it runs one ``--trace 1`` pass per side and prints every
+change wins, and each side's median and quartiles: a gain is resolved when
+the medians differ by more than the base's quartile spread.  Then it runs one ``--trace 1`` pass per side and prints every
 count metric of both: counts such as ``analytic.quad.neval`` or
 ``jets.jet_exp.calls`` do not move with load, so equal counts show the two
 sides did the same work.
@@ -100,11 +100,16 @@ def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs
         base = [r["metrics"][m]["value"] for r in runs["base"]]
         change = [r["metrics"][m]["value"] for r in runs["change"]]
         s = pair_stats(base, change, direction)
-        q1, _, q3 = statistics.quantiles(base, n=4) if pairs > 1 else (base[0],) * 3
         print(f"{m} ({direction} is better): ratios " + " ".join(f"{r:.3f}" for r in s.ratios))
         print(f"  median ratio {s.median:.3f} [95 % {s.low:.3f}, {s.high:.3f}], "
-              f"change better in {s.wins} of {pairs}; medians {statistics.median(base):.4g} -> "
-              f"{statistics.median(change):.4g}, base IQR {q3 - q1:.4g}")
+              f"change better in {s.wins} of {pairs}; median [quartiles] "
+              f"{spread(base)} -> {spread(change)}")
+
+
+def spread(runs: list[float]) -> str:
+    """Median and quartiles of one side's runs, as "median [q1, q3]"."""
+    q1, q2, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+    return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
 def count_diff(sides: dict[str, Path], workload: str, seed: int, extra: list[str]) -> None:
