@@ -61,8 +61,7 @@ def test_bench_pairs_statistics_on_synthetic_runs(bench_pairs):
     assert lower.low < lower.high
     higher = bench_pairs.pair_stats(base, change, "higher")
     assert higher.wins == 2 and (higher.low, higher.high) == (lower.low, lower.high)
-    assert bench_pairs.pair_stats(base, change, "lower", resamples=200) == \
-        bench_pairs.pair_stats(base, change, "lower", resamples=200)
+    assert bench_pairs.pair_stats(base, change, "lower") == lower
     with pytest.raises(ValueError):
         bench_pairs.pair_stats([1.0], [1.0, 2.0], "lower")
     assert bench_pairs.spread([4.0, 1.0, 3.0, 2.0]) == "2.5 [1.25, 3.75]"

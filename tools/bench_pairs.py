@@ -1,22 +1,21 @@
 """Paired benchmark runs of two revisions: per-pair ratios, their median and wins.
 
     python tools/bench_pairs.py BASE CHANGE [--workload W] [--pairs N] [--seed S]
-                                [--seconds T] [--repo PATH]
 
-BASE and CHANGE are git revisions of the repository (by default the one
-holding this file).  Each is checked out with ``git worktree add --detach``
-under a temporary directory, and both worktrees are removed on exit.  Pair i
-runs ``perfbench/run.py --workload W --seed S+i`` once in each checkout, from
-that checkout's own sources; the side that runs first alternates, so a
-drifting load falls on both sides alike.
+BASE and CHANGE are git revisions of the repository holding this file.  Each
+is checked out with ``git worktree add --detach`` under a temporary
+directory, and both worktrees are removed on exit.  Pair i runs
+``perfbench/run.py --workload W --seed S+i`` once in each checkout, from that
+checkout's own sources, for the benchmark's own run length; the side that
+runs first alternates, so a drifting load falls on both sides alike.
 
-For every end-to-end metric it prints each pair's ratio (change / base),
-the median ratio with a percentile-bootstrap 95 % interval, the pairs the
-change wins, and each side's median and quartiles: a gain is resolved when
-the medians differ by more than the base's quartile spread.  Then it runs one ``--trace 1`` pass per side and prints every
-count metric of both: counts such as ``analytic.quad.neval`` or
-``jets.jet_exp.calls`` do not move with load, so equal counts show the two
-sides did the same work.
+For every end-to-end metric it prints each pair's ratio (change / base), the
+median ratio with a percentile-bootstrap 95 % interval, the pairs the change
+wins, and each side's median and quartiles: a gain is resolved when the
+medians differ by more than the base's quartile spread.  Then it runs one
+``--trace 1`` pass per side and prints every count metric of both: counts
+such as ``analytic.quad.neval`` or ``jets.jet_exp.calls`` do not move with
+load, so equal counts show the two sides did the same work.
 """
 
 from __future__ import annotations
@@ -43,22 +42,21 @@ class PairStats(NamedTuple):
     wins: int                # pairs where the change is better
 
 
-def pair_stats(base: list[float], change: list[float], better: str,
-               resamples: int = RESAMPLES, seed: int = 0) -> PairStats:
+def pair_stats(base: list[float], change: list[float], better: str) -> PairStats:
     """Ratios change / base of paired runs, their median, its bootstrap interval and wins."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same positive number of base and change runs")
     ratios = [c / b for b, c in zip(base, change)]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     boots = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                   for _ in range(resamples))
+                   for _ in range(RESAMPLES))
     wins = sum(r < 1.0 if better == "lower" else r > 1.0 for r in ratios)
-    return PairStats(ratios, statistics.median(ratios), boots[round(0.025 * (resamples - 1))],
-                     boots[round(0.975 * (resamples - 1))], wins)
+    return PairStats(ratios, statistics.median(ratios), boots[round(0.025 * (RESAMPLES - 1))],
+                     boots[round(0.975 * (RESAMPLES - 1))], wins)
 
 
-def git(repo: Path, *args: str) -> str:
-    return subprocess.run(["git", "-C", str(repo), *args], check=True, text=True,
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
 
 
@@ -74,7 +72,7 @@ def bench(checkout: Path, args: list[str]) -> dict:
 
 
 def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs: int,
-            seed: int, extra: list[str]) -> None:
+            seed: int) -> None:
     """Run the pairs and print each end-to-end metric's ratios and their summary.
 
     better maps a metric name to "lower" or "higher"; with --workload all,
@@ -85,7 +83,7 @@ def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             runs[side].append(bench(sides[side], ["--workload", workload,
-                                                  "--seed", str(seed + i), *extra]))
+                                                  "--seed", str(seed + i)]))
         if i == 0:
             metrics = [m for m in runs["base"][0]["metrics"] if m.rsplit(".", 1)[-1] in better]
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
@@ -112,9 +110,9 @@ def spread(runs: list[float]) -> str:
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def count_diff(sides: dict[str, Path], workload: str, seed: int, extra: list[str]) -> None:
+def count_diff(sides: dict[str, Path], workload: str, seed: int) -> None:
     traced = {side: bench(path, ["--workload", workload, "--seed", str(seed),
-                                 "--trace", "1", *extra])["metrics"]
+                                 "--trace", "1"])["metrics"]
               for side, path in sides.items()}
     print(f"traced counts (--trace 1, seed {seed}): base -> change")
     for name, metric in traced["base"].items():
@@ -133,30 +131,27 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="analytic_curves")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="run.py --seconds (its default if unset)")
-    parser.add_argument("--repo", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    extra = [] if args.seconds is None else ["--seconds", str(args.seconds)]
-    bench_spec = json.loads((args.repo / "BENCHMARK.json").read_text())
+    bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench_spec["end_to_end"]}
-    revs = {"base": git(args.repo, "rev-parse", "--verify", f"{args.base}^{{commit}}"),
-            "change": git(args.repo, "rev-parse", "--verify", f"{args.change}^{{commit}}")}
+    revs = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
+            "change": git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {}
         try:
             for side, rev in revs.items():
                 path = Path(tmp) / side
-                git(args.repo, "worktree", "add", "--detach", "--quiet", str(path), rev)
+                git("worktree", "add", "--detach", "--quiet", str(path), rev)
                 sides[side] = path
             print(f"{args.workload}: {args.pairs} pairs, base {revs['base'][:12]} vs change "
                   f"{revs['change'][:12]}; ratio = change / base", flush=True)
-            compare(sides, better, args.workload, args.pairs, args.seed, extra)
-            count_diff(sides, args.workload, args.seed, extra)
+            compare(sides, better, args.workload, args.pairs, args.seed)
+            count_diff(sides, args.workload, args.seed)
         finally:
             for path in sides.values():
-                git(args.repo, "worktree", "remove", "--force", str(path))
+                git("worktree", "remove", "--force", str(path))
     return 0
 
 
