@@ -133,7 +133,7 @@ class SystemParams:
 
     @classmethod
     def default(cls, **overrides) -> "SystemParams":
-        """Baseline scenario: 5 km disk defaults with a 20 m serving link."""
+        """Baseline scenario with a 20 m serving link (the 5 km disk is McConfig.window's)."""
         base = cls(
             lambda_t=1e-4,
             p=0.5,

@@ -235,99 +235,91 @@ def _scenario_fig3(spec: RunSpec):
     return ["n_elements", "x_db", "ccdf_exp_model", "ccdf_mc"], rows, summaries
 
 
-def _coverage_power_sweep(spec: RunSpec, with_ris: bool, lambdas, p_grid_dbm,
-                          default_trials: int, label: str):
-    rows, summaries = [], []
-    gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
-    do_mc = spec.mode in ("mc", "both")
-    do_ana = spec.mode in ("analytic", "both")
-    for lam in lambdas:
-        ana_vals, mc_vals, mc_cis = [], [], []
-        for k, p_dbm in enumerate(p_grid_dbm):
-            params = build_params(spec, lambda_t=lam, p_tx_dbm=p_dbm)
+def _power_sweep(spec: RunSpec, curves, p_grid, default_trials: int, analytic_fn, mc_fn):
+    """Rows [p_dbm, *keys, analytic, mc, mc_ci] of curves over a transmit-power grid, and
+    each curve's computed values {"analytic": [...], "mc": [...]}.
+
+    curves holds (key cells, build_params overrides) pairs.  The k-th point's analytic
+    cell is analytic_fn(params), and its MC cells are mc_fn(config) seeded seed + k.
+    Both look their evaluators up at call time, so a wrapped function is the one called.
+    """
+    rows, values = [], []
+    for keys, overrides in curves:
+        curve = {"analytic": [], "mc": []}
+        for k, p_dbm in enumerate(p_grid):
+            params = build_params(spec, p_tx_dbm=p_dbm, **overrides)
             ana = mc = ci = ""
-            if do_ana:
-                ana = (analytic.coverage_fixed_ris(params, gamma_bar) if with_ris
-                       else analytic.coverage_fixed_noris(params, gamma_bar))
-                ana_vals.append(ana)
-            if do_mc:
-                cfg = _mc_config(spec, params, default_trials, seed_offset=k)
-                dist = mcsim.simulate_sinr(cfg, "fixed", forced_ris=with_ris)
-                mc, ci = mcsim.estimate_coverage(dist, gamma_bar)
-                mc_vals.append(mc)
-                mc_cis.append(ci)
-            rows.append([p_dbm, lam, ana, mc, ci])
-        if do_ana:
-            cross = _crossing_db(np.asarray(p_grid_dbm), np.asarray(ana_vals), 0.9)
-            summaries.append(f"{label} lambda_t={lam:g}: analytic coverage 0.9 at "
+            if spec.mode != "mc":
+                ana = analytic_fn(params)
+                curve["analytic"].append(ana)
+            if spec.mode != "analytic":
+                mc, ci = mc_fn(_mc_config(spec, params, default_trials, seed_offset=k))
+                curve["mc"].append(mc)
+            rows.append([p_dbm, *keys, ana, mc, ci])
+        values.append(curve)
+    return rows, values
+
+
+def _coverage_power_sweep(spec: RunSpec, with_ris: bool, lambdas, p_grid_dbm,
+                          default_trials: int):
+    gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
+    rows, curves = _power_sweep(
+        spec, [((lam,), {"lambda_t": lam}) for lam in lambdas], p_grid_dbm, default_trials,
+        lambda params: (analytic.coverage_fixed_ris if with_ris
+                        else analytic.coverage_fixed_noris)(params, gamma_bar),
+        lambda cfg: mcsim.estimate_coverage(
+            mcsim.simulate_sinr(cfg, "fixed", forced_ris=with_ris), gamma_bar))
+    summaries = []
+    for lam, curve in zip(lambdas, curves):
+        label = f"{spec.scenario} lambda_t={lam:g}"
+        if curve["analytic"]:
+            cross = _crossing_db(np.asarray(p_grid_dbm), np.asarray(curve["analytic"]), 0.9)
+            summaries.append(f"{label}: analytic coverage 0.9 at "
                              + (f"{cross:.2f} dBm" if cross is not None else "n/a"))
-        if do_mc:
-            summaries.append(f"{label} lambda_t={lam:g}: mc coverage "
-                             f"{mc_vals[0]:.3f}..{mc_vals[-1]:.3f}")
+        if curve["mc"]:
+            summaries.append(f"{label}: mc coverage {curve['mc'][0]:.3f}..{curve['mc'][-1]:.3f}")
     return ["p_dbm", "lambda_t", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
 
 
 def _scenario_fig4(spec: RunSpec):
     return _coverage_power_sweep(spec, True, (1e-3, 1e-4, 1e-5, 0.0),
-                                 np.arange(-40.0, 0.1, 2.0), 4000, "fig4")
+                                 np.arange(-40.0, 0.1, 2.0), 4000)
 
 
 def _scenario_fig5(spec: RunSpec):
     return _coverage_power_sweep(spec, False, (1e-4, 1e-5, 1e-6, 0.0),
-                                 np.arange(-20.0, 30.1, 2.0), 4000, "fig5")
+                                 np.arange(-20.0, 30.1, 2.0), 4000)
 
 
 def _scenario_fig6(spec: RunSpec):
-    rows, summaries = [], []
-    p_grid = np.arange(-40.0, 0.1, 4.0)
-    do_mc = spec.mode in ("mc", "both")
-    do_ana = spec.mode in ("analytic", "both")
-    for lam in (1e-6, 1e-5, 1e-4):
-        rates = {"analytic": [], "mc": []}
-        for k, p_dbm in enumerate(p_grid):
-            params = build_params(spec, lambda_t=lam, p_tx_dbm=p_dbm)
-            ana = mc = ci = ""
-            if do_ana:
-                ana = analytic.rate_fixed(params, with_ris=True)
-                rates["analytic"].append(ana)
-            if do_mc:
-                cfg = _mc_config(spec, params, 4000, seed_offset=k)
-                dist = mcsim.simulate_sinr(cfg, "fixed", forced_ris=True)
-                mc, ci = mcsim.estimate_rate(dist)
-                rates["mc"].append(mc)
-            rows.append([p_dbm, lam, ana, mc, ci])
-        summaries += [f"fig6 lambda_t={lam:g}: {kind} rate {vals[0]:.3f}..{vals[-1]:.3f}"
-                      for kind, vals in rates.items() if vals]
+    lambdas = (1e-6, 1e-5, 1e-4)
+    rows, curves = _power_sweep(
+        spec, [((lam,), {"lambda_t": lam}) for lam in lambdas], np.arange(-40.0, 0.1, 4.0),
+        4000, lambda params: analytic.rate_fixed(params, with_ris=True),
+        lambda cfg: mcsim.estimate_rate(mcsim.simulate_sinr(cfg, "fixed", forced_ris=True)))
+    summaries = [f"fig6 lambda_t={lam:g}: {kind} rate {vals[0]:.3f}..{vals[-1]:.3f}"
+                 for lam, curve in zip(lambdas, curves) for kind, vals in curve.items() if vals]
     return ["p_dbm", "lambda_t", "rate_analytic", "rate_mc", "mc_ci"], rows, summaries
 
 
 def _scenario_fig7(spec: RunSpec):
-    rows, summaries = [], []
     gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
-    p_grid = np.arange(-40.0, 30.1, 2.0)
-    do_mc = spec.mode in ("mc", "both")
-    do_ana = spec.mode in ("analytic", "both")
-    base = {"p": 0.9}
     families = [(lam, 2.5) for lam in (1e-5, 5e-5, 1e-4, 1e-3)] + [(1e-4, 4.0)]
-    for lam, alpha in families:
-        mc_vals = []
-        for k, p_dbm in enumerate(p_grid):
-            params = build_params(spec, lambda_t=lam, alpha=alpha, p_tx_dbm=p_dbm, **base)
-            ana = mc = ci = ""
-            if do_ana:
-                ana = (analytic.coverage_nearest(params, gamma_bar) if alpha != 4.0
-                       else analytic.coverage_nearest_alpha4(params, gamma_bar))
-            if do_mc:
-                cfg = _mc_config(spec, params, 2000, seed_offset=k)
-                dist = mcsim.simulate_sinr(cfg, "nearest")
-                mc, ci = mcsim.estimate_coverage(dist, gamma_bar)
-                mc_vals.append(mc)
-            rows.append([p_dbm, lam, alpha, ana, mc, ci])
+    rows, curves = _power_sweep(
+        spec, [(fam, {"lambda_t": fam[0], "alpha": fam[1], "p": 0.9}) for fam in families],
+        np.arange(-40.0, 30.1, 2.0), 2000,
+        # the alpha = 4 closed form needs the noise term, without which the power cancels
+        lambda params: (analytic.coverage_nearest_alpha4
+                        if params.path.alpha == 4.0 and not params.interference_limited
+                        else analytic.coverage_nearest)(params, gamma_bar),
+        lambda cfg: mcsim.estimate_coverage(mcsim.simulate_sinr(cfg, "nearest"), gamma_bar))
+    summaries = []
+    for (lam, alpha), curve in zip(families, curves):
         label = f"fig7 lambda_t={lam:g} alpha={alpha:g}"
-        if do_ana:
-            summaries.append(f"{label}: high-power analytic coverage {ana}")
-        if do_mc:
-            summaries.append(f"{label}: mc coverage {mc_vals[0]:.3f}..{mc_vals[-1]:.3f}")
+        if curve["analytic"]:
+            summaries.append(f"{label}: high-power analytic coverage {curve['analytic'][-1]}")
+        if curve["mc"]:
+            summaries.append(f"{label}: mc coverage {curve['mc'][0]:.3f}..{curve['mc'][-1]:.3f}")
     return ["p_dbm", "lambda_t", "alpha", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
 
 
@@ -487,8 +479,9 @@ def main(argv=None) -> int:
         else:
             spec = _spec_from_args(args)
         # every mode makes the simulator's checks, and for the custom scenario a mode
-        # with analytic columns evaluates its strategy once and a mode with MC columns
-        # checks the simulator's strategy rules, so a config that validates also runs
+        # with analytic columns evaluates its strategy once; a mode with MC columns
+        # checks the simulator's strategy rules for custom and for fig8's nearest
+        # association, so a config that validates also runs
         params = build_params(spec)
         mc_config = _mc_config(spec, params, default_trials=1)
         if spec.scenario == "custom":
@@ -502,6 +495,8 @@ def main(argv=None) -> int:
                 if strategy == "nearest_intlimited" and not params.interference_limited:
                     raise ValueError("noisy regime: nearest_intlimited simulates only with "
                                      "interference_limited = 1")
+        elif spec.scenario == "fig8" and spec.mode != "analytic":
+            mc_config.check_strategy("nearest", None)    # its formulas are density-free
         if args.command == "run":
             return run(spec)
         sys.stdout.write(render_config(spec))

@@ -461,3 +461,110 @@ def test_kernel_free_mc_csv_bytes_are_unchanged(tmp_path, run_id):
     out = tmp_path / "out.csv"
     assert main(["run", *args, "--mode", "mc", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+SMALL_MC = ["--trials", "100", "--window-radius", "300"]
+
+# sha256 of `riscov run figN --mode mc` CSVs in a small window: fig4-fig7 share one
+# power-sweep loop, whose seeds (seed + k at the k-th power) fix every sample.
+POWER_SWEEP_MC_CSV_SHA256 = {
+    "fig4": "cd015b9df867ee8be1ba00e1dbea6c19c309817dd16812e909f47255604f24fb",
+    "fig5": "f24ad4af5f597c069a71415bd8036056637d651df25aff66e82f229de1e6ff0b",
+    "fig6": "a5572b379b6f87b92cf82f4f6303a0e3de6ef0b083994a355520d7739dcba8c1",
+    "fig7": "617bd630b95a80ad78e66a6026b2c4a73b3d38de8d7355e34e2cb29a2c12755d",
+}
+
+
+@pytest.mark.parametrize("fig", list(POWER_SWEEP_MC_CSV_SHA256))
+def test_power_sweep_mc_csv_bytes_are_unchanged(tmp_path, fig):
+    out = tmp_path / "out.csv"
+    assert main(["run", fig, "--mode", "mc", *SMALL_MC, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POWER_SWEEP_MC_CSV_SHA256[fig]
+
+
+# fig4's and fig5's summary lines, one per density: the 0.9 crossing of the analytic
+# curve, and the first..last MC coverage of the small-window run above.
+FIXED_SWEEP_SUMMARIES = {
+    ("fig4", "analytic"): ["fig4 lambda_t=0.001: analytic coverage 0.9 at -12.55 dBm",
+                           "fig4 lambda_t=0.0001: analytic coverage 0.9 at -24.00 dBm",
+                           "fig4 lambda_t=1e-05: analytic coverage 0.9 at -24.11 dBm",
+                           "fig4 lambda_t=0: analytic coverage 0.9 at -24.12 dBm"],
+    ("fig4", "mc"): ["fig4 lambda_t=0.001: mc coverage 0.000..0.910",
+                     "fig4 lambda_t=0.0001: mc coverage 0.000..0.990",
+                     "fig4 lambda_t=1e-05: mc coverage 0.000..1.000",
+                     "fig4 lambda_t=0: mc coverage 0.000..1.000"],
+    ("fig5", "analytic"): ["fig5 lambda_t=0.0001: analytic coverage 0.9 at n/a",
+                           "fig5 lambda_t=1e-05: analytic coverage 0.9 at 11.51 dBm",
+                           "fig5 lambda_t=1e-06: analytic coverage 0.9 at 2.79 dBm",
+                           "fig5 lambda_t=0: analytic coverage 0.9 at 2.35 dBm"],
+    ("fig5", "mc"): ["fig5 lambda_t=0.0001: mc coverage 0.000..0.540",
+                     "fig5 lambda_t=1e-05: mc coverage 0.000..0.930",
+                     "fig5 lambda_t=1e-06: mc coverage 0.000..0.990",
+                     "fig5 lambda_t=0: mc coverage 0.000..1.000"],
+}
+
+
+@pytest.mark.parametrize("fig,mode", list(FIXED_SWEEP_SUMMARIES))
+def test_fixed_sweep_summary_lines_are_unchanged(tmp_path, capsys, fig, mode):
+    out = tmp_path / "out.csv"
+    assert main(["run", fig, "--mode", mode, *SMALL_MC, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == FIXED_SWEEP_SUMMARIES[fig, mode] + [f"wrote {84 if fig == 'fig4' else 104} "
+                                                        f"rows to {out}"]
+
+
+def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
+    """Without noise the transmit power cancels, so each curve is the density-free
+    coverage_nearest_intlimited value; the alpha = 4 closed form needs noise."""
+    out = tmp_path / "fig7.csv"
+    assert main(["run", "fig7", "--mode", "analytic", "--interference-limited", "1",
+                 "--out", str(out)]) == 0
+    curves = {}
+    for row in read_csv(out):
+        curves.setdefault((row["lambda_t"], row["alpha"]), []).append(
+            float(row["coverage_analytic"]))
+    assert len(curves) == 5
+    for (lam, alpha), values in curves.items():
+        assert len(values) == 36
+        params = build_params(RunSpec(scenario="fig7"), lambda_t=float(lam), alpha=float(alpha),
+                              p=0.9, interference_limited=1)
+        expect = analytic.coverage_nearest_intlimited(params, 1.0)
+        assert max(abs(v - expect) for v in values) < 1e-9, (lam, alpha)
+
+
+@pytest.mark.parametrize("mode", ["mc", "both"])
+def test_fig8_refuses_a_zero_density_simulation(tmp_path, capsys, mode):
+    """fig8 simulates nearest association, which needs transmitters to serve the user."""
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "fig8.cfg"
+    cfg.write_text(f"scenario = fig8\nmode = {mode}\nlambda_t = 0\n")
+    message = "error: nearest association requires a positive transmitter density"
+    assert main(["validate-config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["run", "fig8", "--config", str(cfg), "--trials", "100",
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig8_analytic_columns_run_at_zero_density(tmp_path):
+    """fig8's noise-free formulas do not depend on the density."""
+    out = tmp_path / "x.csv"
+    assert main(["run", "fig8", "--mode", "analytic", "--lambda-t", "0", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 9
+
+
+@pytest.mark.parametrize("setting", ["interference_limited = 1", "lambda_t = 0"])
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_validate_config_agrees_with_run(tmp_path, capsys, scenario, setting):
+    """A config that validates also runs, and one that fails fails alike in both."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"scenario = {scenario}\nmode = both\ntrials = 100\nwindow_radius = 300\n"
+                   f"{setting}\n")
+
+    def errors():
+        return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+
+    validated = main(["validate-config", str(cfg)]), errors()
+    ran = main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]), errors()
+    assert validated == ran

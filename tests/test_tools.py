@@ -65,3 +65,17 @@ def test_bench_pairs_statistics_on_synthetic_runs(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.pair_stats([1.0], [1.0, 2.0], "lower")
     assert bench_pairs.spread([4.0, 1.0, 3.0, 2.0]) == "2.5 [1.25, 3.75]"
+
+
+def test_bench_pairs_refuses_a_larger_failed_share(bench_pairs):
+    """The shares are over all of a side's runs: 1 of 20 against 1 of 10 is smaller."""
+    def runs(*counts):
+        return [{"failed": f, "attempted": a} for f, a in counts]
+
+    assert bench_pairs.failed_share(runs((1, 10), (0, 10))) == 0.05
+    assert bench_pairs.failed_share([]) == 0.0
+    assert not bench_pairs.more_failures(runs((0, 10), (0, 10)), runs((0, 10), (0, 10)))
+    assert not bench_pairs.more_failures(runs((1, 10)), runs((1, 10), (0, 10)))
+    assert bench_pairs.more_failures(runs((1, 10), (0, 10)), runs((1, 10)))
+    assert bench_pairs.more_failures(runs((0, 10)), runs((0, 10), (1, 10)))
+    assert not bench_pairs.more_failures(runs((2, 10)), runs((1, 10)))

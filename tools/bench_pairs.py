@@ -16,6 +16,9 @@ medians differ by more than the base's quartile spread.  Then it runs one
 ``--trace 1`` pass per side and prints every count metric of both: counts
 such as ``analytic.quad.neval`` or ``jets.jet_exp.calls`` do not move with
 load, so equal counts show the two sides did the same work.
+
+It exits with status 1 when a larger share of the change's operations failed
+than of the base's, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +58,17 @@ def pair_stats(base: list[float], change: list[float], better: str) -> PairStats
                      boots[round(0.975 * (RESAMPLES - 1))], wins)
 
 
+def failed_share(runs: list[dict]) -> float:
+    """Share of one side's attempted operations that failed, over all its runs."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def more_failures(base: list[dict], change: list[dict]) -> bool:
+    """Whether a larger share of the change's operations failed than of the base's."""
+    return failed_share(change) > failed_share(base)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
@@ -72,8 +86,10 @@ def bench(checkout: Path, args: list[str]) -> dict:
 
 
 def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs: int,
-            seed: int) -> None:
+            seed: int) -> bool:
     """Run the pairs and print each end-to-end metric's ratios and their summary.
+
+    Returns whether a larger share of the change's operations failed.
 
     better maps a metric name to "lower" or "higher"; with --workload all,
     run.py prefixes each name with its workload.
@@ -102,6 +118,7 @@ def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs
         print(f"  median ratio {s.median:.3f} [95 % {s.low:.3f}, {s.high:.3f}], "
               f"change better in {s.wins} of {pairs}; median [quartiles] "
               f"{spread(base)} -> {spread(change)}")
+    return more_failures(runs["base"], runs["change"])
 
 
 def spread(runs: list[float]) -> str:
@@ -147,12 +164,14 @@ def main(argv=None) -> int:
                 sides[side] = path
             print(f"{args.workload}: {args.pairs} pairs, base {revs['base'][:12]} vs change "
                   f"{revs['change'][:12]}; ratio = change / base", flush=True)
-            compare(sides, better, args.workload, args.pairs, args.seed)
+            worse = compare(sides, better, args.workload, args.pairs, args.seed)
             count_diff(sides, args.workload, args.seed)
         finally:
             for path in sides.values():
                 git("worktree", "remove", "--force", str(path))
-    return 0
+    if worse:
+        print("refused: a larger share of the change's operations failed")
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
