@@ -24,8 +24,10 @@ expression has one evaluator, and a surface-free branch is its order-0 case.
 Rates: rate_fixed and the noise-free rate_nearest integrate Hamdi's lemma
 over the Laplace variable, rate_from_coverage integrates a coverage function
 over the threshold, both by nested trapezoid rules in the logarithm; the
-noisy rate_nearest runs adaptive quad over coverage_nearest's radial quad;
-rate_fixed_alpha4_intlim is the alpha = 4 noise-free closed form.
+noisy rate_nearest runs adaptive quad over coverage_nearest's radial quad,
+whose integrands jets.exp_tail_integrand binds once per threshold, so quad
+calls a generated kernel directly; rate_fixed_alpha4_intlim is the
+alpha = 4 noise-free closed form.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
-from .jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_erfcx, jet_hyp2f1_cov,
-                   jet_recip, jet_si_ci, jet_sin_cos, jet_spow)
+from .jets import (TaylorJet, alternating_tail_sum, exp_tail_integrand, exp_tail_sum,
+                   jet_erfcx, jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow)
 from .powerdist import GammaFit, signal_gamma_fit
 from .specfun import hyp2f1_cov
 
@@ -269,10 +271,10 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
 
     The alternating derivative sum at s = 1 of exp(-x s - y s^(2/alpha)),
     x the noise term and y the two interference tiers, both scaled by the
-    fitted signal parameters.  exp_tail_sum evaluates it, as it does the
-    nearest-association integrands.  The function is completely monotone,
-    so the sum's terms share one sign and nothing cancels; an order-0 sum
-    is the function's value.
+    fitted signal parameters.  exp_tail_sum evaluates it on the kernel that
+    exp_tail_integrand binds for the nearest-association integrands.  The
+    function is completely monotone, so the sum's terms share one sign and
+    nothing cancels; an order-0 sum is the function's value.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
@@ -328,8 +330,9 @@ def _nearest_integrands(params: SystemParams, gamma_bar: float
 
     u = lambda_t pi r^2 folds the serving-distance density into a unit
     exponential.  Each branch integrates the derivative sum of
-    exp(-q u^(alpha/2) s - u H(s)), exp_tail_sum(H, u, q u^(alpha/2)); the
-    jet H and the constant q do not depend on u and are built here, once.
+    exp(-q u^(alpha/2) s - u H(s)), exp_tail_sum(H, u, q u^(alpha/2)).  The
+    jet H and the noise slope q do not depend on u, so exp_tail_integrand
+    binds them, with alpha/2, into the function quad calls.
     """
     half_a = 0.5 * params.path.alpha
     u_scale = (params.lambda_t * math.pi) ** -half_a
@@ -337,10 +340,7 @@ def _nearest_integrands(params: SystemParams, gamma_bar: float
     for weight, fit, name in _nearest_branches(params):
         hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit))
         noise = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega) * u_scale
-
-        def integrand(u: float, noise=noise, hyp=hyp) -> float:
-            return exp_tail_sum(hyp, u, noise * u**half_a)
-        branches.append((weight, integrand, name))
+        branches.append((weight, exp_tail_integrand(hyp, noise, half_a), name))
     return branches
 
 

@@ -291,15 +291,39 @@ def _scenario_fig5(spec: RunSpec):
                                  np.arange(-20.0, 30.1, 2.0), 4000)
 
 
+_FIG6_LAMBDAS = (1e-6, 1e-5, 1e-4)
+_FIG6_P_GRID = np.arange(-40.0, 0.1, 4.0)
+_FIG6_TRIALS = 4000
+# Largest chance a noise-free fig6 simulation may have of drawing an empty window
+_EMPTY_WINDOW_RISK = 1e-3
+
+
 def _scenario_fig6(spec: RunSpec):
-    lambdas = (1e-6, 1e-5, 1e-4)
     rows, curves = _power_sweep(
-        spec, [((lam,), {"lambda_t": lam}) for lam in lambdas], np.arange(-40.0, 0.1, 4.0),
-        4000, lambda params: analytic.rate_fixed(params, with_ris=True),
+        spec, [((lam,), {"lambda_t": lam}) for lam in _FIG6_LAMBDAS], _FIG6_P_GRID,
+        _FIG6_TRIALS, lambda params: analytic.rate_fixed(params, with_ris=True),
         lambda cfg: mcsim.estimate_rate(mcsim.simulate_sinr(cfg, "fixed", forced_ris=True)))
     summaries = [f"fig6 lambda_t={lam:g}: {kind} rate {vals[0]:.3f}..{vals[-1]:.3f}"
-                 for lam, curve in zip(lambdas, curves) for kind, vals in curve.items() if vals]
+                 for lam, curve in zip(_FIG6_LAMBDAS, curves)
+                 for kind, vals in curve.items() if vals]
     return ["p_dbm", "lambda_t", "rate_analytic", "rate_mc", "mc_ci"], rows, summaries
+
+
+def _check_fig6_windows(spec: RunSpec, window: Window) -> None:
+    """Refuse a noise-free fig6 simulation that is likely to draw an empty window.
+
+    Without noise, a fixed-association trial whose window holds no
+    interferer has infinite SINR, and estimate_rate refuses such samples.
+    A window is empty with probability exp(-lambda_t |W|); summed over the
+    run's trials (a union bound), that must stay below _EMPTY_WINDOW_RISK.
+    """
+    trials = int(spec.setting("trials")) or _FIG6_TRIALS
+    empty = [math.exp(-lam * window.area) for lam in _FIG6_LAMBDAS]
+    if trials * _FIG6_P_GRID.size * sum(empty) > _EMPTY_WINDOW_RISK:
+        raise ValueError(f"noise-free fig6 simulation: a {window.radius:g} m window at "
+                         f"lambda_t = {_FIG6_LAMBDAS[0]:g} holds no interferer with probability "
+                         f"{empty[0]:.3g}, and such a trial's SINR is infinite; "
+                         f"widen window_radius")
 
 
 def _scenario_fig7(spec: RunSpec):
@@ -481,7 +505,8 @@ def main(argv=None) -> int:
         # every mode makes the simulator's checks, and for the custom scenario a mode
         # with analytic columns evaluates its strategy once; a mode with MC columns
         # checks the simulator's strategy rules for custom and for fig8's nearest
-        # association, so a config that validates also runs
+        # association, and a noise-free fig6's windows, so a config that validates
+        # also runs
         params = build_params(spec)
         mc_config = _mc_config(spec, params, default_trials=1)
         if spec.scenario == "custom":
@@ -497,6 +522,9 @@ def main(argv=None) -> int:
                                      "interference_limited = 1")
         elif spec.scenario == "fig8" and spec.mode != "analytic":
             mc_config.check_strategy("nearest", None)    # its formulas are density-free
+        elif (spec.scenario == "fig6" and spec.mode != "analytic"
+              and params.interference_limited):
+            _check_fig6_windows(spec, mc_config.window)
         if args.command == "run":
             return run(spec)
         sys.stdout.write(render_config(spec))

@@ -9,8 +9,10 @@ member hyp2f1_cov.  A TaylorJet carries the coefficients f^(i)(1)/i! up to a
 fixed order, so those derivative sums reduce to an alternating sum of jet
 coefficients.  All recurrences are the standard power-series ones and are
 exact to the carried order; the expansion point is always s0 = 1.  Every
-sum of an exponential exp(-x s - y g(s)) is one exp_tail_sum: fixed
-coverage (g = s^(2/alpha)) and each nearest integrand (g hypergeometric).
+sum of an exponential exp(-x s - y g(s)) runs one kernel per jet length:
+fixed coverage calls exp_tail_sum (g = s^(2/alpha)), and each nearest
+integrand is exp_tail_integrand(H, q, alpha/2), the function of u = y with
+x = q u^(alpha/2) that binds H and q once per threshold.
 
 The convolution sums are BLAS calls, so coefficient bits follow the CPU's
 BLAS kernels:
@@ -24,12 +26,12 @@ BLAS kernels:
   BLAS ddot.
 OpenBLAS's AVX-512 ddot rounds a length-2 sum as one fused multiply-add,
 where its Haswell and Prescott kernels add the products in order.
-exp_tail_sum runs low orders on Python floats, which never fuse: each jet
-length has a straight-line kernel, generated from integer indices and
-compiled on first use, that does the recurrence's float operations one by
-one in a fixed order, so its bits do not depend on the CPU.  scipy
-(erfcx, Si/Ci, dtrsv) is imported on the first call that needs it, not at
-module import, so a simulator process never loads scipy.
+exp_tail_integrand and exp_tail_sum run orders up to 32 on Python floats,
+which never fuse: each jet length has a straight-line kernel, generated
+from integer indices and compiled on first use, that does the recurrence's
+float operations one by one in a fixed order, so its bits do not depend on
+the CPU.  scipy (erfcx, Si/Ci, dtrsv) is imported on the first call that
+needs it, not at module import, so a simulator process never loads scipy.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "jet_erfcx",
     "jet_hyp2f1_cov",
     "alternating_tail_sum",
+    "exp_tail_integrand",
     "exp_tail_sum",
 ]
 
@@ -366,72 +369,92 @@ def alternating_tail_sum(f: TaylorJet) -> tuple[float, float]:
     return total, ratio
 
 
-# Up to this order exp_tail_sum runs the exp recurrence on Python floats.
-# Measured (2-core x86-64 box, one pinned CPU, best of 15 interleaved rounds,
-# g = s^0.8): the straight-line kernel took 3.6/4.2/5.2/6.4/7.2/8.6/10.6 us
-# at orders 12/14/.../24, and jet_exp plus alternating_tail_sum 13.7-17.7 us
-# at each; the two meet near order 36.  The cutoff stays at 14 all the same:
-# raising it would move the last bits of every order it takes over from
-# jet_exp (fig7's N = 32 rows are order 23).
-_FLOAT_SUM_MAX_ORDER = 14
+# Up to this order exp_tail_integrand runs the exp recurrence on Python floats.
+# Per call (2-core x86-64 box, one pinned CPU, best of 5 over 399 nodes u of a
+# nearest-association jet):
+#
+#   order                               4        14       23       30       36
+#   bound kernel (exp_tail_integrand)   1.2 us   5.2 us   7.7 us   12.0 us  15.7 us
+#   jet_exp + alternating_tail_sum      16.1 us  18.2 us  13.6 us  15.2 us  15.2 us
+#
+# The kernel is faster up to about order 35; 32 keeps a margin.  It adds in another order than
+# jet_exp's BLAS dot products, so at orders 15-36 the two differ by up to
+# 2.5e-15 relative, far below the 10 significant digits the CSVs print.
+_FLOAT_SUM_MAX_ORDER = 32
 
 
 @lru_cache(maxsize=None)
 def _tail_kernel(n: int):
-    """exp_tail_sum's float recurrence for n >= 2 coefficients, as straight-line code.
+    """Binder of exp_tail_integrand's float recurrence for n >= 2 coefficients.
 
-    The kernel f(c, y, x) unpacks the coefficient list c into locals and
-    does the recurrence's float operations one by one, in the order of the
-    loop it replaces: e_0 = exp((-y) c_0 - x), a_1 = (-y) c_1 - x and
-    a_j = j ((-y) c_j); e_k = (0.0 + a_1 e_(k-1) + ... + a_k e_0) / k; and
+    bind(c, q, p) unpacks the coefficient list c into closure values and
+    returns kernel(u), straight-line code that forms x = q u^p and then does
+    the recurrence's float operations one by one, in the order of the loop
+    it replaces: e_0 = exp((-u) c_0 - x), a_1 = (-u) c_1 - x and
+    a_j = j ((-u) c_j); e_k = (0.0 + a_1 e_(k-1) + ... + a_k e_0) / k; and
     the Kahan update of alternating_tail_sum for each term (-1)^k e_k.  The
     loop's integer factors j and k appear as the literals j.0 and k.0, the
     doubles those ints convert to, so every operation rounds as it did.
 
     The source is built from integer indices only and compiled with exec.
-    The coefficients, y and x are arguments, never formatted into the
+    The coefficients, q, p and u are values, never formatted into the
     source: no value passes through text on its way into the arithmetic,
-    and one kernel, compiled on the first call for its length and cached,
+    and one binder, compiled on the first call for its length and cached,
     serves every jet of that length.
     """
-    lines = ["def kernel(c, y, x):",
+    lines = ["def bind(c, q, p):",
              f"    {', '.join(f'c{j}' for j in range(n))} = c",
-             "    ny = -y",
-             "    e0 = exp(ny * c0 - x)",
-             "    a1 = ny * c1 - x"]
-    lines += [f"    a{j} = {j}.0 * (ny * c{j})" for j in range(2, n)]
-    lines += ["    s0 = e0", "    q0 = 0.0"]
+             "    def kernel(u):",
+             "        x = q * u ** p",
+             "        ny = -u",
+             "        e0 = exp(ny * c0 - x)",
+             "        a1 = ny * c1 - x"]
+    lines += [f"        a{j} = {j}.0 * (ny * c{j})" for j in range(2, n)]
+    lines += ["        s0 = e0", "        q0 = 0.0"]
     for k in range(1, n):
         products = " + ".join(f"a{j} * e{k - j}" for j in range(1, k + 1))
-        lines += [f"    e{k} = (0.0 + {products}) / {k}.0",
-                  f"    r{k} = {'-1.0' if k % 2 else '1.0'} * e{k} - q{k - 1}",
-                  f"    s{k} = s{k - 1} + r{k}"]
+        lines += [f"        e{k} = (0.0 + {products}) / {k}.0",
+                  f"        r{k} = {'-1.0' if k % 2 else '1.0'} * e{k} - q{k - 1}",
+                  f"        s{k} = s{k - 1} + r{k}"]
         if k < n - 1:      # the last compensation is never read
-            lines.append(f"    q{k} = (s{k} - s{k - 1}) - r{k}")
-    lines.append(f"    return s{n - 1}")
+            lines.append(f"        q{k} = (s{k} - s{k - 1}) - r{k}")
+    lines += [f"        return s{n - 1}", "    return kernel"]
     namespace = {"exp": math.exp}
     exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    return namespace["bind"]
+
+
+def exp_tail_integrand(g: TaylorJet, q: float, p: float):
+    """The function u -> exp_tail_sum(g, u, q u^p), bound once for many u.
+
+    Each nearest-association integrand is one such function, which quad
+    calls at every node; g, q and p are bound here, not per call.  Up to
+    _FLOAT_SUM_MAX_ORDER the returned function is the straight-line kernel
+    for g's length (_tail_kernel), and order 0 is exp((-u) c_0 - q u^p).
+    Above the cutoff it forms the exponent jet and takes jet_exp's sum.
+    """
+    c = g.coeffs
+    n = c.size
+    if n > _FLOAT_SUM_MAX_ORDER + 1:
+        def integrand(u: float) -> float:
+            a = c * -u
+            a[:2] -= q * u**p
+            return alternating_tail_sum(jet_exp(_from_array(a)))[0]
+        return integrand
+    if n == 1:
+        c0 = float(c[0])
+        return lambda u: math.exp(-u * c0 - q * u**p)
+    return _tail_kernel(n)(c.tolist(), q, p)
 
 
 def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
     """Alternating derivative sum at s = 1 of exp(-x s - y g(s)).
 
     Equals alternating_tail_sum(jet_exp(-x * jet_variable(g.order) - y * g))[0],
-    whose exponent coefficients it forms bit for bit.  Up to
+    whose exponent coefficients it forms bit for bit.  It is
+    exp_tail_integrand(g, x, 0.0) at y: x y^0.0 is x exactly.  Up to
     _FLOAT_SUM_MAX_ORDER the recurrence and the sum run on Python floats,
-    which add the products in order without fused multiply-adds: order 0 is
-    exp((-y) c_0 - x), and each longer jet goes through the straight-line
-    kernel for its length (_tail_kernel).
-    Above the cutoff the value is jet_exp's.
+    which add the products in order without fused multiply-adds; above the
+    cutoff the value is jet_exp's.
     """
-    c = g.coeffs
-    n = c.size
-    if n > _FLOAT_SUM_MAX_ORDER + 1:
-        a = c * -y
-        a[:2] -= x
-        return alternating_tail_sum(jet_exp(_from_array(a)))[0]
-    cl = c.tolist()
-    if n == 1:
-        return math.exp(-y * cl[0] - x)
-    return _tail_kernel(n)(cl, y, x)
+    return exp_tail_integrand(g, x, 0.0)(y)

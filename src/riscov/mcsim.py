@@ -144,7 +144,7 @@ class EmpiricalDistribution:
         s = np.asarray(self.sorted_samples, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("need a non-empty 1-D sample array")
-        if np.any(np.diff(s) < 0.0):
+        if np.any(s[1:] < s[:-1]):
             raise ValueError("samples must be sorted ascending")
         object.__setattr__(self, "sorted_samples", s)
 
@@ -533,9 +533,17 @@ def estimate_coverage(dist: EmpiricalDistribution, gamma_bar: float) -> tuple[fl
 
 
 def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
-    """Sample mean of log2(1 + SINR) in bits/s/Hz with its 95% half-width."""
+    """Sample mean of log2(1 + SINR) in bits/s/Hz with its 95% half-width.
+
+    A noise-free trial that draws no interferer has an infinite SINR, and
+    the mean rate of such samples is unbounded, so they are refused.
+    """
     if dist.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {dist.n}")
+    infinite = int(np.count_nonzero(np.isinf(dist.sorted_samples)))
+    if infinite:
+        raise ValueError(f"{infinite} of {dist.n} SINR samples are infinite (noise-free trials "
+                         "with no interferer): the mean rate is unbounded")
     rates = np.log2(1.0 + dist.sorted_samples)
     mean = float(rates.mean())
     return mean, float(1.96 * rates.std(ddof=1) / math.sqrt(dist.n))

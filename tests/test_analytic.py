@@ -24,8 +24,9 @@ from riscov.analytic import (DivergenceError, QuadratureError, SystemParams,
                              rate_nearest)
 from riscov.fading import dbm_to_watts
 from riscov.geometry import Window
-from riscov.jets import (TaylorJet, alternating_tail_sum, jet_exp, jet_hyp2f1_cov,
-                         jet_spow, jet_variable)
+from riscov import jets
+from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_exp,
+                         jet_hyp2f1_cov, jet_spow, jet_variable)
 from riscov.powerdist import signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
 
@@ -237,26 +238,65 @@ def test_nearest_integrand_sums_do_not_cancel(alpha, n_elements, log_lambda, log
                                               p_tx_dbm, noise_free, log_u):
     """exp(-x s - u H(s)) is completely monotone too, so its sums do not cancel.
 
-    Records the cancellation ratio of the exp jet behind every exp_tail_sum
-    the nearest-association integrands take at u.
+    Each integrand is bound by exp_tail_integrand(H, q, alpha/2); the
+    recording binder's integrand records, at u, the cancellation ratio of
+    the exp jet behind exp_tail_sum(H, u, q u^(alpha/2)).
     """
     path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
     params = SystemParams.default(lambda_t=10.0**log_lambda, p=p, n_elements=n_elements,
                                   path=path, p_tx_w=dbm_to_watts(p_tx_dbm),
                                   interference_limited=noise_free)
-    real_sum = analytic.exp_tail_sum
+    real_bind = analytic.exp_tail_integrand
     ratios = []
 
-    def recording_sum(g, y, x):
-        ratios.append(alternating_tail_sum(jet_exp(exp_tail_sum_exponent(g, y, x)))[1])
-        return real_sum(g, y, x)
+    def recording_bind(g, q, power):
+        bound = real_bind(g, q, power)
+
+        def integrand(u):
+            x = q * u**power
+            ratios.append(alternating_tail_sum(jet_exp(exp_tail_sum_exponent(g, u, x)))[1])
+            return bound(u)
+        return integrand
 
     with pytest.MonkeyPatch.context() as mp_ctx:
-        mp_ctx.setattr(analytic, "exp_tail_sum", recording_sum)
+        mp_ctx.setattr(analytic, "exp_tail_integrand", recording_bind)
         for _, integrand, _ in analytic._nearest_integrands(params, 10.0**log_gamma):
             integrand(10.0**log_u)
     assert len(ratios) == (p > 0.0) + (p < 1.0)
     assert max(ratios) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("order", range(jets._FLOAT_SUM_MAX_ORDER + 2))
+@pytest.mark.parametrize("case", ["noisy", "noise-free", "underflow"])
+def test_nearest_integrands_are_exp_tail_sum_bit_for_bit(order, case, monkeypatch):
+    """Each bound integrand equals exp_tail_sum(H, u, q u^(alpha/2)), compared by float.hex.
+
+    _jet_order is pinned, so the branches bind every jet length from 1 to
+    one past the float cutoff, where the jet_exp path takes over.  u is
+    drawn log-uniformly over [1e-8, 1e2].  Noise-free, q = 0 and x = 0; at
+    -40 dBm, q u^(alpha/2) passes 745 and e_0 underflows.
+    """
+    overrides = {"noisy": {}, "noise-free": {"interference_limited": True},
+                 "underflow": {"p_tx_w": dbm_to_watts(-40.0)}}[case]
+    params = SystemParams.default(p=0.9, **overrides)
+    gamma_bar = 2.0
+    monkeypatch.setattr(analytic, "_jet_order", lambda fit: order)
+    half_a = 0.5 * params.path.alpha
+    u_scale = (params.lambda_t * math.pi) ** -half_a
+    us = 10.0 ** np.random.default_rng(order).uniform(-8.0, 2.0, 12)
+    integrands = analytic._nearest_integrands(params, gamma_bar)
+    underflowed = 0
+    for (_, integrand, name), (_, fit, _) in zip(integrands, analytic._nearest_branches(params)):
+        hyp = analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
+        assert hyp.order == order
+        q = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega) * u_scale
+        assert (q == 0.0) == (case == "noise-free")
+        for u in us.tolist():
+            x = q * u**half_a
+            want = exp_tail_sum(hyp, u, x)
+            assert integrand(u).hex() == want.hex(), (name, u)
+            underflowed += x > 746.0
+    assert underflowed or case != "underflow"
 
 
 def test_coverage_fixed_ris_matches_stable_sampling(fig4_params):

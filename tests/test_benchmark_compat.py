@@ -38,7 +38,8 @@ def test_traced_pass_reports_every_per_layer_metric():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        analytic.coverage_fixed_ris(SystemParams.default(), 1.0)
+        # N = 128 puts the fixed link's jet above the float cutoff, on jet_exp
+        analytic.coverage_fixed_ris(SystemParams.default(n_elements=128), 1.0)
         analytic.coverage_nearest_intlimited(
             SystemParams.default(p=0.9, interference_limited=True), 1.0)
     finally:
@@ -56,8 +57,24 @@ def test_traced_pass_reports_every_per_layer_metric():
     assert metrics["jets.ops_computed"] > 0
 
 
+def _traced_coverage_nearest(params):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        analytic.coverage_nearest(params, 1.0)
+    finally:
+        tracer.uninstall()
+    return spans.layer_metrics(tracer.arrays(), {})
+
+
 def test_traced_coverage_nearest_sees_quadrature_and_jets():
-    """The integrands call the public jet functions, so the trace sees the hot path.
+    """Above the float cutoff the integrands call the public jet functions.
+
+    At N = 128 the surface branch's jet is order 107, so each node of its
+    quadrature runs jet_exp and alternating_tail_sum, which the trace sees.
+    At N = 32 (order 23) every integrand is a bound straight-line kernel,
+    so no jet_exp span is recorded.
 
     analytic binds scipy's quad on its first quadrature, and the tracer can
     only swap a function that is already bound.  So one untraced call comes
@@ -66,20 +83,16 @@ def test_traced_coverage_nearest_sees_quadrature_and_jets():
     a quadrature.
     """
     analytic.coverage_nearest(SystemParams.default(p=0.9), 1.0)
-    spans = _load_spans()
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        analytic.coverage_nearest(SystemParams.default(p=0.9), 1.0)
-    finally:
-        tracer.uninstall()
-
-    metrics = spans.layer_metrics(tracer.arrays(), {})
+    metrics = _traced_coverage_nearest(SystemParams.default(p=0.9, n_elements=128))
     assert metrics["analytic.coverage_nearest.calls"] == 1
     assert metrics["analytic.quad.calls"] == 2          # one per association branch
     assert metrics["analytic.quad.neval"] > 0
     assert metrics["jets.jet_exp.calls"] > 0
     assert metrics["jets.alternating_tail_sum.calls"] == metrics["jets.jet_exp.calls"]
+
+    below = _traced_coverage_nearest(SystemParams.default(p=0.9))
+    assert below["analytic.quad.neval"] > 0
+    assert below["jets.jet_exp.calls"] == 0
 
 
 def test_traced_threaded_simulation_records_spans_only_in_the_caller(monkeypatch):

@@ -362,6 +362,40 @@ def test_run_fig6_summary_reports_rate_ranges(tmp_path, capsys):
                              line), line
 
 
+@pytest.mark.parametrize("mode", ["mc", "both"])
+def test_noise_free_fig6_refuses_windows_that_may_be_empty(tmp_path, capsys, mode):
+    """A 300 m window at lambda_t = 1e-6 is empty in 75 % of trials; noise-free, SINR is infinite.
+
+    A run that went ahead would write inf,nan rate cells.  validate-config
+    and run refuse it alike; the default 5 km window validates.
+    """
+    out = tmp_path / "fig6.csv"
+    cfg = tmp_path / "fig6.cfg"
+    cfg.write_text(f"scenario = fig6\nmode = {mode}\ninterference_limited = 1\n")
+    assert main(["validate-config", str(cfg)]) == 0
+    message = ("error: noise-free fig6 simulation: a 300 m window at lambda_t = 1e-06 holds "
+               "no interferer with probability 0.754")
+    assert main(["run", "fig6", "--config", str(cfg), "--trials", "100",
+                 "--window-radius", "300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    cfg.write_text(cfg.read_text() + "trials = 100\nwindow_radius = 300\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_run_reports_estimate_rate_refusing_infinite_sinr(tmp_path, capsys, monkeypatch):
+    """An empty window the up-front check let through still ends the run with an error."""
+    monkeypatch.setattr(cli, "_EMPTY_WINDOW_RISK", math.inf)
+    out = tmp_path / "fig6.csv"
+    with np.errstate(divide="ignore"):
+        assert main(["run", "fig6", "--mode", "mc", "--interference-limited", "1",
+                     "--trials", "100", "--window-radius", "300", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: \d+ of 100 SINR samples are infinite", err, re.MULTILINE), err
+    assert not out.exists()
+
+
 def test_run_writes_summary(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     assert main(["run", "fig3", "--mode", "analytic", "--out", str(out)]) == 0

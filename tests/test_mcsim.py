@@ -122,6 +122,12 @@ def test_estimate_rate_known_values():
     assert estimate_rate(ones)[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_estimate_rate_refuses_infinite_sinr():
+    samples = np.concatenate((np.linspace(0.0, 5.0, 497), [np.inf] * 3))
+    with pytest.raises(ValueError, match="^3 of 500 SINR samples are infinite"):
+        estimate_rate(EmpiricalDistribution(samples))
+
+
 # ---------------------------------------------------------------------------
 # determinism and independence
 # ---------------------------------------------------------------------------

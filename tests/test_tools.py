@@ -79,3 +79,25 @@ def test_bench_pairs_refuses_a_larger_failed_share(bench_pairs):
     assert bench_pairs.more_failures(runs((1, 10), (0, 10)), runs((1, 10)))
     assert bench_pairs.more_failures(runs((0, 10)), runs((0, 10), (1, 10)))
     assert not bench_pairs.more_failures(runs((2, 10)), runs((1, 10)))
+
+
+def test_bench_pairs_marks_trace_spans_as_wrapped_calls(bench_pairs, monkeypatch, capsys):
+    """A moved work count DIFFERS; a moved span count is only fewer wrapped calls."""
+    counts = {"base": {"analytic.quad.neval": 508647, "analytic.quad.calls": 2735,
+                       "trace.spans": 595620},
+              "change": {"analytic.quad.neval": 508647, "analytic.quad.calls": 2736,
+                         "trace.spans": 38000}}
+    units = {"analytic.quad.neval": "count", "analytic.quad.calls": "count",
+             "trace.spans": "count"}
+
+    def bench(checkout, args):
+        assert args[-2:] == ["--trace", "1"]
+        return {"metrics": {name: {"value": v, "unit": units[name]}
+                            for name, v in counts[checkout].items()}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    bench_pairs.count_diff({"base": "base", "change": "change"}, "analytic_curves", 3)
+    marks = {line.split()[0]: line.split(None, 4)[-1]
+             for line in capsys.readouterr().out.splitlines()[1:]}
+    assert marks == {"analytic.quad.neval": "equal", "analytic.quad.calls": "DIFFERS",
+                     "trace.spans": "(wrapped calls, not work)"}

@@ -15,7 +15,8 @@ wins, and each side's median and quartiles: a gain is resolved when the
 medians differ by more than the base's quartile spread.  Then it runs one
 ``--trace 1`` pass per side and prints every count metric of both: counts
 such as ``analytic.quad.neval`` or ``jets.jet_exp.calls`` do not move with
-load, so equal counts show the two sides did the same work.
+load, so equal counts show the two sides did the same work.  ``trace.spans``
+is the exception: it counts wrapped calls, not work, and is marked so.
 
 It exits with status 1 when a larger share of the change's operations failed
 than of the base's, and 0 otherwise.
@@ -35,6 +36,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RESAMPLES = 10_000
+# trace.spans counts calls of wrapped public functions, so it moves whenever a
+# change adds or removes such calls, even with the work unchanged.
+WRAPPED_CALLS = "(wrapped calls, not work)"
 
 
 class PairStats(NamedTuple):
@@ -136,7 +140,8 @@ def count_diff(sides: dict[str, Path], workload: str, seed: int) -> None:
         if metric["unit"] != "count":
             continue
         new = traced["change"].get(name, {}).get("value")
-        mark = "equal" if new == metric["value"] else "DIFFERS"
+        mark = ("equal" if new == metric["value"]
+                else WRAPPED_CALLS if name == "trace.spans" else "DIFFERS")
         print(f"  {name:44s} {metric['value']:.10g} -> "
               f"{'missing' if new is None else f'{new:.10g}'}  {mark}")
 
