@@ -348,12 +348,16 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
     """Nearest-transmitter coverage by radial quadrature.
 
     Each association branch's integrand (see _nearest_integrands) is smooth
-    and decays exponentially in u = lambda_t pi r^2 over [0, inf).
+    and decays exponentially in u = lambda_t pi r^2 over [0, inf).  Without
+    noise the radial average has a closed form, coverage_nearest_intlimited,
+    which is what this returns then.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
     if not params.lambda_t > 0.0:
         raise ValueError("nearest association requires a positive transmitter density")
+    if params.interference_limited:
+        return coverage_nearest_intlimited(params, gamma_bar)
     total = 0.0
     for weight, integrand, name in _nearest_integrands(params, gamma_bar):
         total += weight * _quad_checked(integrand, 0.0, math.inf, 1e-8, 1e-8,
@@ -364,17 +368,17 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
 def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     """Closed-form nearest coverage for alpha = 4 (Gaussian-integral reduction).
 
-    Needs a finite noise level; use coverage_nearest_intlimited for the
-    noise-free regime.
+    The reduction divides by the noise term; without noise this returns the
+    noise-free closed form, coverage_nearest_intlimited.
     """
     if params.path.alpha != 4.0:
         raise ValueError("this closed form requires a path-loss exponent of 4")
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    if params.interference_limited:
-        raise ValueError("noise-free regime: use coverage_nearest_intlimited")
     if not params.lambda_t > 0.0:
         raise ValueError("nearest association requires a positive transmitter density")
+    if params.interference_limited:
+        return coverage_nearest_intlimited(params, gamma_bar)
     lam_pi = math.pi * params.lambda_t
     total = 0.0
     for weight, fit, _ in _nearest_branches(params):
@@ -557,12 +561,13 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
 def rate_nearest(params: SystemParams, interference_limited: bool) -> float:
     """Rate of the nearest-association user.
 
-    Noise-free, each association branch is Hamdi's lemma in the normalized
-    variable y = z c_d r^-alpha, where the radial average of the Laplace
-    transform is 1/H(y), H the weighted 2F1 sum of _nearest_hyp.  With
-    noise it is the nested quadrature of coverage_nearest (_rate_by_quad).
+    Noise-free (interference_limited, or params.interference_limited), each
+    association branch is Hamdi's lemma in the normalized variable
+    y = z c_d r^-alpha, where the radial average of the Laplace transform is
+    1/H(y), H the weighted 2F1 sum of _nearest_hyp.  With noise it is the
+    nested quadrature of coverage_nearest (_rate_by_quad).
     """
-    if not interference_limited:
+    if not (interference_limited or params.interference_limited):
         return _rate_by_quad(lambda g: coverage_nearest(params, g))
     total = 0.0
     for weight, fit, name in _nearest_branches(params):

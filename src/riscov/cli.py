@@ -30,8 +30,10 @@ __all__ = ["RunSpec", "main", "run", "parse_config", "render_config", "build_par
 MODES = ("analytic", "mc", "both")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
-#: custom-scenario strategies; each names the analytic.coverage_<strategy> function.
-STRATEGIES = ("fixed_ris", "fixed_noris", "nearest", "nearest_alpha4", "nearest_intlimited")
+#: custom-scenario strategy -> simulate_sinr's strategy and forced_ris; each also names
+#: the analytic.coverage_<strategy> function.
+STRATEGIES = {"fixed_ris": ("fixed", True), "fixed_noris": ("fixed", False),
+              "nearest": ("nearest", None), "nearest_alpha4": ("nearest", None)}
 
 #: config/flag keys: (help with units, parser, default); every SystemParams field is here.
 KEY_SPECS: dict[str, tuple[str, type, object]] = {
@@ -332,9 +334,7 @@ def _scenario_fig7(spec: RunSpec):
     rows, curves = _power_sweep(
         spec, [(fam, {"lambda_t": fam[0], "alpha": fam[1], "p": 0.9}) for fam in families],
         np.arange(-40.0, 30.1, 2.0), 2000,
-        # the alpha = 4 closed form needs the noise term, without which the power cancels
-        lambda params: (analytic.coverage_nearest_alpha4
-                        if params.path.alpha == 4.0 and not params.interference_limited
+        lambda params: (analytic.coverage_nearest_alpha4 if params.path.alpha == 4.0
                         else analytic.coverage_nearest)(params, gamma_bar),
         lambda cfg: mcsim.estimate_coverage(mcsim.simulate_sinr(cfg, "nearest"), gamma_bar))
     summaries = []
@@ -374,13 +374,6 @@ def _scenario_fig8(spec: RunSpec):
             "rate_analytic", "rate_mc"], rows, summaries
 
 
-def _sim_strategy(strategy: str) -> tuple[str, bool | None]:
-    """simulate_sinr's strategy and forced_ris for a custom-scenario strategy."""
-    if strategy.startswith("fixed"):
-        return "fixed", strategy == "fixed_ris"
-    return "nearest", None
-
-
 def _scenario_custom(spec: RunSpec):
     rows, summaries = [], []
     params = build_params(spec)
@@ -397,7 +390,7 @@ def _scenario_custom(spec: RunSpec):
     ci = [""] * len(grid)
     if do_mc:
         cfg = _mc_config(spec, params, 20_000)
-        dist = mcsim.simulate_sinr(cfg, *_sim_strategy(strategy))
+        dist = mcsim.simulate_sinr(cfg, *STRATEGIES[strategy])
         pairs = [mcsim.estimate_coverage(dist, float(g)) for g in grid]
         mc = [p for p, _ in pairs]
         ci = [c for _, c in pairs]
@@ -515,11 +508,7 @@ def main(argv=None) -> int:
                 getattr(analytic, f"coverage_{strategy}")(
                     params, float(analytic.default_threshold_grid()[0]))
             if spec.mode != "analytic":
-                mc_config.check_strategy(*_sim_strategy(strategy))
-                # the simulator keeps the noise term unless the config drops it
-                if strategy == "nearest_intlimited" and not params.interference_limited:
-                    raise ValueError("noisy regime: nearest_intlimited simulates only with "
-                                     "interference_limited = 1")
+                mc_config.check_strategy(*STRATEGIES[strategy])
         elif spec.scenario == "fig8" and spec.mode != "analytic":
             mc_config.check_strategy("nearest", None)    # its formulas are density-free
         elif (spec.scenario == "fig6" and spec.mode != "analytic"

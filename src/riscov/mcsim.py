@@ -477,7 +477,8 @@ def _run_block(args) -> np.ndarray:
         signal[~has_ris] = eta_g0[~has_ris] * rng.standard_exponential(n_trials - n_ris)
     k_ris = rng.binomial(rest, params.p)
     i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris, low2, span2)
-    sinr = signal / (i_tot + params.gamma_t_inv)
+    with np.errstate(divide="ignore"):    # noise-free, a trial with no interferer: inf
+        sinr = signal / (i_tot + params.gamma_t_inv)
     if empty is not None:
         sinr[empty] = 0.0
     return sinr

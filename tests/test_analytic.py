@@ -404,6 +404,24 @@ def test_coverage_nearest_intlimited_matches_annulus_sampling():
         nearest_intlimited_coverage_by_sampling(p, 1.0), abs=5e-3)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 4.0])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_noise_free_nearest_coverage_has_one_evaluator(alpha, p):
+    """Without noise, coverage_nearest and the alpha = 4 form return the closed form."""
+    path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
+    params = SystemParams.default(p=p, path=path, interference_limited=True)
+    evaluators = [coverage_nearest] + [coverage_nearest_alpha4] * (alpha == 4.0)
+    for g in default_threshold_grid().tolist():
+        expect = coverage_nearest_intlimited(params, g).hex()
+        assert [fn(params, g).hex() for fn in evaluators] == [expect] * len(evaluators), g
+
+
+def test_noise_free_rate_nearest_ignores_its_flag():
+    """A noise-free parameter set takes the Hamdi path whatever the flag says."""
+    params = SystemParams.default(p=0.9, interference_limited=True)
+    assert rate_nearest(params, False).hex() == rate_nearest(params, True).hex()
+
+
 def test_coverage_nearest_alpha4_rejects_wrong_exponent(base_params):
     with pytest.raises(ValueError):
         coverage_nearest_alpha4(base_params, 1.0)

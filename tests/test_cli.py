@@ -40,7 +40,7 @@ def test_custom_rejects_unknown_strategy(tmp_path, capsys):
         assert callable(getattr(analytic, f"coverage_{strategy}"))
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"
-    for strategy in ("bogus", "fixed_typo"):
+    for strategy in ("bogus", "fixed_typo", "nearest_intlimited"):
         with pytest.raises(ValueError, match="unknown strategy"):
             RunSpec(scenario="custom", overrides={"strategy": strategy})
         for mode in MODES:
@@ -125,8 +125,6 @@ def test_validate_config_makes_the_run_checks(tmp_path, capsys):
     ("strategy = nearest\nlambda_t = 0\n",
      "nearest association requires a positive transmitter density"),
     ("strategy = nearest_alpha4\n", "this closed form requires a path-loss exponent of 4"),
-    ("strategy = nearest_alpha4\nalpha = 4\ninterference_limited = 1\n",
-     "noise-free regime: use coverage_nearest_intlimited"),
 ])
 def test_validate_config_makes_the_analytic_checks(tmp_path, capsys, text, message):
     """A custom strategy the analytic columns refuse is refused by every mode that computes them."""
@@ -154,39 +152,16 @@ def test_validate_config_makes_the_simulator_strategy_checks(tmp_path, capsys):
         assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
     for strategy in STRATEGIES:
-        noise_free = "interference_limited = 1\n" if strategy == "nearest_intlimited" else ""
-        cfg.write_text(f"scenario = custom\nmode = mc\nstrategy = {strategy}\n{noise_free}")
+        cfg.write_text(f"scenario = custom\nmode = mc\nstrategy = {strategy}\n")
         assert main(["validate-config", str(cfg)]) == 0
         assert "config ok" in capsys.readouterr().out
-
-
-NOISY_INTLIMITED = "noisy regime: nearest_intlimited simulates only with interference_limited = 1"
-
-
-@pytest.mark.parametrize("mode", ["mc", "both"])
-def test_run_refuses_a_noisy_intlimited_simulation(tmp_path, capsys, mode):
-    """The noise-free strategy's simulated column would be the noisy model's."""
-    out = tmp_path / "x.csv"
-    assert main(["run", "custom", "--strategy", "nearest_intlimited", "--mode", mode,
-                 "--p", "0.9", "--p-tx-dbm", "-30", "--trials", "400",
-                 "--out", str(out)]) == 1
-    assert f"error: {NOISY_INTLIMITED}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("mode", ["mc", "both"])
-def test_validate_config_refuses_a_noisy_intlimited_simulation(tmp_path, capsys, mode):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"scenario = custom\nmode = {mode}\nstrategy = nearest_intlimited\n")
-    assert main(["validate-config", str(cfg)]) == 1
-    assert f"error: {NOISY_INTLIMITED}" in capsys.readouterr().err
 
 
 def test_run_noise_free_intlimited_simulates_beside_its_formula(tmp_path):
     """Both columns are of one model: they differ by the formula's distance approximation
     and sampling error (4e-2 at most here), not by a noise term."""
     out = tmp_path / "x.csv"
-    assert main(["run", "custom", "--strategy", "nearest_intlimited", "--mode", "both",
+    assert main(["run", "custom", "--strategy", "nearest", "--mode", "both",
                  "--interference-limited", "1", "--p", "0.9", "--trials", "2000",
                  "--out", str(out)]) == 0
     rows = read_csv(out)
@@ -388,9 +363,8 @@ def test_run_reports_estimate_rate_refusing_infinite_sinr(tmp_path, capsys, monk
     """An empty window the up-front check let through still ends the run with an error."""
     monkeypatch.setattr(cli, "_EMPTY_WINDOW_RISK", math.inf)
     out = tmp_path / "fig6.csv"
-    with np.errstate(divide="ignore"):
-        assert main(["run", "fig6", "--mode", "mc", "--interference-limited", "1",
-                     "--trials", "100", "--window-radius", "300", "--out", str(out)]) == 1
+    assert main(["run", "fig6", "--mode", "mc", "--interference-limited", "1",
+                 "--trials", "100", "--window-radius", "300", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.search(r"^error: \d+ of 100 SINR samples are infinite", err, re.MULTILINE), err
     assert not out.exists()
@@ -413,14 +387,18 @@ ANALYTIC_CSV_SHA256 = {
     "fig5": (["fig5"], "058383015f0263040fbcc2c1c98f6e8545137e6cec970d6859e4f2a16abe3a73"),
     "fig6": (["fig6"], "86b76f6addf61c1199efb48a4e818b6d325e94adff53f497ef284d5eae8880b3"),
     "fig7": (["fig7"], "1c875699a031e733f11f7c06a21667a9ed39357ce3585ab1cd7d837794e89de0"),
+    "fig7-noise-free": (["fig7", "--interference-limited", "1"],
+                        "4a185bd23ce09f71c9c9be6b8c2883f6f1efb70d0a5183aa946f80ad79dc2e25"),
     "fig8": (["fig8"], "6841f9e871086c59b9e76fd1285364f12893bb23b576d0b74aa6d7a3cb862d8c"),
     "nearest-p0": (["custom", "--strategy", "nearest", "--p", "0"],
                    "cacbcfca9e54fcc98bd4b463c62b537847ee0d63e3105ac25f5c5769c09a65c1"),
     "nearest-p1": (["custom", "--strategy", "nearest", "--p", "1"],
                    "c2bc35a4d41120d5882da93875d100d41a2859bf57a86f9c41f90425fbee0995"),
-    "nearest_intlimited-p0": (["custom", "--strategy", "nearest_intlimited", "--p", "0"],
+    "nearest_intlimited-p0": (["custom", "--strategy", "nearest", "--interference-limited", "1",
+                               "--p", "0"],
                               "9e0645d546f45d76672603eef11689810a0703bc614e8db127ac3795153a98c1"),
-    "nearest_intlimited-p1": (["custom", "--strategy", "nearest_intlimited", "--p", "1"],
+    "nearest_intlimited-p1": (["custom", "--strategy", "nearest", "--interference-limited", "1",
+                               "--p", "1"],
                               "6f8f1be528ea53264c8f4a9a47d8e359351f1e8544a3c1ffe0c5958a01402012"),
     "nearest_alpha4-p0": (["custom", "--strategy", "nearest_alpha4", "--alpha", "4", "--p", "0"],
                           "7b3b0db7c387646764e2ad7cb88cf350873bd4de482d6e4ee2ae32a3bf103d25"),
@@ -549,7 +527,7 @@ def test_fixed_sweep_summary_lines_are_unchanged(tmp_path, capsys, fig, mode):
 
 def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
     """Without noise the transmit power cancels, so each curve is the density-free
-    coverage_nearest_intlimited value; the alpha = 4 closed form needs noise."""
+    coverage_nearest_intlimited value, whichever evaluator its exponent picks."""
     out = tmp_path / "fig7.csv"
     assert main(["run", "fig7", "--mode", "analytic", "--interference-limited", "1",
                  "--out", str(out)]) == 0
@@ -564,6 +542,17 @@ def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
                               p=0.9, interference_limited=1)
         expect = analytic.coverage_nearest_intlimited(params, 1.0)
         assert max(abs(v - expect) for v in values) < 1e-9, (lam, alpha)
+
+
+def test_noise_free_nearest_is_the_intlimited_closed_form(tmp_path):
+    """Noise-free nearest association is the density-free closed form, not a radial
+    quadrature: at 40 dB, where quad misses the narrow integrand peak, the row reads
+    the closed form's value rather than one 5e4 times smaller."""
+    out = tmp_path / "x.csv"
+    assert main(["run", "custom", "--strategy", "nearest", "--interference-limited", "1",
+                 "--p", "0", "--mode", "analytic", "--out", str(out)]) == 0
+    last = read_csv(out)[-1]
+    assert (last["gamma_bar_db"], last["coverage_analytic"]) == ("40", "0.0001475634576")
 
 
 @pytest.mark.parametrize("mode", ["mc", "both"])
@@ -588,7 +577,8 @@ def test_fig8_analytic_columns_run_at_zero_density(tmp_path):
     assert len(read_csv(out)) == 9
 
 
-@pytest.mark.parametrize("setting", ["interference_limited = 1", "lambda_t = 0"])
+@pytest.mark.parametrize("setting", ["interference_limited = 1", "lambda_t = 0",
+                                     "strategy = nearest\ninterference_limited = 1"])
 @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
 def test_validate_config_agrees_with_run(tmp_path, capsys, scenario, setting):
     """A config that validates also runs, and one that fails fails alike in both."""
