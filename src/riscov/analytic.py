@@ -349,8 +349,7 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
 
     Each association branch's integrand (see _nearest_integrands) is smooth
     and decays exponentially in u = lambda_t pi r^2 over [0, inf).  Without
-    noise the radial average has a closed form, coverage_nearest_intlimited,
-    which is what this returns then.
+    noise it returns the closed form, coverage_nearest_intlimited.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"threshold must be positive, got {gamma_bar}")
@@ -561,11 +560,11 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
 def rate_nearest(params: SystemParams, interference_limited: bool) -> float:
     """Rate of the nearest-association user.
 
-    Noise-free (interference_limited, or params.interference_limited), each
-    association branch is Hamdi's lemma in the normalized variable
-    y = z c_d r^-alpha, where the radial average of the Laplace transform is
-    1/H(y), H the weighted 2F1 sum of _nearest_hyp.  With noise it is the
-    nested quadrature of coverage_nearest (_rate_by_quad).
+    Noise-free (by the flag or by params), each association branch is
+    Hamdi's lemma in the normalized variable y = z c_d r^-alpha, where the
+    radial average of the Laplace transform is 1/H(y), H the weighted 2F1
+    sum of _nearest_hyp.  With noise it is the nested quadrature of
+    coverage_nearest (_rate_by_quad).
     """
     if not (interference_limited or params.interference_limited):
         return _rate_by_quad(lambda g: coverage_nearest(params, g))
