@@ -8,7 +8,8 @@ Implementation notes, all distribution-preserving:
 
 * A hop's power Gamma(m, 1/m) with a whole shape m up to 3 is drawn as the
   mean of m unit exponentials: the Erlang law, the same distribution, at
-  about half the cost of a gamma draw for m = 2.  Other shapes draw gamma.
+  about half the cost of a gamma draw for m = 2.  Other shapes draw a
+  standard gamma and scale it by 1/m, the bits of rng.gamma.
 * Per-element fading comes _DRAW_BLOCK // N rows at a time (hop h, hop r,
   then any float32 phases), reduced to per-row sums before the next block:
   _DRAW_BLOCK sets the stream, and no (rows, N) array is held.
@@ -47,6 +48,11 @@ Implementation notes, all distribution-preserving:
 * A trial's interferers are contiguous in each group, so per-trial sums are
   np.add.reduceat over the segments: float64 sums in numpy's pairwise,
   buffered order, not sequential ones, so they can differ in the last bits.
+* Each running block holds one pooled workspace, a byte buffer that only
+  grows: the serving signal draws its hop powers into it as float64, then
+  the interference chains run in it as three float32 rows, with out=.  The
+  operations and their order are those of fresh arrays, so are the bits,
+  and a block allocates nothing of the size of its interferer count.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import logging
 import math
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -96,6 +103,7 @@ _MAX_BLOCK_TRIALS = 8192
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
 _TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
+_WORKSPACE_STEP = 1 << 20   # workspace bytes round up to whole MiB, so they rarely regrow
 MIN_SAMPLES = 100           # the estimators refuse fewer samples
 
 
@@ -280,19 +288,57 @@ def _run_jobs(fn, jobs: list) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Block workspaces
+# ---------------------------------------------------------------------------
+
+class _Workspace:
+    """Scratch memory of one running block: one byte buffer that grows and never shrinks.
+
+    A block's serving-signal phase views it as float64 hop-power draws, and
+    its interference phase, which starts after that one ends, as float32 rows.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0, np.uint8)
+
+    def view(self, dtype, shape: tuple) -> np.ndarray:
+        """The front of the buffer, grown if too small, as a C-contiguous dtype array of shape."""
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        if self._buf.size < nbytes:
+            self._buf = np.empty(-(-nbytes // _WORKSPACE_STEP) * _WORKSPACE_STEP, np.uint8)
+        return self._buf[:nbytes].view(dtype).reshape(shape)
+
+
+# idle workspaces: as many as blocks have ever run at once, each reused by the next block
+_IDLE_WORKSPACES: list[_Workspace] = []
+_IDLE_WORKSPACES_LOCK = threading.Lock()
+
+
+# ---------------------------------------------------------------------------
 # Per-element fading
 # ---------------------------------------------------------------------------
 
-def _hop_power(rng, m: float, shape: tuple) -> np.ndarray:
+def _exp_sum_terms(m: float) -> int:
+    """Unit exponentials _hop_power sums per element at shape m, 0 where it draws gamma."""
+    return int(m) if float(m).is_integer() and m <= _EXP_SUM_MAX_SHAPE else 0
+
+
+def _hop_power(rng, m: float, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Gamma(m, 1/m) draws of the given shape: powers of a unit-power Nakagami-m hop.
 
     A whole m up to _EXP_SUM_MAX_SHAPE takes the mean of m unit exponentials,
-    exactly Gamma(m, 1/m) (the Erlang law); any other m keeps rng.gamma.
+    exactly Gamma(m, 1/m) (the Erlang law); any other m a standard gamma
+    draw times 1/m.  The draws fill the front of out (float64) when given.
     """
-    if not (float(m).is_integer() and m <= _EXP_SUM_MAX_SHAPE):
-        return rng.gamma(m, 1.0 / m, shape)
-    k = int(m)
-    exps = rng.standard_exponential((*shape, k))
+    k = _exp_sum_terms(m)
+    dims = (*shape, k) if k else shape
+    if out is not None:
+        out = out[:math.prod(dims)].reshape(dims)
+    if not k:
+        power = rng.standard_gamma(m, dims, out=out)
+        power *= 1.0 / m
+        return power
+    exps = rng.standard_exponential(dims, out=out)
     power = exps[..., 0]
     for i in range(1, k):   # slice adds: a sum over the short last axis is ~2x slower
         power += exps[..., i]
@@ -300,24 +346,30 @@ def _hop_power(rng, m: float, shape: tuple) -> np.ndarray:
     return power
 
 
-def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int) -> np.ndarray:
+def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int,
+                        ws: _Workspace | None = None) -> np.ndarray:
     """(rows, N) products |h||r| of two unit-power Nakagami hops: hop h, then hop r, then sqrt.
 
     Its callers draw blocks of _DRAW_BLOCK // N rows (at least one), so no
-    (rows, N) array is held and the block size is part of their stream.
+    (rows, N) array is held and the block size is part of their stream.  The
+    result is a view of workspace ws (a fresh one if not given), valid until
+    ws is used again.
     """
-    amp = _hop_power(rng, fading.m_h, (rows, n_elements))
-    amp *= _hop_power(rng, fading.m_r, (rows, n_elements))
+    shape = (rows, n_elements)
+    h, r = (max(1, _exp_sum_terms(m)) * rows * n_elements for m in (fading.m_h, fading.m_r))
+    draws = (ws or _Workspace()).view(np.float64, (h + r,))
+    amp = _hop_power(rng, fading.m_h, shape, draws[:h])
+    amp *= _hop_power(rng, fading.m_r, shape, draws[h:])
     return np.sqrt(amp, out=amp)
 
 
 def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
                       rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Re and Im of the element sum under uniform phases; a block draws amplitudes, then phases."""
-    out = np.empty((2, rows))
+    out, ws = np.empty((2, rows)), _Workspace()
     step = max(1, _DRAW_BLOCK // n_elements)
     for lo in range(0, rows, step):
-        amp = _element_amplitudes(rng, fading, n_elements, min(step, rows - lo))
+        amp = _element_amplitudes(rng, fading, n_elements, min(step, rows - lo), ws)
         phase = rng.random(amp.shape, dtype=_F32)
         phase *= _F32(2.0 * math.pi)
         out[0, lo:lo + step] = (amp * np.cos(phase)).sum(axis=1)
@@ -326,15 +378,16 @@ def _random_phase_sum(rng, fading: FadingParams, n_elements: int,
 
 
 def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
-                     rows: int) -> np.ndarray:
+                     rows: int, ws: _Workspace) -> np.ndarray:
     """Surface-assisted serving power with aligned phases (fresh fading).
 
-    g0 is drawn for all rows first, then the element sums block by block.
-    eta_g0 and eta_h0 are scalars or arrays of length rows.
+    g0 is drawn for all rows first, then the element sums block by block,
+    each block's hop powers into workspace ws.  eta_g0 and eta_h0 are
+    scalars or arrays of length rows.
     """
     g0 = np.sqrt(rng.standard_exponential(rows))
     step = max(1, _DRAW_BLOCK // n_elements)
-    elem = np.concatenate([_element_amplitudes(rng, fading, n_elements, min(step, rows - lo))
+    elem = np.concatenate([_element_amplitudes(rng, fading, n_elements, min(step, rows - lo), ws)
                            .sum(axis=1) for lo in range(0, rows, step)])
     return (np.sqrt(eta_g0) * g0 + np.sqrt(eta_h0) * elem) ** 2
 
@@ -343,23 +396,26 @@ def _coherent_signal(rng, fading: FadingParams, n_elements: int, eta_g0, eta_h0,
 # Vectorized kernels
 # ---------------------------------------------------------------------------
 
-def _path_gain(gain, x2: np.ndarray, alpha: float) -> np.ndarray:
-    """gain * x2^(-alpha/2) in a new array, by square-root chains for the scenarios' exponents."""
+def _path_gain(gain, x2: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """gain * x2^(-alpha/2) into out (not x2), by square-root chains for the usual exponents."""
     if alpha == 2.5:
-        out = np.sqrt(x2)
+        np.sqrt(x2, out=out)
         np.divide(1.0, np.multiply(np.sqrt(out, out=out), x2, out=out), out=out)
     elif alpha == 4.0:
-        out = x2 * x2
+        np.multiply(x2, x2, out=out)
         np.divide(1.0, out, out=out)
     else:
-        out = np.power(x2, _F32(-0.5 * alpha))
+        np.power(x2, _F32(-0.5 * alpha), out=out)
     out *= gain
     return out
 
 
-def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross):
-    """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from |g|^2, |T|^2, 2 Re(g T*); overwrites eta_g, eta_h."""
-    root = eta_g * eta_h
+def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross, scratch=None):
+    """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from |g|^2, |T|^2, 2 Re(g T*), into eta_g.
+
+    Overwrites eta_h, and scratch if given; without it one array is allocated.
+    """
+    root = np.multiply(eta_g, eta_h, out=scratch)
     np.multiply(np.sqrt(root, out=root), cross, out=root)
     eta_g *= mag2_direct
     eta_g += np.multiply(eta_h, mag2_scatter, out=eta_h)
@@ -378,19 +434,23 @@ def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray) -> Non
 
 def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
                   k_ris: np.ndarray, k_non: np.ndarray,
-                  low2: np.ndarray | float, span2: np.ndarray | float) -> np.ndarray:
+                  low2: np.ndarray | float, span2: np.ndarray | float,
+                  ws: _Workspace | None = None) -> np.ndarray:
     """Aggregate interference per trial from group row counts.
 
     A block with interferers reads one window of distinct table rows, from
     one start draw: the surface-free group its first rows, the surface group
     the next.  Parent squared radii are uniform on (low2, low2 + span2) per
-    trial; scalars broadcast.  Returns float64 sums of length n_trials.
+    trial; scalars broadcast.  Each group's chain runs in three float32 rows
+    of workspace ws (a fresh one if not given).  Returns float64 sums of
+    length n_trials.
     """
     pl = params.path
     total = np.zeros(n_trials)
 
-    def radii2(counts: np.ndarray, m: int) -> np.ndarray:
-        r2 = rng.random(m, dtype=_F32)
+    def radii2(counts: np.ndarray, r2: np.ndarray) -> None:
+        """Draw the group's squared parent radii into r2; counts are its per-trial sizes."""
+        rng.random(r2.size, dtype=_F32, out=r2)
         if np.isscalar(span2):
             r2 *= _F32(span2)
             if low2 != 0.0:
@@ -398,12 +458,13 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
         else:
             r2 *= np.repeat(span2.astype(_F32), counts)
             r2 += np.repeat(low2.astype(_F32), counts)
-        return np.maximum(r2, _R2_FLOOR, out=r2)
+        np.maximum(r2, _R2_FLOOR, out=r2)
 
     n_non, n_ris = int(k_non.sum()), int(k_ris.sum())
     if n_non + n_ris == 0:
         return total
     start = int(rng.integers(0, tab.size))
+    work = (ws or _Workspace()).view(_F32, (3, max(n_non, n_ris)))
 
     def rows(lo: int, hi: int):
         """Rows lo..hi of the block's window: contiguous, wrapping only when oversized."""
@@ -412,35 +473,48 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
         return (start + np.arange(lo, hi)) % tab.size
 
     if n_non:
-        r2 = radii2(k_non, n_non)
-        w = _path_gain(_F32(pl.c_d) * tab.mag2_direct[rows(0, n_non)], r2, pl.alpha)
-        _add_trial_sums(total, w, k_non)
+        r2, gain, w = work[:, :n_non]
+        radii2(k_non, r2)
+        np.multiply(_F32(pl.c_d), tab.mag2_direct[rows(0, n_non)], out=gain)
+        _add_trial_sums(total, _path_gain(gain, r2, pl.alpha, w), k_non)
 
     if n_ris:
-        r2 = radii2(k_ris, n_ris)
+        r2, eta_g, offset = work[:, :n_ris]
+        radii2(k_ris, r2)
         sl = rows(n_non, n_non + n_ris)
-        eta_g = _path_gain(_F32(pl.c_d), r2, pl.alpha)
+        _path_gain(_F32(pl.c_d), r2, pl.alpha, eta_g)
         # r2 becomes d0^2 d_r^2, with d_r^2 = r2 + d0^2 + 2 d0 sqrt(r2) cos(phi)
-        offset = np.sqrt(r2)
+        np.sqrt(r2, out=offset)
         offset *= _F32(2.0 * pl.d0)
         r2 += _F32(pl.d0 * pl.d0)
         r2 += np.multiply(offset, tab.cos_offset[sl], out=offset)
         np.maximum(r2, _R2_FLOOR, out=r2)
         r2 *= _F32(pl.d0 * pl.d0)
-        eta_h = _path_gain(_F32(pl.c_r), r2, pl.alpha)
+        eta_h = _path_gain(_F32(pl.c_r), r2, pl.alpha, offset)
         w = _surface_interferer_power(eta_g, eta_h, tab.mag2_direct[sl],
-                                      tab.mag2_scatter[sl], tab.cross[sl])
+                                      tab.mag2_scatter[sl], tab.cross[sl], r2)
         _add_trial_sums(total, w, k_ris)
     return total
 
 
 def _run_block(args) -> np.ndarray:
+    """SINR of one block of trials, in a workspace taken from the idle pool and given back."""
+    with _IDLE_WORKSPACES_LOCK:
+        ws = _IDLE_WORKSPACES.pop() if _IDLE_WORKSPACES else _Workspace()
+    try:
+        return _block_sinr(ws, *args)
+    finally:
+        with _IDLE_WORKSPACES_LOCK:
+            _IDLE_WORKSPACES.append(ws)
+
+
+def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, tab: _FadingTable | None,
+                strategy: str, forced_ris: bool | None, n_trials: int, child_seed) -> np.ndarray:
     """SINR of one block of trials under either association strategy.
 
     The strategy sets the serving gains, which trials have a surface and the
     interferer annulus; one serving-signal draw and one interference sum follow.
     """
-    params, window, tab, strategy, forced_ris, n_trials, child_seed = args
     rng = np.random.default_rng(child_seed)
     pl = params.path
     rw2 = window.radius**2
@@ -472,11 +546,11 @@ def _run_block(args) -> np.ndarray:
     n_ris = int(has_ris.sum())
     if n_ris:
         signal[has_ris] = _coherent_signal(rng, params.fading, params.n_elements,
-                                           eta_g0[has_ris], eta_h0, n_ris)
+                                           eta_g0[has_ris], eta_h0, n_ris, ws)
     if n_ris < n_trials:
         signal[~has_ris] = eta_g0[~has_ris] * rng.standard_exponential(n_trials - n_ris)
     k_ris = rng.binomial(rest, params.p)
-    i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris, low2, span2)
+    i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris, low2, span2, ws)
     with np.errstate(divide="ignore"):    # noise-free, a trial with no interferer: inf
         sinr = signal / (i_tot + params.gamma_t_inv)
     if empty is not None:
@@ -508,10 +582,6 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
         # build (or fetch) the shared fading table before the threads start
         pad = max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
         tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad)
-    # glibc hands a free heap top back to the OS above twice the largest chunk freed
-    # from mmap, so each block would fault its few MB of temporaries in afresh (30 %
-    # of a sparse sweep); freeing 8 MB raises that bar for the process
-    np.empty(1 << 20)
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)
@@ -566,7 +636,7 @@ def sample_signal_power(eta_g0: float, eta_h0: float, fading, n_elements: int,
     """Draws of the coherently combined serving power (surface present)."""
     _check_sample_sizes(n_elements, n_samples)
     out = _coherent_signal(np.random.default_rng(seed), fading, n_elements, eta_g0, eta_h0,
-                           n_samples)
+                           n_samples, _Workspace())
     out.sort()
     return EmpiricalDistribution(out)
 

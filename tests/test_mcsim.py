@@ -261,7 +261,7 @@ def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
     n = 20_000
     recorded = []
 
-    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows):
+    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows, ws):
         recorded.append((np.array(eta_g0), np.array(eta_h0)))
         return np.ones(rows)
 
@@ -308,7 +308,7 @@ def test_fixed_association_serves_the_configured_link(monkeypatch, forced_ris):
     n = 500
     recorded = []
 
-    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows):
+    def recording_signal(rng, fading, n_elements, eta_g0, eta_h0, rows, ws):
         recorded.append((np.broadcast_to(eta_g0, rows), np.broadcast_to(eta_h0, rows)))
         return np.full(rows, 7.0)
 
@@ -419,8 +419,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_blocks_keep_their_freed_temporaries_mapped():
     """In a fresh process, a repeated sparse point at N = 32 takes few page faults.
 
-    Its six blocks free a few MB of temporaries each; a heap that hands them
-    back to the OS faults them in again, about 1400 faults a block.
+    Its six blocks run in one pooled workspace, so none allocates arrays of
+    its interferer count.  Blocks that allocated and freed a few MB each, on a
+    heap that hands them back to the OS, took about 1400 faults a block.
     """
     src = Path(mcsim.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -428,6 +429,62 @@ def test_blocks_keep_their_freed_temporaries_mapped():
     proc = subprocess.run([sys.executable, "-c", _REPEAT_SPARSE_POINT], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     assert int(proc.stdout) < 1000
+
+
+def test_a_warm_call_allocates_little(monkeypatch):
+    """After a warm-up call, a dense-point call on two threads peaks below 3 MB traced.
+
+    At the benchmark's dense point (lambda 1e-3, -24 dBm, surface on), its
+    blocks of 3 trials chain about 118k float32 interferer weights per group
+    in pooled workspaces.  The warm-up's first two blocks overlap, so the pool
+    holds a workspace for each thread.  With fresh arrays for those chains the
+    peak was 5.7 MB on two threads, and 8.4 MB with the freed array that once
+    raised glibc's trim threshold.
+    """
+    use_cpus(monkeypatch, 2)
+    cfg = make_config(trials=60, seed=3, lambda_t=1e-3, p_tx_w=dbm_to_watts(-24.0))
+    original, barrier, entered = mcsim._block_sinr, threading.Barrier(2, timeout=30), []
+
+    def overlapping(*args):
+        entered.append(None)
+        if len(entered) <= 2:
+            barrier.wait()      # both threads hold a workspace at once
+        return original(*args)
+
+    monkeypatch.setattr(mcsim, "_block_sinr", overlapping)
+    simulate_sinr(cfg, "fixed", forced_ris=True)
+    monkeypatch.setattr(mcsim, "_block_sinr", original)
+    assert traced_peak(simulate_sinr, cfg, "fixed", True) < 3_000_000
+
+
+def test_reused_workspaces_never_reach_the_samples(monkeypatch):
+    """Samples own their memory, and a workspace other runs dirtied and grew gives the same bits.
+
+    Between two runs of one configuration, the pool serves another N, alpha
+    and strategy, then lambda = 1e-2 in a 2.3 km window, whose one-trial
+    blocks of about 166k surface-bearing interferers need larger workspaces.
+    """
+    monkeypatch.setattr(mcsim, "_IDLE_WORKSPACES", [])
+    first = make_config(trials=300, seed=41, window=1000.0)
+    kept = simulate_sinr(first, "fixed", forced_ris=True)
+    copy = kept.sorted_samples.copy()
+
+    def largest_workspace() -> int:
+        return max(ws._buf.nbytes for ws in mcsim._IDLE_WORKSPACES)
+
+    before = largest_workspace()
+    base = SystemParams.default(n_elements=8)
+    other = dataclasses.replace(first, params=dataclasses.replace(
+        base, path=dataclasses.replace(base.path, alpha=4.0)))
+    simulate_sinr(other, "nearest")
+    simulate_sinr(make_config(trials=300, seed=42, window=1000.0, p=0.8), "fixed", False)
+    assert largest_workspace() == before
+    dense = make_config(trials=2, seed=43, window=2300.0, lambda_t=1e-2, p=1.0)
+    assert mcsim._block_plan(dense) == [1, 1]
+    simulate_sinr(dense, "fixed", forced_ris=True)
+    assert largest_workspace() > before
+    assert np.array_equal(kept.sorted_samples, copy)
+    assert np.array_equal(simulate_sinr(first, "fixed", forced_ris=True).sorted_samples, copy)
 
 
 def test_float32_phase_trig_matches_float64():

@@ -101,3 +101,28 @@ def test_bench_pairs_marks_trace_spans_as_wrapped_calls(bench_pairs, monkeypatch
              for line in capsys.readouterr().out.splitlines()[1:]}
     assert marks == {"analytic.quad.neval": "equal", "analytic.quad.calls": "DIFFERS",
                      "trace.spans": "(wrapped calls, not work)"}
+
+
+def test_bench_pairs_verdict_on_synthetic_runs(bench_pairs):
+    """A gain needs 9 of 10 wins and a median shift beyond the base's quartile spread;
+    a spread wider than the bound leaves the rest unresolved."""
+    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]
+    verdict = bench_pairs.verdict
+    assert verdict(base, [b * 0.8 for b in base], "lower", 0.1) == "gain resolved"
+    assert verdict(base, [b * 1.25 for b in base], "higher", 0.1) == "gain resolved"
+    # 8 of 10 wins is no resolved gain, however far the median moved
+    eight = [b * 0.8 for b in base[:8]] + [b * 1.05 for b in base[8:]]
+    assert verdict(base, eight, "lower", 0.1) == "within bound"
+    # 10 of 10 wins by less than the quartile spread (0.03 here) is no gain either
+    assert verdict(base, [b - 0.01 for b in base], "lower", 0.1) == "within bound"
+    assert verdict(base, [b * 1.05 for b in base], "lower", 0.1) == "within bound"
+    assert verdict(base, [b * 1.2 for b in base], "lower", 0.1) == "worse beyond bound"
+    assert verdict(base, [b * 0.8 for b in base], "higher", 0.1) == "worse beyond bound"
+    # a base quartile spread of 0.25, wider than the 10 % bound: small moves are unresolved
+    wide = [1.0, 1.2, 0.9, 1.1, 0.8, 1.0, 1.2, 0.9, 1.1, 0.8]
+    assert verdict(wide, [w * 1.05 for w in wide], "lower", 0.1) == "unresolved"
+    assert verdict(wide, [w * 0.95 for w in wide], "lower", 0.1) == "unresolved"
+    assert verdict(wide, [w * 0.7 for w in wide], "lower", 0.1) == "gain resolved"
+    # every change run better than every base run, by no more than the spread
+    assert verdict(wide, [0.75] * 10, "lower", 0.1) == "within bound"
+    assert verdict([2.0], [1.0], "lower", 0.25) == "gain resolved"

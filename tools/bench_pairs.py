@@ -11,15 +11,16 @@ runs first alternates, so a drifting load falls on both sides alike.
 
 For every end-to-end metric it prints each pair's ratio (change / base), the
 median ratio with a percentile-bootstrap 95 % interval, the pairs the change
-wins, and each side's median and quartiles: a gain is resolved when the
-medians differ by more than the base's quartile spread.  Then it runs one
-``--trace 1`` pass per side and prints every count metric of both: counts
-such as ``analytic.quad.neval`` or ``jets.jet_exp.calls`` do not move with
-load, so equal counts show the two sides did the same work.  ``trace.spans``
-is the exception: it counts wrapped calls, not work, and is marked so.
+wins, each side's median and quartiles, and a verdict under the bound that
+the base checkout's BENCHMARK.json gives the metric (see ``verdict``).  Then
+it runs one ``--trace 1`` pass per side and prints every count metric of
+both: counts such as ``analytic.quad.neval`` or ``jets.jet_exp.calls`` do
+not move with load, so equal counts show the two sides did the same work.
+``trace.spans`` is the exception: it counts wrapped calls, not work, and is
+marked so.
 
 It exits with status 1 when a larger share of the change's operations failed
-than of the base's, and 0 otherwise.
+than of the base's, or a metric is worse beyond its bound, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RESAMPLES = 10_000
+# a claimed gain must win at least this share of the pairs (9 of 10)
+GAIN_WIN_SHARE = 0.9
+WORSE = "worse beyond bound"
 # trace.spans counts calls of wrapped public functions, so it moves whenever a
 # change adds or removes such calls, even with the work unchanged.
 WRAPPED_CALLS = "(wrapped calls, not work)"
@@ -60,6 +64,36 @@ def pair_stats(base: list[float], change: list[float], better: str) -> PairStats
     wins = sum(r < 1.0 if better == "lower" else r > 1.0 for r in ratios)
     return PairStats(ratios, statistics.median(ratios), boots[round(0.025 * (RESAMPLES - 1))],
                      boots[round(0.975 * (RESAMPLES - 1))], wins)
+
+
+def quartiles(runs: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of one side's runs."""
+    return tuple(statistics.quantiles(runs, n=4)) if len(runs) > 1 else (runs[0],) * 3
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """How paired runs read under a metric's bound, a fraction of the base's median.
+
+    "worse beyond bound": the change's median is worse than the base's by more
+    than the bound.  "gain resolved": the change wins at least GAIN_WIN_SHARE of
+    the pairs and its median is better by more than the base's quartile
+    spread.  Otherwise "unresolved" when that spread is wider than the bound,
+    unless every change run reads better than every base run, else "within
+    bound".
+    """
+    wins = pair_stats(base, change, better).wins
+    q1, median, q3 = quartiles(base)
+    gain = median - statistics.median(change)
+    all_better = max(change) < min(base)
+    if better == "higher":
+        gain, all_better = -gain, min(change) > max(base)
+    if -gain > bound * median:
+        return WORSE
+    if wins >= GAIN_WIN_SHARE * len(base) and gain > q3 - q1:
+        return "gain resolved"
+    if q3 - q1 > bound * median and not all_better:
+        return "unresolved"
+    return "within bound"
 
 
 def failed_share(runs: list[dict]) -> float:
@@ -89,14 +123,15 @@ def bench(checkout: Path, args: list[str]) -> dict:
     return json.loads(lines[-1])
 
 
-def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs: int,
+def compare(sides: dict[str, Path], spec: dict[str, dict], workload: str, pairs: int,
             seed: int) -> bool:
-    """Run the pairs and print each end-to-end metric's ratios and their summary.
+    """Run the pairs and print each end-to-end metric's ratios, summary and verdict.
 
-    Returns whether a larger share of the change's operations failed.
+    Returns whether a larger share of the change's operations failed or a
+    metric is worse beyond its bound.
 
-    better maps a metric name to "lower" or "higher"; with --workload all,
-    run.py prefixes each name with its workload.
+    spec maps a metric name to its BENCHMARK.json entry ("better", "bound");
+    with --workload all, run.py prefixes each name with its workload.
     """
     runs = {side: [] for side in sides}
     for i in range(pairs):
@@ -105,7 +140,7 @@ def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs
             runs[side].append(bench(sides[side], ["--workload", workload,
                                                   "--seed", str(seed + i)]))
         if i == 0:
-            metrics = [m for m in runs["base"][0]["metrics"] if m.rsplit(".", 1)[-1] in better]
+            metrics = [m for m in runs["base"][0]["metrics"] if m.rsplit(".", 1)[-1] in spec]
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
             f"{m} {runs['base'][i]['metrics'][m]['value']:.4g} -> "
             f"{runs['change'][i]['metrics'][m]['value']:.4g}" for m in metrics), flush=True)
@@ -113,21 +148,26 @@ def compare(sides: dict[str, Path], better: dict[str, str], workload: str, pairs
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         print(f"{side}: {failed} of {attempted} operations failed")
+    worse = False
     for m in metrics:
-        direction = better[m.rsplit(".", 1)[-1]]
+        entry = spec[m.rsplit(".", 1)[-1]]
+        direction, bound = entry["better"], entry["bound"]
         base = [r["metrics"][m]["value"] for r in runs["base"]]
         change = [r["metrics"][m]["value"] for r in runs["change"]]
         s = pair_stats(base, change, direction)
+        reading = verdict(base, change, direction, bound)
+        worse |= reading == WORSE
         print(f"{m} ({direction} is better): ratios " + " ".join(f"{r:.3f}" for r in s.ratios))
         print(f"  median ratio {s.median:.3f} [95 % {s.low:.3f}, {s.high:.3f}], "
               f"change better in {s.wins} of {pairs}; median [quartiles] "
               f"{spread(base)} -> {spread(change)}")
-    return more_failures(runs["base"], runs["change"])
+        print(f"  verdict (bound {bound:.0%}): {reading}")
+    return more_failures(runs["base"], runs["change"]) or worse
 
 
 def spread(runs: list[float]) -> str:
     """Median and quartiles of one side's runs, as "median [q1, q3]"."""
-    q1, q2, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+    q1, q2, q3 = quartiles(runs)
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -156,8 +196,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench_spec["end_to_end"]}
     revs = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "change": git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -169,13 +207,16 @@ def main(argv=None) -> int:
                 sides[side] = path
             print(f"{args.workload}: {args.pairs} pairs, base {revs['base'][:12]} vs change "
                   f"{revs['change'][:12]}; ratio = change / base", flush=True)
-            worse = compare(sides, better, args.workload, args.pairs, args.seed)
+            bench_spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
+            spec = {m["name"]: m for m in bench_spec["end_to_end"]}
+            worse = compare(sides, spec, args.workload, args.pairs, args.seed)
             count_diff(sides, args.workload, args.seed)
         finally:
             for path in sides.values():
                 git("worktree", "remove", "--force", str(path))
     if worse:
-        print("refused: a larger share of the change's operations failed")
+        print("refused: a larger share of the change's operations failed, "
+              "or a metric is worse beyond its bound")
     return 1 if worse else 0
 
 
