@@ -135,7 +135,7 @@ class SystemParams:
 
     @classmethod
     def default(cls, **overrides) -> "SystemParams":
-        """Baseline scenario with a 20 m serving link (the 5 km disk is McConfig.window's)."""
+        """Baseline scenario with a 20 m serving link (the 5 km disk is mcsim.DEFAULT_WINDOW)."""
         base = cls(
             lambda_t=1e-4,
             p=0.5,

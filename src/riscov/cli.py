@@ -22,7 +22,8 @@ import numpy as np
 
 from . import analytic, mcsim
 from .analytic import SystemParams
-from .fading import FadingParams, PathLossParams, db_to_linear, dbm_to_watts
+from .fading import (FadingParams, PathLossParams, db_to_linear, dbm_to_watts,
+                     linear_to_db, watts_to_dbm)
 from .geometry import Window
 
 __all__ = ["RunSpec", "main", "run", "parse_config", "render_config", "build_params"]
@@ -35,23 +36,27 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 STRATEGIES = {"fixed_ris": ("fixed", True), "fixed_noris": ("fixed", False),
               "nearest": ("nearest", None), "nearest_alpha4": ("nearest", None)}
 
-#: config/flag keys: (help with units, parser, default); every SystemParams field is here.
+_BASE = SystemParams.default()
+
+#: config/flag keys: (help with units, parser, default); every SystemParams field is here,
+#: with its SystemParams.default() value (dB keys converted back, to the same round
+#: numbers), and the window radius is mcsim.DEFAULT_WINDOW's.
 KEY_SPECS: dict[str, tuple[str, type, object]] = {
-    "lambda_t": ("transmitters per m^2", float, 1e-4),
-    "p": ("surface association probability", float, 0.5),
-    "n_elements": ("reflecting elements per surface", int, 32),
-    "alpha": ("path-loss exponent", float, 2.5),
-    "c_d_db": ("direct unit-distance gain, dB", float, -30.0),
-    "c_r_db": ("reflected unit-distance gain, dB", float, -30.0),
-    "d0": ("transmitter-to-surface offset, m", float, 3.0),
-    "d_g0": ("fixed-association serving distance, m", float, 20.0),
-    "m_h": ("Nakagami shape, transmitter-to-surface hop", float, 2.0),
-    "m_r": ("Nakagami shape, surface-to-user hop", float, 2.0),
-    "p_tx_dbm": ("transmit power, dBm", float, 0.0),
-    "noise_dbm": ("noise power, dBm", float, -70.0),
-    "interference_limited": ("1 to drop the noise term", int, 0),
+    "lambda_t": ("transmitters per m^2", float, _BASE.lambda_t),
+    "p": ("surface association probability", float, _BASE.p),
+    "n_elements": ("reflecting elements per surface", int, _BASE.n_elements),
+    "alpha": ("path-loss exponent", float, _BASE.path.alpha),
+    "c_d_db": ("direct unit-distance gain, dB", float, linear_to_db(_BASE.path.c_d)),
+    "c_r_db": ("reflected unit-distance gain, dB", float, linear_to_db(_BASE.path.c_r)),
+    "d0": ("transmitter-to-surface offset, m", float, _BASE.path.d0),
+    "d_g0": ("fixed-association serving distance, m", float, _BASE.d_g0),
+    "m_h": ("Nakagami shape, transmitter-to-surface hop", float, _BASE.fading.m_h),
+    "m_r": ("Nakagami shape, surface-to-user hop", float, _BASE.fading.m_r),
+    "p_tx_dbm": ("transmit power, dBm", float, watts_to_dbm(_BASE.p_tx_w)),
+    "noise_dbm": ("noise power, dBm", float, watts_to_dbm(_BASE.noise_w)),
+    "interference_limited": ("1 to drop the noise term", int, int(_BASE.interference_limited)),
     "gamma_bar_db": ("SINR threshold, dB", float, 0.0),
-    "window_radius": ("simulation window radius, m", float, 5000.0),
+    "window_radius": ("simulation window radius, m", float, mcsim.DEFAULT_WINDOW.radius),
     "trials": ("Monte Carlo trials per point (0 = per-scenario default)", int, 0),
     "seed": ("Monte Carlo seed", int, 1),
     "strategy": ("custom scenario strategy: " + "|".join(STRATEGIES), str, "fixed_ris"),

@@ -10,11 +10,14 @@ the per-element amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
     "db_to_linear",
     "dbm_to_watts",
+    "linear_to_db",
+    "watts_to_dbm",
     "PathLossParams",
     "FadingParams",
 ]
@@ -26,6 +29,14 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def linear_to_db(linear: float) -> float:
+    return 10.0 * math.log10(linear)
+
+
+def watts_to_dbm(watts: float) -> float:
+    return 10.0 * math.log10(watts) + 30.0
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,16 @@ Implementation notes, all distribution-preserving:
   thread count and, as the root ignores McConfig.seed, for every seed and
   sweep point of a process.  Float32 phases and cos/sin move an element sum
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
+* The table holds _TABLE_ROWS window starts plus a pad, so that a window
+  read from any start stays contiguous: at least _BLOCK_TARGET_ROWS + 2^14
+  rows, the largest expected block plus 32 Poisson sigma, or 3 lambda |W|
+  + 1024 where a block is one trial.  A chunk cut short by the table's end
+  is drawn whole and cut, so row j is the same whatever the pad.
 * A cache file, named by a hash of every input of the table's bits, carries
   the table across processes.  It is used only if its length, sha256 and
-  chunk 0 (drawn again from its seed) all match, else rebuilt.
+  chunk 0 (drawn again from its seed) all match, else rebuilt.  A load
+  refreshes the file's mtime; saving a table deletes the cached tables
+  that have gone unused for _CACHE_MAX_IDLE_S (7 days).
 * Trials are grouped into blocks with independent child seeds, run on threads
   sharing one table and joined in plan order: samples ignore the thread count.
   The pool has one thread per CPU the process may run on (its affinity mask,
@@ -50,9 +57,12 @@ Implementation notes, all distribution-preserving:
   buffered order, not sequential ones, so they can differ in the last bits.
 * Each running block holds one pooled workspace, a byte buffer that only
   grows: the serving signal draws its hop powers into it as float64, then
-  the interference chains run in it as three float32 rows, with out=.  The
-  operations and their order are those of fresh arrays, so are the bits,
-  and a block allocates nothing of the size of its interferer count.
+  the interference chains run in it as three float32 rows, with out=, and
+  a group's weights are summed as float64 in the two rows its chain no
+  longer needs.  The operations and their order are those of fresh arrays,
+  so are the bits.  A fixed-association block allocates nothing of the
+  size of its interferer count; a nearest-association one only the two
+  float32 radius bounds np.repeat spreads over its interferers.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +101,6 @@ log = logging.getLogger(__name__)
 _F32 = np.float32
 _R2_FLOOR = _F32(1e-6)      # 1 mm^2; keeps float32 path-gain finite
 _TABLE_ROWS = 1 << 20       # fading-table rows, before the pad that keeps windows contiguous
-_POOL_PAD_MIN = 1 << 19
 # elements of one block of per-element draws; it sets their stream (see _element_amplitudes)
 _DRAW_BLOCK = 1 << 16
 # whole Nakagami shapes up to this one draw a hop's power as a sum of unit exponentials
@@ -100,11 +109,16 @@ _DRAW_BLOCK = 1 << 16
 _EXP_SUM_MAX_SHAPE = 3
 _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
+# least table pad: a block's window of at most _BLOCK_TARGET_ROWS expected rows spreads
+# by at most 512 (Poisson), so 1 << 14 more rows leave a 32 sigma margin (see _table_pad)
+_POOL_PAD_MIN = _BLOCK_TARGET_ROWS + (1 << 14)
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
 _TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
 _WORKSPACE_STEP = 1 << 20   # workspace bytes round up to whole MiB, so they rarely regrow
+_CACHE_MAX_IDLE_S = 7 * 86400   # saving a table deletes cached ones unused this long
 MIN_SAMPLES = 100           # the estimators refuse fewer samples
+DEFAULT_WINDOW = Window(5000.0)     # the baseline 5 km disk
 
 
 def _available_cpus() -> int:
@@ -121,7 +135,7 @@ class McConfig:
     trials: int
     seed: int
     params: SystemParams
-    window: Window = field(default_factory=lambda: Window(5000.0))
+    window: Window = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.trials < 1:
@@ -203,20 +217,27 @@ def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence
 
 
 def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
-                   rows: int) -> np.ndarray:
+                   rows: int, short_last: bool = False) -> np.ndarray:
     """The (_TABLE_COLUMNS, rows) float32 table in fixed chunks, chunk k from child k of root.
 
     The chunk plan depends on N alone, so the columns ignore the thread count.
     Child k is keyed as root.spawn would key it on a fresh root, without
-    spawning: a root used before gives the same columns.
+    spawning: a root used before gives the same columns.  A chunk's draws
+    depend on its length, so a last chunk that rows cuts short is drawn whole
+    and its head kept: row j is the same in a table of any length.  With
+    short_last it is drawn at its short length instead.
     """
     step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
     cols = np.empty((_TABLE_COLUMNS, rows), dtype=_F32)
-    chunks = [(cols[:, lo:lo + step],
-               np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, k)),
-               n_elements, fading)
-              for k, lo in enumerate(range(0, rows, step))]
-    _run_jobs(_fill_table_chunk, chunks)
+    outs = [cols[:, lo:lo + step] for lo in range(0, rows, step)]
+    cut = outs[-1] if rows % step and not short_last else None
+    if cut is not None:
+        outs[-1] = np.empty((_TABLE_COLUMNS, step), dtype=_F32)
+    _run_jobs(_fill_table_chunk,
+              [(out, np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, k)),
+                n_elements, fading) for k, out in enumerate(outs)])
+    if cut is not None:
+        cut[...] = outs[-1][:, :cut.shape[1]]
     return cols
 
 
@@ -257,6 +278,8 @@ def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int) 
         if (cols.size == _TABLE_COLUMNS * rows and hashlib.sha256(cols).digest() == digest
                 and cols.reshape(_TABLE_COLUMNS, rows)[:, :step].tobytes()
                 == _table_columns(root, n_elements, fading, step).tobytes()):
+            with contextlib.suppress(OSError):
+                os.utime(path)      # its mtime is its last use (see _prune_cache)
             log.info("fading table N=%d loaded from %s in %.2f s", n_elements, path,
                      time.perf_counter() - t0)
             return cols.reshape(_TABLE_COLUMNS, rows)
@@ -269,12 +292,26 @@ def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int) 
                 cols.tofile(fh)
                 fh.write(hashlib.sha256(cols).digest())
             os.replace(fh.name, path)
+        _prune_cache(path.parent)
     except OSError as exc:
         if not _CACHE_WARNED:
             log.warning("fading tables are not cached on disk: %s", exc)
         _CACHE_WARNED, path = True, "nowhere"
     log.info("fading table N=%d built in %.2f s, saved to %s", n_elements, built, path)
     return cols
+
+
+def _prune_cache(directory: Path) -> None:
+    """Delete the cached tables in directory that no process has loaded or saved for a while.
+
+    A load refreshes a file's mtime, so a table any checkout still reads stays.
+    """
+    stale = time.time() - _CACHE_MAX_IDLE_S
+    with contextlib.suppress(OSError):
+        for old in directory.glob("fading-n*-*.f32"):
+            with contextlib.suppress(OSError):
+                if old.stat().st_mtime < stale:
+                    old.unlink()
 
 
 def _run_jobs(fn, jobs: list) -> list:
@@ -422,14 +459,21 @@ def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross, sc
     return np.add(eta_g, root, out=eta_g)
 
 
-def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray) -> None:
+def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray,
+                    spare: np.ndarray) -> None:
     """Add to total[t] the float64 sum of trial t's weights, the next counts[t] entries of w.
 
-    Only trials with weights get a segment: reduceat returns the first element for an empty one.
+    The float32 weights are copied to float64 into spare, a C-contiguous
+    float32 array of at least 2 w.size entries that w does not overlap, and
+    summed there: the bits of np.add.reduceat(w, dtype=np.float64), without
+    the float64 copy it would allocate.  Only trials with weights get a
+    segment: reduceat returns the first element for an empty one.
     """
     filled = counts > 0
     starts = np.cumsum(counts) - counts
-    total[filled] += np.add.reduceat(w, starts[filled], dtype=np.float64)
+    w64 = spare.reshape(-1).view(np.float64)[:w.size]
+    w64[...] = w
+    total[filled] += np.add.reduceat(w64, starts[filled])
 
 
 def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
@@ -442,8 +486,9 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     one start draw: the surface-free group its first rows, the surface group
     the next.  Parent squared radii are uniform on (low2, low2 + span2) per
     trial; scalars broadcast.  Each group's chain runs in three float32 rows
-    of workspace ws (a fresh one if not given).  Returns float64 sums of
-    length n_trials.
+    of workspace ws (a fresh one if not given) and leaves its weights in the
+    last; their float64 per-trial sums run in the first two.  Returns float64
+    sums of length n_trials.
     """
     pl = params.path
     total = np.zeros(n_trials)
@@ -476,10 +521,10 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
         r2, gain, w = work[:, :n_non]
         radii2(k_non, r2)
         np.multiply(_F32(pl.c_d), tab.mag2_direct[rows(0, n_non)], out=gain)
-        _add_trial_sums(total, _path_gain(gain, r2, pl.alpha, w), k_non)
+        _add_trial_sums(total, _path_gain(gain, r2, pl.alpha, w), k_non, work[:2])
 
     if n_ris:
-        r2, eta_g, offset = work[:, :n_ris]
+        r2, offset, eta_g = work[:, :n_ris]
         radii2(k_ris, r2)
         sl = rows(n_non, n_non + n_ris)
         _path_gain(_F32(pl.c_d), r2, pl.alpha, eta_g)
@@ -493,7 +538,7 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
         eta_h = _path_gain(_F32(pl.c_r), r2, pl.alpha, offset)
         w = _surface_interferer_power(eta_g, eta_h, tab.mag2_direct[sl],
                                       tab.mag2_scatter[sl], tab.cross[sl], r2)
-        _add_trial_sums(total, w, k_ris)
+        _add_trial_sums(total, w, k_ris, work[:2])
     return total
 
 
@@ -558,6 +603,17 @@ def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, tab: _Fadi
     return sinr
 
 
+def _table_pad(config: McConfig) -> int:
+    """Table rows past _TABLE_ROWS, so that a block's window stays contiguous.
+
+    A block plans at most _BLOCK_TARGET_ROWS expected rows, or one trial of
+    lambda |W|, and a Poisson count of mean mu spreads by sqrt(mu): either pad
+    holds the mean plus 32 sigma.  A window that does not fit wraps (see
+    _interference).
+    """
+    return max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
+
+
 def _block_plan(config: McConfig) -> list[int]:
     rows_per_trial = max(config.params.lambda_t * config.window.area, 1.0)
     per_block = int(max(1, min(_MAX_BLOCK_TRIALS, _BLOCK_TARGET_ROWS // rows_per_trial)))
@@ -580,8 +636,8 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     tab = None
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
-        pad = max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
-        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS, pad)
+        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS,
+                         _table_pad(config))
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)
@@ -651,7 +707,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     """
     _check_sample_sizes(n_elements, n_samples)
     mag2_direct, mag2_scatter, cross, _ = _table_columns(
-        np.random.SeedSequence(seed), n_elements, fading, n_samples)
+        np.random.SeedSequence(seed), n_elements, fading, n_samples, short_last=True)
     eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
     out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)
     out.sort()

@@ -96,6 +96,12 @@ def test_default_spec_matches_library_defaults():
     assert from_cli.window.radius == cli.KEY_SPECS["window_radius"][2]
 
 
+def test_default_db_values_are_the_baseline_round_numbers():
+    """KEY_SPECS converts the library's linear defaults back to dB, landing exactly."""
+    assert [cli.KEY_SPECS[k][2] for k in ("c_d_db", "c_r_db", "p_tx_dbm", "noise_dbm")] == \
+        [-30.0, -30.0, 0.0, -70.0]
+
+
 def test_config_rejects_bad_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lambda_t = not_a_number\n")

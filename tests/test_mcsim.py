@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -141,6 +142,46 @@ def test_identical_config_identical_samples():
     c = simulate_sinr(make_config(trials=2000, seed=10, window=1000.0), "fixed",
                       forced_ris=True)
     assert not np.array_equal(a.sorted_samples, c.sorted_samples)
+
+
+# sha256 of simulate_sinr's sorted samples in the 5 km window, seed 1.  A dense point
+# runs ten blocks of 3 trials that read about 235k table rows each, so some windows run
+# past _TABLE_ROWS into the pad; at N = 2 the pad lies in a table chunk the table's end
+# cuts short.  The sparse point runs nearest association in blocks of 3337 trials.
+PINNED_SAMPLES_SHA256 = {
+    "dense-fixed": (dict(lambda_t=1e-3, p_tx_w=dbm_to_watts(-24.0)), 30, "fixed", True,
+                    "1df715f94e004bbed631b28977123e047b6c3d0dd11482e00c3550a7c05f922e"),
+    "dense-fixed-N2": (dict(lambda_t=1e-3, p_tx_w=dbm_to_watts(-24.0), n_elements=2), 30,
+                       "fixed", True,
+                       "d73f02644572299da8bc65837695134c93ed41add7e21f84a4012c0ee44d2ca0"),
+    "sparse-nearest": (dict(lambda_t=1e-6, p=0.9), 20_000, "nearest", None,
+                       "e81a095780ce19548fb10490030eb9a56250938e48858f27493ba86b7c5a3857"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SAMPLES_SHA256))
+def test_samples_in_the_full_window_are_unchanged(monkeypatch, case):
+    params_kw, trials, strategy, forced, digest = PINNED_SAMPLES_SHA256[case]
+    window_ends = []
+    original = mcsim._interference
+
+    def recording(rng, tab, params, n_trials, k_ris, k_non, *rest):
+        """_interference, noting where each block's window ends."""
+        class StartRecorder:
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+            def integers(self, *args):
+                start = rng.integers(*args)
+                window_ends.append(start + int(k_ris.sum() + k_non.sum()))
+                return start
+        return original(StartRecorder(), tab, params, n_trials, k_ris, k_non, *rest)
+
+    monkeypatch.setattr(mcsim, "_interference", recording)
+    dist = simulate_sinr(make_config(trials=trials, seed=1, **params_kw), strategy, forced)
+    assert hashlib.sha256(dist.sorted_samples.tobytes()).hexdigest() == digest
+    if strategy == "fixed":
+        assert max(window_ends) > mcsim._TABLE_ROWS      # some window reads the pad
 
 
 def use_cpus(monkeypatch, cpus: int) -> None:
@@ -457,6 +498,21 @@ def test_a_warm_call_allocates_little(monkeypatch):
     assert traced_peak(simulate_sinr, cfg, "fixed", True) < 3_000_000
 
 
+def test_a_warm_nearest_point_allocates_little(monkeypatch):
+    """After a warm-up call, a sparse nearest-association point on one thread peaks below 2 MB.
+
+    At lambda 1e-6, p = 0.9 and 0 dBm, its blocks of 3337 trials chain about
+    258k interferers in a pooled workspace.  The float64 copy that
+    np.add.reduceat(dtype=np.float64) made of each group took the peak to
+    2.45 MB; the two float32 radius bounds np.repeat spreads over the
+    interferers, 1 MB each, are what is left.
+    """
+    use_cpus(monkeypatch, 1)
+    cfg = make_config(trials=20_000, seed=1, lambda_t=1e-6, p=0.9)
+    simulate_sinr(cfg, "nearest")
+    assert traced_peak(simulate_sinr, cfg, "nearest") < 2_000_000
+
+
 def test_reused_workspaces_never_reach_the_samples(monkeypatch):
     """Samples own their memory, and a workspace other runs dirtied and grew gives the same bits.
 
@@ -592,6 +648,27 @@ def test_one_interferer_trials_match_oracle_bitwise(kernel_table, alpha, bounds,
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_weights,n_trials", [(1, 1), (5000, 40), (100_000, 7),
+                                                (1 << 18, 2), (1 << 18, 3000)])
+def test_trial_sums_in_spare_rows_match_a_float64_reduceat(n_weights, n_trials):
+    """The float64 sums over spare workspace rows are np.add.reduceat(w, dtype=np.float64)'s bits.
+
+    Weights are float32 from 1e-30 to 1e3; the first, a middle and the last
+    trial are empty; 100k weights in 7 trials and 2^18 in 2 make segments
+    longer than numpy's 8192-entry buffer.
+    """
+    rng = np.random.default_rng(n_weights + n_trials)
+    w = (10.0 ** rng.uniform(-30.0, 3.0, n_weights)).astype(np.float32)
+    counts = rng.multinomial(n_weights, np.full(n_trials, 1.0 / n_trials))
+    counts = np.insert(counts, [0, n_trials // 2, n_trials], 0)
+    filled = counts > 0
+    starts = (np.cumsum(counts) - counts)[filled]
+    total = np.zeros(counts.size)
+    mcsim._add_trial_sums(total, w, counts, np.full((2, n_weights), np.nan, np.float32))
+    assert np.array_equal(total[filled], np.add.reduceat(w, starts, dtype=np.float64))
+    assert not total[~filled].any()
+
+
 # ---------------------------------------------------------------------------
 # fading table
 # ---------------------------------------------------------------------------
@@ -642,6 +719,32 @@ def test_table_is_the_same_for_any_worker_count(monkeypatch):
         # no chunk repeats another's draws (the partial last chunk has 904 rows)
         heads = [col[lo:lo + 904] for lo in range(0, col.size, 1024)]
         assert not any(np.array_equal(a, b) for i, a in enumerate(heads) for b in heads[:i])
+
+
+def test_table_rows_do_not_depend_on_its_length(monkeypatch):
+    """A chunk the table's end cuts short is drawn whole, so a shorter table is a prefix."""
+    long = small_chunk_table(monkeypatch, 2)        # its last chunk holds 904 of 1024 rows
+    for size, pad in ((4096, 4000), (4096, 700), (1000, 0)):
+        short = small_chunk_table(monkeypatch, 2, size, pad)
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:size + pad]), \
+                (size, pad, name)
+
+
+@pytest.mark.parametrize("strategy", ["fixed", "nearest"])
+def test_table_pad_holds_every_planned_window(strategy):
+    """For lambda |W| from 1 to 1e6, the largest planned window plus 32 sigma fits the pad.
+
+    A fixed-association trial reads all of its Poisson(lambda |W|) field
+    points, a nearest-association one all but the serving point.
+    """
+    window = Window(5000.0)
+    for mean in np.logspace(0.0, 6.0, 61):
+        cfg = McConfig(trials=10_000, seed=1, window=window,
+                       params=SystemParams.default(lambda_t=mean / window.area))
+        per_trial = mean if strategy == "fixed" else mean - 1.0 + math.exp(-mean)
+        rows = max(mcsim._block_plan(cfg)) * per_trial
+        assert rows + 32.0 * math.sqrt(rows) <= mcsim._table_pad(cfg), mean
 
 
 def test_table_chunks_run_on_pool_threads(monkeypatch):
@@ -888,6 +991,31 @@ def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_p
         assert len(moved) == 1, field_name
         names |= moved
     assert len(names) == 1 + len(changes) + len(patches)
+
+
+def test_table_cache_deletes_tables_unused_for_a_week(table_cache):
+    """Saving a table deletes cached tables whose mtime is a week old; a load refreshes it."""
+    fading = FadingParams(m_h=2.0, m_r=2.0)
+    mcsim._stored_columns(4, fading, 64, 64)
+    (used,) = cached_files(table_cache)
+    now, week = time.time(), 7 * 86400
+    stale = table_cache / "fading-n32-stale.f32"
+    recent = table_cache / "fading-n32-recent.f32"
+    unrelated = table_cache / "notes.txt"
+    stuck = table_cache / "fading-n8-stuck.f32"      # unlink fails on a directory
+    stuck.mkdir()
+    for path, age in ((stale, week + 60), (recent, week - 3600), (unrelated, 2 * week),
+                      (stuck, 2 * week), (used, 2 * week)):
+        if not path.exists():
+            path.write_bytes(b"")
+        os.utime(path, (now - age, now - age))
+    mcsim._get_table.cache_clear()
+    mcsim._stored_columns(4, fading, 64, 64)        # a load: refreshed, nothing deleted
+    assert used.stat().st_mtime >= now - 60
+    assert stale.exists()
+    mcsim._stored_columns(4, fading, 64, 65)        # a save deletes the stale table
+    (saved,) = cached_files(table_cache) - {used, stale, recent, unrelated, stuck}
+    assert cached_files(table_cache) == {used, recent, unrelated, stuck, saved}
 
 
 def test_rayleigh_only_sanity():
