@@ -385,12 +385,12 @@ _FLOAT_SUM_MAX_ORDER = 32
 
 @lru_cache(maxsize=None)
 def _tail_kernel(n: int):
-    """Binder of exp_tail_integrand's float recurrence for n >= 2 coefficients.
+    """Binder of exp_tail_integrand's float recurrence for n >= 1 coefficients.
 
     bind(c, q, p) unpacks the coefficient list c into closure values and
     returns kernel(u), straight-line code that forms x = q u^p and then does
     the recurrence's float operations one by one, in the order of the loop
-    it replaces: e_0 = exp((-u) c_0 - x), a_1 = (-u) c_1 - x and
+    it replaces: e_0 = exp((-u) c_0 - x), a_1 = (-u) c_1 - x (if n > 1) and
     a_j = j ((-u) c_j); e_k = (0.0 + a_1 e_(k-1) + ... + a_k e_0) / k; and
     the Kahan update of alternating_tail_sum for each term (-1)^k e_k.  The
     loop's integer factors j and k appear as the literals j.0 and k.0, the
@@ -403,12 +403,12 @@ def _tail_kernel(n: int):
     serves every jet of that length.
     """
     lines = ["def bind(c, q, p):",
-             f"    {', '.join(f'c{j}' for j in range(n))} = c",
+             f"    {', '.join(f'c{j}' for j in range(n))}, = c",
              "    def kernel(u):",
              "        x = q * u ** p",
              "        ny = -u",
-             "        e0 = exp(ny * c0 - x)",
-             "        a1 = ny * c1 - x"]
+             "        e0 = exp(ny * c0 - x)"]
+    lines += ["        a1 = ny * c1 - x"] if n > 1 else []
     lines += [f"        a{j} = {j}.0 * (ny * c{j})" for j in range(2, n)]
     lines += ["        s0 = e0", "        q0 = 0.0"]
     for k in range(1, n):
@@ -430,7 +430,7 @@ def exp_tail_integrand(g: TaylorJet, q: float, p: float):
     Each nearest-association integrand is one such function, which quad
     calls at every node; g, q and p are bound here, not per call.  Up to
     _FLOAT_SUM_MAX_ORDER the returned function is the straight-line kernel
-    for g's length (_tail_kernel), and order 0 is exp((-u) c_0 - q u^p).
+    for g's length (_tail_kernel); at order 0 it is exp((-u) c_0 - q u^p).
     Above the cutoff it forms the exponent jet and takes jet_exp's sum.
     """
     c = g.coeffs
@@ -441,9 +441,6 @@ def exp_tail_integrand(g: TaylorJet, q: float, p: float):
             a[:2] -= q * u**p
             return alternating_tail_sum(jet_exp(_from_array(a)))[0]
         return integrand
-    if n == 1:
-        c0 = float(c[0])
-        return lambda u: math.exp(-u * c0 - q * u**p)
     return _tail_kernel(n)(c.tolist(), q, p)
 
 

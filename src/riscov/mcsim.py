@@ -35,10 +35,10 @@ Implementation notes, all distribution-preserving:
   sweep point of a process.  Float32 phases and cos/sin move an element sum
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
 * The table holds _TABLE_ROWS window starts plus a pad, so that a window
-  read from any start stays contiguous: at least _BLOCK_TARGET_ROWS + 2^14
-  rows, the largest expected block plus 32 Poisson sigma, or 3 lambda |W|
-  + 1024 where a block is one trial.  A chunk cut short by the table's end
-  is drawn whole and cut, so row j is the same whatever the pad.
+  read from any start stays contiguous: m + 32 sqrt(m) rows, the largest
+  block the plan makes (m = max(_BLOCK_TARGET_ROWS, lambda |W|) expected
+  rows) plus 32 Poisson sigma.  A chunk cut short by the table's end is
+  drawn whole and cut, so row j is the same whatever the pad.
 * A cache file, named by a hash of every input of the table's bits, carries
   the table across processes.  It is used only if its length, sha256 and
   chunk 0 (drawn again from its seed) all match, else rebuilt.  A load
@@ -109,9 +109,6 @@ _DRAW_BLOCK = 1 << 16
 _EXP_SUM_MAX_SHAPE = 3
 _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
-# least table pad: a block's window of at most _BLOCK_TARGET_ROWS expected rows spreads
-# by at most 512 (Poisson), so 1 << 14 more rows leave a 32 sigma margin (see _table_pad)
-_POOL_PAD_MIN = _BLOCK_TARGET_ROWS + (1 << 14)
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
 _TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
@@ -217,20 +214,19 @@ def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence
 
 
 def _table_columns(root: np.random.SeedSequence, n_elements: int, fading: FadingParams,
-                   rows: int, short_last: bool = False) -> np.ndarray:
+                   rows: int) -> np.ndarray:
     """The (_TABLE_COLUMNS, rows) float32 table in fixed chunks, chunk k from child k of root.
 
     The chunk plan depends on N alone, so the columns ignore the thread count.
     Child k is keyed as root.spawn would key it on a fresh root, without
     spawning: a root used before gives the same columns.  A chunk's draws
     depend on its length, so a last chunk that rows cuts short is drawn whole
-    and its head kept: row j is the same in a table of any length.  With
-    short_last it is drawn at its short length instead.
+    and its head kept: row j is the same in a table of any length.
     """
     step = max(1, _TABLE_CHUNK_ELEMENTS // n_elements)
     cols = np.empty((_TABLE_COLUMNS, rows), dtype=_F32)
     outs = [cols[:, lo:lo + step] for lo in range(0, rows, step)]
-    cut = outs[-1] if rows % step and not short_last else None
+    cut = outs[-1] if rows % step else None
     if cut is not None:
         outs[-1] = np.empty((_TABLE_COLUMNS, step), dtype=_F32)
     _run_jobs(_fill_table_chunk,
@@ -384,17 +380,16 @@ def _hop_power(rng, m: float, shape: tuple, out: np.ndarray | None = None) -> np
 
 
 def _element_amplitudes(rng, fading: FadingParams, n_elements: int, rows: int,
-                        ws: _Workspace | None = None) -> np.ndarray:
+                        ws: _Workspace) -> np.ndarray:
     """(rows, N) products |h||r| of two unit-power Nakagami hops: hop h, then hop r, then sqrt.
 
     Its callers draw blocks of _DRAW_BLOCK // N rows (at least one), so no
     (rows, N) array is held and the block size is part of their stream.  The
-    result is a view of workspace ws (a fresh one if not given), valid until
-    ws is used again.
+    result is a view of workspace ws, valid until ws is used again.
     """
     shape = (rows, n_elements)
     h, r = (max(1, _exp_sum_terms(m)) * rows * n_elements for m in (fading.m_h, fading.m_r))
-    draws = (ws or _Workspace()).view(np.float64, (h + r,))
+    draws = ws.view(np.float64, (h + r,))
     amp = _hop_power(rng, fading.m_h, shape, draws[:h])
     amp *= _hop_power(rng, fading.m_r, shape, draws[h:])
     return np.sqrt(amp, out=amp)
@@ -479,16 +474,16 @@ def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray,
 def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
                   k_ris: np.ndarray, k_non: np.ndarray,
                   low2: np.ndarray | float, span2: np.ndarray | float,
-                  ws: _Workspace | None = None) -> np.ndarray:
+                  ws: _Workspace) -> np.ndarray:
     """Aggregate interference per trial from group row counts.
 
     A block with interferers reads one window of distinct table rows, from
     one start draw: the surface-free group its first rows, the surface group
     the next.  Parent squared radii are uniform on (low2, low2 + span2) per
     trial; scalars broadcast.  Each group's chain runs in three float32 rows
-    of workspace ws (a fresh one if not given) and leaves its weights in the
-    last; their float64 per-trial sums run in the first two.  Returns float64
-    sums of length n_trials.
+    of workspace ws and leaves its weights in the last; their float64
+    per-trial sums run in the first two.  Returns float64 sums of length
+    n_trials.
     """
     pl = params.path
     total = np.zeros(n_trials)
@@ -509,7 +504,7 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     if n_non + n_ris == 0:
         return total
     start = int(rng.integers(0, tab.size))
-    work = (ws or _Workspace()).view(_F32, (3, max(n_non, n_ris)))
+    work = ws.view(_F32, (3, max(n_non, n_ris)))
 
     def rows(lo: int, hi: int):
         """Rows lo..hi of the block's window: contiguous, wrapping only when oversized."""
@@ -606,12 +601,13 @@ def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, tab: _Fadi
 def _table_pad(config: McConfig) -> int:
     """Table rows past _TABLE_ROWS, so that a block's window stays contiguous.
 
-    A block plans at most _BLOCK_TARGET_ROWS expected rows, or one trial of
-    lambda |W|, and a Poisson count of mean mu spreads by sqrt(mu): either pad
-    holds the mean plus 32 sigma.  A window that does not fit wraps (see
+    The largest block _block_plan makes expects m = max(_BLOCK_TARGET_ROWS,
+    lambda |W|) rows, and a Poisson count of mean m spreads by sqrt(m): the
+    pad holds m plus 32 sigma.  A window that does not fit wraps (see
     _interference).
     """
-    return max(_POOL_PAD_MIN, int(3 * config.params.lambda_t * config.window.area) + 1024)
+    m = max(_BLOCK_TARGET_ROWS, config.params.lambda_t * config.window.area)
+    return math.ceil(m + 32.0 * math.sqrt(m))
 
 
 def _block_plan(config: McConfig) -> list[int]:
@@ -707,7 +703,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     """
     _check_sample_sizes(n_elements, n_samples)
     mag2_direct, mag2_scatter, cross, _ = _table_columns(
-        np.random.SeedSequence(seed), n_elements, fading, n_samples, short_last=True)
+        np.random.SeedSequence(seed), n_elements, fading, n_samples)
     eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
     out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)
     out.sort()

@@ -466,7 +466,7 @@ def test_fixed_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 # and at zero density the simulator builds no table and sums no interference.
 KERNEL_FREE_MC_CSV_SHA256 = {
     "fig3": (["fig3", "--trials", "3000"],
-             "8ecb82845f885bb6fccfb8135b9cd216dbddb73858a4c200ba27f6f0b25bda54"),
+             "1b6a934e9e0f304ee20b11abb3e1bd95832275d09bb445cede7a15015884c1a3"),
     "fixed_ris-lambda0": (["custom", "--strategy", "fixed_ris", "--lambda-t", "0",
                            "--trials", "2000"],
                           "81bdce2b38aaacb34235a519272d4885e1e690a2e222c5496895c59df74bf0f2"),

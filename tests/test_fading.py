@@ -93,7 +93,7 @@ def test_pathloss_monotone_in_distance_and_exponent():
 
 def _amplitudes(m_h, m_r, rows, seed):
     return mcsim._element_amplitudes(np.random.default_rng(seed), FadingParams(m_h, m_r),
-                                     1, rows)[:, 0]
+                                     1, rows, mcsim._Workspace())[:, 0]
 
 
 def test_nakagami_m1_is_rayleigh():

@@ -301,8 +301,16 @@ def test_exp_tail_sum_float_path_keeps_its_bits(order, hyp, data, x, y, alpha):
 
 
 def test_exp_tail_sum_order_zero_is_its_value():
+    """Order 0 runs kernel 1, whose bits are those of exp(-u c_0 - q u^p)."""
     g = TaylorJet([0.7])
     assert exp_tail_sum(g, 2.0, 0.3) == math.exp(-0.3 - 2.0 * 0.7)
+    for p in (0.0, 1.25, 2.0):
+        for q in (0.0, 0.3, 2.5):
+            integrand = jets.exp_tail_integrand(g, q, p)
+            for u in (0.0, 0.05, 1.0, 3.7, 41.0):
+                want = math.exp(-u * 0.7 - q * u**p).hex()
+                assert integrand(u).hex() == want, (u, q, p)
+                assert exp_tail_sum(g, u, q * u**p).hex() == want, (u, q, p)
 
 
 @pytest.mark.parametrize("jet, y, x", [
@@ -332,9 +340,9 @@ def test_tail_kernels_are_built_once_per_length():
     assert exp_tail_sum(g, 1.2, 0.3) == first
     assert exp_tail_sum(jet_spow(0.4, 6), 2.0, 0.1) == exp_tail_sum_by_exponent_list(
         jet_spow(0.4, 6), 2.0, 0.1)
-    exp_tail_sum(TaylorJet([0.7]), 2.0, 0.3)            # order 0 takes no kernel
+    exp_tail_sum(TaylorJet([0.7]), 2.0, 0.3)            # order 0 builds kernel 1
     info = jets._tail_kernel.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert (info.misses, info.currsize) == (2, 2)
     assert jets._tail_kernel(7) is kernel
 
 

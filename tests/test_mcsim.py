@@ -264,8 +264,8 @@ def test_trial_blocks_pass_runs_test():
     cfg = make_config(trials=40_000, seed=5, window=1000.0, lambda_t=1e-4)
     sizes = mcsim._block_plan(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
-    pad = max(1 << 19, int(3 * cfg.params.lambda_t * cfg.window.area) + 1024)
-    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS, pad)
+    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS,
+                           mcsim._table_pad(cfg))
     means = []
     for n, child in zip(sizes, children):
         sinr = mcsim._run_block((cfg.params, cfg.window, tab, "fixed", True, n, child))
@@ -546,7 +546,8 @@ def test_reused_workspaces_never_reach_the_samples(monkeypatch):
 def test_float32_phase_trig_matches_float64():
     """For the same float32 phases, float32 cos/sin move each element sum by < 1e-6 of sum(amp)."""
     rng = np.random.default_rng(13)
-    amp = mcsim._element_amplitudes(rng, FadingParams(m_h=1.0, m_r=1.0), 32, 20_000)
+    amp = mcsim._element_amplitudes(rng, FadingParams(m_h=1.0, m_r=1.0), 32, 20_000,
+                                    mcsim._Workspace())
     phase = rng.random(amp.shape, dtype=np.float32) * np.float32(2.0 * math.pi)
     assert np.cos(phase).dtype == np.float32
     bound = 1e-6 * amp.sum(axis=1)
@@ -590,7 +591,8 @@ def kernel_and_oracle(tab, alpha, bounds, k_non, k_ris):
     n = k_non.size
     params, low2, span2 = kernel_inputs(alpha, bounds, n)
     rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
-    got = mcsim._interference(rng_kernel, tab, params, n, k_ris, k_non, low2, span2)
+    got = mcsim._interference(rng_kernel, tab, params, n, k_ris, k_non, low2, span2,
+                              mcsim._Workspace())
     want = interference_by_fsum(rng_oracle, tab, params, n, k_ris, k_non, low2, span2)
     assert rng_kernel.random() == rng_oracle.random()       # same draws consumed
     return got, want
@@ -626,7 +628,7 @@ def test_block_groups_read_disjoint_rows(n_non, n_ris):
     n = n_non + n_ris
     k_non = np.array([1] * n_non + [0] * n_ris)
     got = mcsim._interference(np.random.default_rng(9), tab, params, n, 1 - k_non, k_non,
-                              1.0, 0.0)
+                              1.0, 0.0, mcsim._Workspace())
     rows = got.astype(int) - 1
     assert np.array_equal(rows + 1, got)
     assert rows[0] == np.random.default_rng(9).integers(0, size)   # the block's first draw
@@ -685,8 +687,8 @@ def only_cached_table(cfg: McConfig) -> mcsim._FadingTable:
     """The one table the in-process cache holds, the one simulate_sinr(cfg) read."""
     info = mcsim._get_table.cache_info()
     assert info.currsize == 1
-    pad = max(mcsim._POOL_PAD_MIN, int(3 * cfg.params.lambda_t * cfg.window.area) + 1024)
-    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS, pad)
+    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS,
+                           mcsim._table_pad(cfg))
     assert mcsim._get_table.cache_info().misses == info.misses     # a hit, not a new table
     return tab
 
@@ -731,12 +733,29 @@ def test_table_rows_do_not_depend_on_its_length(monkeypatch):
                 (size, pad, name)
 
 
+def test_interferer_power_samples_combine_a_table_head(monkeypatch):
+    """sample_interferer_power cuts its last chunk from a whole draw, as every table does.
+
+    Its samples are the interference kernel's combination of the first n rows
+    of a longer table from the same root; n = 2500 cuts the third 1024-row chunk.
+    """
+    monkeypatch.setattr(mcsim, "_TABLE_CHUNK_ELEMENTS", 4096)
+    fading, n_elements, seed, n, step = FadingParams(m_h=1.5, m_r=2.5), 4, 17, 2500, 1024
+    cols = mcsim._table_columns(np.random.SeedSequence(seed), n_elements, fading, n + step)
+    eta_g, eta_h = 2e-3, 5e-4
+    eta = np.full((2, n), [[eta_g], [eta_h]], dtype=np.float32)
+    want = np.sort(mcsim._surface_interferer_power(*eta, *cols[:3, :n]).astype(float))
+    got = mcsim.sample_interferer_power(eta_g, eta_h, fading, n_elements, n, seed)
+    assert got.sorted_samples.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("strategy", ["fixed", "nearest"])
 def test_table_pad_holds_every_planned_window(strategy):
     """For lambda |W| from 1 to 1e6, the largest planned window plus 32 sigma fits the pad.
 
     A fixed-association trial reads all of its Poisson(lambda |W|) field
-    points, a nearest-association one all but the serving point.
+    points, a nearest-association one all but the serving point.  Up to
+    lambda |W| = 2^18 every density shares one pad, so one table.
     """
     window = Window(5000.0)
     for mean in np.logspace(0.0, 6.0, 61):
@@ -745,6 +764,8 @@ def test_table_pad_holds_every_planned_window(strategy):
         per_trial = mean if strategy == "fixed" else mean - 1.0 + math.exp(-mean)
         rows = max(mcsim._block_plan(cfg)) * per_trial
         assert rows + 32.0 * math.sqrt(rows) <= mcsim._table_pad(cfg), mean
+        if mean <= 1 << 18:
+            assert mcsim._table_pad(cfg) == 2**18 + 2**14, mean
 
 
 def test_table_chunks_run_on_pool_threads(monkeypatch):

@@ -21,7 +21,7 @@ ETA_H0 = 1e-3 * (3.0 * math.hypot(20.0, 3.0)) ** -2.5
 def _mc_element_sum(m, n_elements, n_samples, seed):
     """Element sums of the simulator's own per-element amplitude draws."""
     amp = mcsim._element_amplitudes(np.random.default_rng(seed), FadingParams(m, m),
-                                    n_elements, n_samples)
+                                    n_elements, n_samples, mcsim._Workspace())
     return amp.sum(axis=1)
 
 
