@@ -108,13 +108,18 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
     )
 
 
-def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
-               seed_offset: int = 0) -> mcsim.McConfig:
+def _trials(spec: RunSpec, default: int) -> int:
+    """The spec's Monte Carlo trials per point, default for 0; 1 to MIN_SAMPLES - 1 refused."""
     trials = int(spec.setting("trials"))
     if 0 < trials < mcsim.MIN_SAMPLES:
         raise ValueError(f"trials must be 0 (the scenario default) or at least "
                          f"{mcsim.MIN_SAMPLES}, got {trials}")
-    return mcsim.McConfig(trials=trials or default_trials,
+    return trials or default
+
+
+def _mc_config(spec: RunSpec, params: SystemParams, default_trials: int,
+               seed_offset: int = 0) -> mcsim.McConfig:
+    return mcsim.McConfig(trials=_trials(spec, default_trials),
                           seed=int(spec.setting("seed")) + seed_offset,
                           params=params,
                           window=Window(float(spec.setting("window_radius"))))
@@ -188,7 +193,7 @@ def _scenario_fig2(spec: RunSpec):
     rows, summaries = [], []
     x_db = np.arange(-65.0, -24.9, 0.5)
     x_lin = 10.0 ** (x_db / 10.0)
-    trials = int(spec.setting("trials")) or 200_000
+    trials = _trials(spec, 200_000)
     for m in (1.0, 2.0, 4.0):
         for n_el in (16, 32, 64):
             params = build_params(spec, m_h=m, m_r=m, n_elements=n_el)
@@ -218,7 +223,7 @@ def _scenario_fig3(spec: RunSpec):
     x_db = np.arange(-60.0, -19.9, 0.5)
     x_lin = 10.0 ** (x_db / 10.0)
     do_mc = spec.mode in ("mc", "both")
-    trials = int(spec.setting("trials")) or 200_000
+    trials = _trials(spec, 200_000)
     from .powerdist import interferer_exp_param
     for n_el in (16, 32, 64):
         params = build_params(spec, n_elements=n_el)
@@ -324,7 +329,7 @@ def _check_fig6_windows(spec: RunSpec, window: Window) -> None:
     A window is empty with probability exp(-lambda_t |W|); summed over the
     run's trials (a union bound), that must stay below _EMPTY_WINDOW_RISK.
     """
-    trials = int(spec.setting("trials")) or _FIG6_TRIALS
+    trials = _trials(spec, _FIG6_TRIALS)
     empty = [math.exp(-lam * window.area) for lam in _FIG6_LAMBDAS]
     if trials * _FIG6_P_GRID.size * sum(empty) > _EMPTY_WINDOW_RISK:
         raise ValueError(f"noise-free fig6 simulation: a {window.radius:g} m window at "

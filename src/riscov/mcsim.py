@@ -24,18 +24,18 @@ Implementation notes, all distribution-preserving:
   uniform phases for every surface-bearing interferer), so it is drawn once
   into a large seeded table of four float32 columns: the per-cluster
   composites |g|^2, |T|^2, 2 Re(g T*) and the offset angle's cos(phi).
-  Each block with interferers draws one window start and reads distinct
-  rows: the surface-free group the window's first rows (its Rayleigh power
-  is the Exp(1) column |g|^2), the surface group the next.  The marginal
-  law of each composite is the full per-element one; no Gaussian shortcut
-  is taken.  The serving link never uses the table.
+  Each block with interferers draws one window start and reads one
+  contiguous slice of rows: the surface-free group its first rows (its
+  Rayleigh power is the Exp(1) column |g|^2), the surface group the next.
+  The marginal law of each composite is the full per-element one; no
+  Gaussian shortcut is taken.  The serving link never uses the table.
 * The table is built on the thread pool in fixed chunks, chunk k seeded by
   child k of a root of fixed entropy and (N, m_h, m_r): one table for any
   thread count and, as the root ignores McConfig.seed, for every seed and
   sweep point of a process.  Float32 phases and cos/sin move an element sum
   by about 1e-7 of its amplitude sum, below the table's float32 rounding.
-* The table holds _TABLE_ROWS window starts plus a pad, so that a window
-  read from any start stays contiguous: m + 32 sqrt(m) rows, the largest
+* The table holds _TABLE_ROWS window starts plus a pad, so that every
+  planned window fits from any start: m + 32 sqrt(m) rows, the largest
   block the plan makes (m = max(_BLOCK_TARGET_ROWS, lambda |W|) expected
   rows) plus 32 Poisson sigma.  A chunk cut short by the table's end is
   drawn whole and cut, so row j is the same whatever the pad.
@@ -201,7 +201,6 @@ class _FadingTable:
     def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
                  columns: np.ndarray | None = None):
         self.size = size
-        self.pad = pad
         (self.mag2_direct, self.mag2_scatter, self.cross,
          self.cos_offset) = columns if columns is not None else _table_columns(
             _table_root(n_elements, fading), n_elements, fading, size + pad)
@@ -356,17 +355,16 @@ def _exp_sum_terms(m: float) -> int:
     return int(m) if float(m).is_integer() and m <= _EXP_SUM_MAX_SHAPE else 0
 
 
-def _hop_power(rng, m: float, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+def _hop_power(rng, m: float, shape: tuple, out: np.ndarray) -> np.ndarray:
     """Gamma(m, 1/m) draws of the given shape: powers of a unit-power Nakagami-m hop.
 
     A whole m up to _EXP_SUM_MAX_SHAPE takes the mean of m unit exponentials,
     exactly Gamma(m, 1/m) (the Erlang law); any other m a standard gamma
-    draw times 1/m.  The draws fill the front of out (float64) when given.
+    draw times 1/m.  The draws fill the front of out, a float64 array.
     """
     k = _exp_sum_terms(m)
     dims = (*shape, k) if k else shape
-    if out is not None:
-        out = out[:math.prod(dims)].reshape(dims)
+    out = out[:math.prod(dims)].reshape(dims)
     if not k:
         power = rng.standard_gamma(m, dims, out=out)
         power *= 1.0 / m
@@ -477,7 +475,7 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
                   ws: _Workspace) -> np.ndarray:
     """Aggregate interference per trial from group row counts.
 
-    A block with interferers reads one window of distinct table rows, from
+    A block with interferers reads one contiguous window of table rows, from
     one start draw: the surface-free group its first rows, the surface group
     the next.  Parent squared radii are uniform on (low2, low2 + span2) per
     trial; scalars broadcast.  Each group's chain runs in three float32 rows
@@ -506,22 +504,16 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     start = int(rng.integers(0, tab.size))
     work = ws.view(_F32, (3, max(n_non, n_ris)))
 
-    def rows(lo: int, hi: int):
-        """Rows lo..hi of the block's window: contiguous, wrapping only when oversized."""
-        if n_non + n_ris <= tab.pad:
-            return slice(start + lo, start + hi)
-        return (start + np.arange(lo, hi)) % tab.size
-
     if n_non:
         r2, gain, w = work[:, :n_non]
         radii2(k_non, r2)
-        np.multiply(_F32(pl.c_d), tab.mag2_direct[rows(0, n_non)], out=gain)
+        np.multiply(_F32(pl.c_d), tab.mag2_direct[start:start + n_non], out=gain)
         _add_trial_sums(total, _path_gain(gain, r2, pl.alpha, w), k_non, work[:2])
 
     if n_ris:
         r2, offset, eta_g = work[:, :n_ris]
         radii2(k_ris, r2)
-        sl = rows(n_non, n_non + n_ris)
+        sl = slice(start + n_non, start + n_non + n_ris)
         _path_gain(_F32(pl.c_d), r2, pl.alpha, eta_g)
         # r2 becomes d0^2 d_r^2, with d_r^2 = r2 + d0^2 + 2 d0 sqrt(r2) cos(phi)
         np.sqrt(r2, out=offset)
@@ -603,8 +595,7 @@ def _table_pad(config: McConfig) -> int:
 
     The largest block _block_plan makes expects m = max(_BLOCK_TARGET_ROWS,
     lambda |W|) rows, and a Poisson count of mean m spreads by sqrt(m): the
-    pad holds m plus 32 sigma.  A window that does not fit wraps (see
-    _interference).
+    pad holds m plus 32 sigma, so every planned window fits.
     """
     m = max(_BLOCK_TARGET_ROWS, config.params.lambda_t * config.window.area)
     return math.ceil(m + 32.0 * math.sqrt(m))

@@ -244,8 +244,6 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
     if n_all == 0:
         return total
     window = int(rng.integers(0, tab.size)) + np.arange(n_all)
-    if n_all > tab.pad:
-        window %= tab.size
     for k, surface, idx in ((k_non, False, window[:n_non]), (k_ris, True, window[n_non:])):
         m = int(k.sum())
         if m == 0:

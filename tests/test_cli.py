@@ -127,6 +127,16 @@ def test_validate_config_makes_the_run_checks(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["fig2", "fig3"])
+def test_run_refuses_too_few_trials_as_main_does(tmp_path, scenario):
+    """fig2 and fig3 read their own trial counts; a direct run refuses 1-99 trials too."""
+    out = tmp_path / "x.csv"
+    spec = RunSpec(scenario, {"trials": 50}, out=str(out), mode="mc")
+    with pytest.raises(ValueError, match="at least 100, got 50"):
+        cli.run(spec)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ("strategy = nearest\nlambda_t = 0\n",
      "nearest association requires a positive transmitter density"),

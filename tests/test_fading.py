@@ -119,7 +119,8 @@ def test_nakagami_unit_power():
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 4.0, 1.5, 4.5, 6.0])
 def test_hop_power_is_gamma(m):
     """Both branches of the hop-power sampler (exponential sums, rng.gamma) are Gamma(m, 1/m)."""
-    power = mcsim._hop_power(np.random.default_rng(int(100 * m)), m, (200_000,))
+    out = np.empty(mcsim._EXP_SUM_MAX_SHAPE * 200_000)
+    power = mcsim._hop_power(np.random.default_rng(int(100 * m)), m, (200_000,), out)
     assert stats.kstest(power, lambda x: special.gammainc(m, m * x)).pvalue > 0.01
 
 

@@ -147,7 +147,8 @@ def test_identical_config_identical_samples():
 # sha256 of simulate_sinr's sorted samples in the 5 km window, seed 1.  A dense point
 # runs ten blocks of 3 trials that read about 235k table rows each, so some windows run
 # past _TABLE_ROWS into the pad; at N = 2 the pad lies in a table chunk the table's end
-# cuts short.  The sparse point runs nearest association in blocks of 3337 trials.
+# cuts short.  The sparse point runs nearest association in blocks of 3337 trials.  At
+# lambda = 1e-2 each block is one trial that reads about 785k rows of an 813 758-row pad.
 PINNED_SAMPLES_SHA256 = {
     "dense-fixed": (dict(lambda_t=1e-3, p_tx_w=dbm_to_watts(-24.0)), 30, "fixed", True,
                     "1df715f94e004bbed631b28977123e047b6c3d0dd11482e00c3550a7c05f922e"),
@@ -156,6 +157,12 @@ PINNED_SAMPLES_SHA256 = {
                        "d73f02644572299da8bc65837695134c93ed41add7e21f84a4012c0ee44d2ca0"),
     "sparse-nearest": (dict(lambda_t=1e-6, p=0.9), 20_000, "nearest", None,
                        "e81a095780ce19548fb10490030eb9a56250938e48858f27493ba86b7c5a3857"),
+    "one-trial-fixed-N2": (dict(lambda_t=1e-2, p_tx_w=dbm_to_watts(-24.0), n_elements=2), 6,
+                           "fixed", True,
+                           "7ee4c66d2aad1fdfdba3f948d57d44ba9188991cd5f3b374ab0980a478107ae2"),
+    "one-trial-nearest-N2": (dict(lambda_t=1e-2, p_tx_w=dbm_to_watts(-24.0), n_elements=2),
+                             6, "nearest", None,
+                             "512e15e54061bf5b0ce33014fd0a1519a6b6486c30ddf25a64cb9b40d1f5ae3e"),
 }
 
 
@@ -178,8 +185,10 @@ def test_samples_in_the_full_window_are_unchanged(monkeypatch, case):
         return original(StartRecorder(), tab, params, n_trials, k_ris, k_non, *rest)
 
     monkeypatch.setattr(mcsim, "_interference", recording)
-    dist = simulate_sinr(make_config(trials=trials, seed=1, **params_kw), strategy, forced)
+    cfg = make_config(trials=trials, seed=1, **params_kw)
+    dist = simulate_sinr(cfg, strategy, forced)
     assert hashlib.sha256(dist.sorted_samples.tobytes()).hexdigest() == digest
+    assert max(window_ends) <= mcsim._TABLE_ROWS + mcsim._table_pad(cfg)
     if strategy == "fixed":
         assert max(window_ends) > mcsim._TABLE_ROWS      # some window reads the pad
 
@@ -561,8 +570,8 @@ def test_float32_phase_trig_matches_float64():
 # interference kernel
 # ---------------------------------------------------------------------------
 
-# empty trials first, in the middle and last; the "spread" block's window
-# outgrows the test table's pad and wraps, the others' do not
+# empty trials first, in the middle and last; the "spread" block's window, 477 rows,
+# is the largest and fits the test table's 512-row pad
 KERNEL_COUNTS = {
     "spread": ([0, 37, 0, 0, 120, 5, 0], [0, 0, 64, 0, 1, 250, 0]),
     "surface-free only": ([0, 9, 0, 30, 0], [0, 0, 0, 0, 0]),
@@ -572,7 +581,7 @@ KERNEL_COUNTS = {
 
 @pytest.fixture(scope="module")
 def kernel_table():
-    return mcsim._FadingTable(4, FadingParams(m_h=2.0, m_r=2.0), 1 << 12, 1 << 8)
+    return mcsim._FadingTable(4, FadingParams(m_h=2.0, m_r=2.0), 1 << 12, 1 << 9)
 
 
 def kernel_inputs(alpha: float, bounds: str, n_trials: int):
@@ -613,15 +622,15 @@ def test_interference_matches_fsum_oracle(kernel_table, alpha, bounds, case):
 @pytest.mark.parametrize("n_non,n_ris", [(37, 120), (200, 100), (0, 50), (50, 0)])
 def test_block_groups_read_disjoint_rows(n_non, n_ris):
     """One window start per block: the surface-free group reads its first rows, the
-    surface group the next, all distinct, wrapping only past the pad.
+    surface group the next, one contiguous run inside the table.
 
     Column |g|^2 holds row index + 1 and the others zero; at unit gain and unit
     distance each one-interferer trial's sum is the index + 1 of the row it read.
     """
-    size, pad = 4096, 256
+    size, pad = 4096, 1 << 9
     ids = np.arange(1, size + pad + 1, dtype=np.float32)
     zeros = np.zeros_like(ids)
-    tab = types.SimpleNamespace(size=size, pad=pad, mag2_direct=ids, mag2_scatter=zeros,
+    tab = types.SimpleNamespace(size=size, mag2_direct=ids, mag2_scatter=zeros,
                                 cross=zeros, cos_offset=zeros)
     base = SystemParams.default()
     params = dataclasses.replace(base, path=dataclasses.replace(base.path, c_d=1.0))
@@ -632,9 +641,8 @@ def test_block_groups_read_disjoint_rows(n_non, n_ris):
     rows = got.astype(int) - 1
     assert np.array_equal(rows + 1, got)
     assert rows[0] == np.random.default_rng(9).integers(0, size)   # the block's first draw
-    assert np.unique(rows).size == n
-    assert np.all(np.diff(rows) % size == 1)
-    assert np.all(rows < (size if n > pad else size + pad))
+    assert np.all(np.diff(rows) == 1)
+    assert rows[-1] < size + pad
 
 
 @pytest.mark.parametrize("alpha", [2.5, 4.0, 3.0])
@@ -862,8 +870,7 @@ def test_replica_spread_matches_binomial_width(monkeypatch, fresh_tables):
         cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0))
         estimates.append(estimate_coverage(simulate_sinr(cfg, "fixed", forced_ris=False),
                                            0.25)[0])
-        tab = only_cached_table(cfg)
-        rows = tab.size + tab.pad
+        rows = only_cached_table(cfg).mag2_direct.size
         assert trials * params.lambda_t * cfg.window.area >= 5 * rows
     estimates = np.asarray(estimates)
     prob = estimates.mean()
@@ -911,10 +918,11 @@ def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog)
     assert loaded.startswith(f"fading table N=4 loaded from {path} in ")
     assert cold.tobytes() == warm.tobytes()
     tab = only_cached_table(cfg)
-    fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, tab.pad)
+    rows = tab.mag2_direct.size
+    fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, rows - tab.size)
     for name in TABLE_COLUMNS:
         assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
-    assert path.stat().st_size == 4 * 4 * (tab.size + tab.pad) + 32
+    assert path.stat().st_size == 4 * 4 * rows + 32
     assert oct(path.parent.stat().st_mode & 0o777) == "0o700"
 
 

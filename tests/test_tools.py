@@ -126,3 +126,16 @@ def test_bench_pairs_verdict_on_synthetic_runs(bench_pairs):
     # every change run better than every base run, by no more than the spread
     assert verdict(wide, [0.75] * 10, "lower", 0.1) == "within bound"
     assert verdict([2.0], [1.0], "lower", 0.25) == "gain resolved"
+
+
+def test_bench_pairs_counts_src_lines_as_wc_does(bench_pairs, tmp_path, capsys):
+    """Newlines per Python file under src/: a last line without one is not counted."""
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "sub" / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "outside.py").write_text("nor\nthis\n")
+    assert bench_pairs.src_lines(tmp_path) == {"pkg/a.py": 3, "pkg/sub/b.py": 1}
+    bench_pairs.print_src_lines({"base": tmp_path})
+    assert capsys.readouterr().out == "base src/ lines: 4 (pkg/a.py 3, pkg/sub/b.py 1)\n"

@@ -9,6 +9,8 @@ directory, and both worktrees are removed on exit.  Pair i runs
 checkout's own sources, for the benchmark's own run length; the side that
 runs first alternates, so a drifting load falls on both sides alike.
 
+It first prints each side's ``src/`` line count, as ``wc -l`` counts it, in
+total and per module, so a change reads its line delta from the same report.
 For every end-to-end metric it prints each pair's ratio (change / base), the
 median ratio with a percentile-bootstrap 95 % interval, the pairs the change
 wins, each side's median and quartiles, and a verdict under the bound that
@@ -171,6 +173,20 @@ def spread(runs: list[float]) -> str:
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def src_lines(checkout: Path) -> dict[str, int]:
+    """Newlines (``wc -l``) of each Python file under checkout's src/, by path below src/."""
+    src = checkout / "src"
+    return {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+            for path in sorted(src.rglob("*.py"))}
+
+
+def print_src_lines(sides: dict[str, Path]) -> None:
+    for side, path in sides.items():
+        lines = src_lines(path)
+        print(f"{side} src/ lines: {sum(lines.values())} (" + ", ".join(
+            f"{name} {n}" for name, n in lines.items()) + ")", flush=True)
+
+
 def count_diff(sides: dict[str, Path], workload: str, seed: int) -> None:
     traced = {side: bench(path, ["--workload", workload, "--seed", str(seed),
                                  "--trace", "1"])["metrics"]
@@ -207,6 +223,7 @@ def main(argv=None) -> int:
                 sides[side] = path
             print(f"{args.workload}: {args.pairs} pairs, base {revs['base'][:12]} vs change "
                   f"{revs['change'][:12]}; ratio = change / base", flush=True)
+            print_src_lines(sides)
             bench_spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
             spec = {m["name"]: m for m in bench_spec["end_to_end"]}
             worse = compare(sides, spec, args.workload, args.pairs, args.seed)
