@@ -424,8 +424,33 @@ SCENARIOS = {
 }
 
 
+def _check(spec: RunSpec) -> None:
+    """Raise ValueError for a spec whose run would fail, before any column is computed.
+
+    Every mode makes the simulator's checks, and for the custom scenario a mode
+    with analytic columns evaluates its strategy once; a mode with MC columns
+    checks the simulator's strategy rules for custom and for fig8's nearest
+    association, and a noise-free fig6's windows, so a config that validates
+    also runs.
+    """
+    params = build_params(spec)
+    mc_config = _mc_config(spec, params, default_trials=1)
+    if spec.scenario == "custom":
+        strategy = str(spec.setting("strategy"))
+        if spec.mode != "mc":
+            getattr(analytic, f"coverage_{strategy}")(
+                params, float(analytic.default_threshold_grid()[0]))
+        if spec.mode != "analytic":
+            mc_config.check_strategy(*STRATEGIES[strategy])
+    elif spec.scenario == "fig8" and spec.mode != "analytic":
+        mc_config.check_strategy("nearest", None)    # its formulas are density-free
+    elif spec.scenario == "fig6" and spec.mode != "analytic" and params.interference_limited:
+        _check_fig6_windows(spec, mc_config.window)
+
+
 def run(spec: RunSpec) -> int:
-    """Execute a run spec: write its CSV artifact and print curve summaries."""
+    """Check a run spec, then execute it: write its CSV artifact and print curve summaries."""
+    _check(spec)
     columns, rows, summaries = SCENARIOS[spec.scenario][0](spec)
     out = spec.out or f"{spec.scenario}.csv"
     with open(out, "w", newline="") as fh:
@@ -505,27 +530,9 @@ def main(argv=None) -> int:
                 spec = parse_config(fh.read())
         else:
             spec = _spec_from_args(args)
-        # every mode makes the simulator's checks, and for the custom scenario a mode
-        # with analytic columns evaluates its strategy once; a mode with MC columns
-        # checks the simulator's strategy rules for custom and for fig8's nearest
-        # association, and a noise-free fig6's windows, so a config that validates
-        # also runs
-        params = build_params(spec)
-        mc_config = _mc_config(spec, params, default_trials=1)
-        if spec.scenario == "custom":
-            strategy = str(spec.setting("strategy"))
-            if spec.mode != "mc":
-                getattr(analytic, f"coverage_{strategy}")(
-                    params, float(analytic.default_threshold_grid()[0]))
-            if spec.mode != "analytic":
-                mc_config.check_strategy(*STRATEGIES[strategy])
-        elif spec.scenario == "fig8" and spec.mode != "analytic":
-            mc_config.check_strategy("nearest", None)    # its formulas are density-free
-        elif (spec.scenario == "fig6" and spec.mode != "analytic"
-              and params.interference_limited):
-            _check_fig6_windows(spec, mc_config.window)
         if args.command == "run":
             return run(spec)
+        _check(spec)
         sys.stdout.write(render_config(spec))
         print("config ok")
         return 0

@@ -22,13 +22,14 @@ Implementation notes, all distribution-preserving:
   sampler and the tests compare the two.
 * Interferer fading is expensive (per-element Nakagami magnitudes and
   uniform phases for every surface-bearing interferer), so it is drawn once
-  into a large seeded table of four float32 columns: the per-cluster
-  composites |g|^2, |T|^2, 2 Re(g T*) and the offset angle's cos(phi).
-  Each block with interferers draws one window start and reads one
-  contiguous slice of rows: the surface-free group its first rows (its
-  Rayleigh power is the Exp(1) column |g|^2), the surface group the next.
-  The marginal law of each composite is the full per-element one; no
-  Gaussian shortcut is taken.  The serving link never uses the table.
+  into a large seeded table: one float32 array of shape (4, rows) whose
+  columns, its first axis, are the per-cluster composites |g|^2, |T|^2,
+  2 Re(g T*) and the offset angle's cos(phi).  Each block with interferers
+  draws one window start and reads one contiguous slice of rows: the
+  surface-free group its first rows (its Rayleigh power is the Exp(1)
+  column |g|^2), the surface group the next.  The marginal law of each
+  composite is the full per-element one; no Gaussian shortcut is taken.
+  The serving link never uses the table.
 * The table is built on the thread pool in fixed chunks, chunk k seeded by
   child k of a root of fixed entropy and (N, m_h, m_r): one table for any
   thread count and, as the root ignores McConfig.seed, for every seed and
@@ -37,8 +38,9 @@ Implementation notes, all distribution-preserving:
 * The table holds _TABLE_ROWS window starts plus a pad, so that every
   planned window fits from any start: m + 32 sqrt(m) rows, the largest
   block the plan makes (m = max(_BLOCK_TARGET_ROWS, lambda |W|) expected
-  rows) plus 32 Poisson sigma.  A chunk cut short by the table's end is
-  drawn whole and cut, so row j is the same whatever the pad.
+  rows) plus 32 Poisson sigma; a window that still overruns the table's
+  end raises ValueError.  A chunk cut short by the table's end is drawn
+  whole and cut, so row j is the same whatever the pad.
 * A cache file, named by a hash of every input of the table's bits, carries
   the table across processes.  It is used only if its length, sha256 and
   chunk 0 (drawn again from its seed) all match, else rebuilt.  A load
@@ -111,7 +113,7 @@ _BLOCK_TARGET_ROWS = 1 << 18
 _MAX_BLOCK_TRIALS = 8192
 _TABLE_ENTROPY = 0x9B5C_17AD
 _TABLE_CHUNK_ELEMENTS = 1 << 20
-_TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _FadingTable
+_TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _get_table
 _WORKSPACE_STEP = 1 << 20   # workspace bytes round up to whole MiB, so they rarely regrow
 _CACHE_MAX_IDLE_S = 7 * 86400   # saving a table deletes cached ones unused this long
 MIN_SAMPLES = 100           # the estimators refuse fewer samples
@@ -189,23 +191,6 @@ class EmpiricalDistribution:
 # Fading table
 # ---------------------------------------------------------------------------
 
-class _FadingTable:
-    """Seeded per-cluster fading composites for randomly phased interferers.
-
-    Row j holds (|g|^2, |T|^2, 2 Re(g T*)) for one draw of a Rayleigh direct
-    coefficient g and a randomly phased element sum T, and an independent
-    cos(phi) for the surface-offset geometry.  |g|^2 is Exp(1), the power of
-    a surface-free interferer's Rayleigh link, so that group reads it too.
-    """
-
-    def __init__(self, n_elements: int, fading: FadingParams, size: int, pad: int,
-                 columns: np.ndarray | None = None):
-        self.size = size
-        (self.mag2_direct, self.mag2_scatter, self.cross,
-         self.cos_offset) = columns if columns is not None else _table_columns(
-            _table_root(n_elements, fading), n_elements, fading, size + pad)
-
-
 def _table_root(n_elements: int, fading: FadingParams) -> np.random.SeedSequence:
     # the exact float bits key the stream, so every (m_h, m_r) gets its own
     key = [n_elements, *np.float64([fading.m_h, fading.m_r]).view(np.uint64).tolist()]
@@ -253,16 +238,18 @@ _CACHE_WARNED = False
 
 
 @functools.lru_cache(maxsize=None)
-def _get_table(n_elements: int, fading: FadingParams, size: int, pad: int) -> _FadingTable:
-    return _FadingTable(n_elements, fading, size, pad,
-                        _stored_columns(n_elements, fading, size, pad))
+def _get_table(n_elements: int, fading: FadingParams, rows: int) -> np.ndarray:
+    """The (_TABLE_COLUMNS, rows) float32 fading table: its checked cache file, else built.
 
-
-def _stored_columns(n_elements: int, fading: FadingParams, size: int, pad: int) -> np.ndarray:
-    """The table's columns from its checked cache file, else built and saved there."""
+    Row j holds (|g|^2, |T|^2, 2 Re(g T*)) for one draw of a Rayleigh direct
+    coefficient g and a randomly phased element sum T, and an independent
+    cos(phi) for the surface-offset geometry.  |g|^2 is Exp(1), the power of
+    a surface-free interferer's Rayleigh link, so that group reads it too.
+    A table that is built is saved to the cache file.
+    """
     global _CACHE_WARNED
-    root, rows, t0 = _table_root(n_elements, fading), size + pad, time.perf_counter()
-    key = (root.entropy, root.spawn_key, size, pad, _TABLE_CHUNK_ELEMENTS, np.__version__,
+    root, t0 = _table_root(n_elements, fading), time.perf_counter()
+    key = (root.entropy, root.spawn_key, rows, _TABLE_CHUNK_ELEMENTS, np.__version__,
            hashlib.sha256(Path(__file__).read_bytes()).hexdigest())
     path = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "riscov",
                 f"fading-n{n_elements}-{hashlib.sha256(repr(key).encode()).hexdigest()[:32]}.f32")
@@ -440,10 +427,10 @@ def _path_gain(gain, x2: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross, scratch=None):
+def _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross, scratch):
     """|sqrt(eta_g) g + sqrt(eta_h) T|^2 from |g|^2, |T|^2, 2 Re(g T*), into eta_g.
 
-    Overwrites eta_h, and scratch if given; without it one array is allocated.
+    Overwrites eta_h and scratch, an array of eta_g's shape.
     """
     root = np.multiply(eta_g, eta_h, out=scratch)
     np.multiply(np.sqrt(root, out=root), cross, out=root)
@@ -469,7 +456,7 @@ def _add_trial_sums(total: np.ndarray, w: np.ndarray, counts: np.ndarray,
     total[filled] += np.add.reduceat(w64, starts[filled])
 
 
-def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
+def _interference(rng, table: np.ndarray, params: SystemParams, n_trials: int,
                   k_ris: np.ndarray, k_non: np.ndarray,
                   low2: np.ndarray | float, span2: np.ndarray | float,
                   ws: _Workspace) -> np.ndarray:
@@ -477,11 +464,11 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
 
     A block with interferers reads one contiguous window of table rows, from
     one start draw: the surface-free group its first rows, the surface group
-    the next.  Parent squared radii are uniform on (low2, low2 + span2) per
-    trial; scalars broadcast.  Each group's chain runs in three float32 rows
-    of workspace ws and leaves its weights in the last; their float64
-    per-trial sums run in the first two.  Returns float64 sums of length
-    n_trials.
+    the next.  A window that runs past the table's end raises ValueError.
+    Parent squared radii are uniform on (low2, low2 + span2) per trial;
+    scalars broadcast.  Each group's chain runs in three float32 rows of
+    workspace ws and leaves its weights in the last; their float64 per-trial
+    sums run in the first two.  Returns float64 sums of length n_trials.
     """
     pl = params.path
     total = np.zeros(n_trials)
@@ -501,30 +488,33 @@ def _interference(rng, tab: _FadingTable, params: SystemParams, n_trials: int,
     n_non, n_ris = int(k_non.sum()), int(k_ris.sum())
     if n_non + n_ris == 0:
         return total
-    start = int(rng.integers(0, tab.size))
+    start = int(rng.integers(0, _TABLE_ROWS))
+    window = table[:, start:start + n_non + n_ris]
+    if window.shape[1] < n_non + n_ris:
+        raise ValueError(f"{n_non + n_ris} interferers from row {start} overrun the "
+                         f"{table.shape[1]}-row fading table")
     work = ws.view(_F32, (3, max(n_non, n_ris)))
 
     if n_non:
         r2, gain, w = work[:, :n_non]
         radii2(k_non, r2)
-        np.multiply(_F32(pl.c_d), tab.mag2_direct[start:start + n_non], out=gain)
+        np.multiply(_F32(pl.c_d), window[0, :n_non], out=gain)
         _add_trial_sums(total, _path_gain(gain, r2, pl.alpha, w), k_non, work[:2])
 
     if n_ris:
         r2, offset, eta_g = work[:, :n_ris]
         radii2(k_ris, r2)
-        sl = slice(start + n_non, start + n_non + n_ris)
+        mag2_direct, mag2_scatter, cross, cos_offset = window[:, n_non:]
         _path_gain(_F32(pl.c_d), r2, pl.alpha, eta_g)
         # r2 becomes d0^2 d_r^2, with d_r^2 = r2 + d0^2 + 2 d0 sqrt(r2) cos(phi)
         np.sqrt(r2, out=offset)
         offset *= _F32(2.0 * pl.d0)
         r2 += _F32(pl.d0 * pl.d0)
-        r2 += np.multiply(offset, tab.cos_offset[sl], out=offset)
+        r2 += np.multiply(offset, cos_offset, out=offset)
         np.maximum(r2, _R2_FLOOR, out=r2)
         r2 *= _F32(pl.d0 * pl.d0)
         eta_h = _path_gain(_F32(pl.c_r), r2, pl.alpha, offset)
-        w = _surface_interferer_power(eta_g, eta_h, tab.mag2_direct[sl],
-                                      tab.mag2_scatter[sl], tab.cross[sl], r2)
+        w = _surface_interferer_power(eta_g, eta_h, mag2_direct, mag2_scatter, cross, r2)
         _add_trial_sums(total, w, k_ris, work[:2])
     return total
 
@@ -540,7 +530,7 @@ def _run_block(args) -> np.ndarray:
             _IDLE_WORKSPACES.append(ws)
 
 
-def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, tab: _FadingTable | None,
+def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, table: np.ndarray | None,
                 strategy: str, forced_ris: bool | None, n_trials: int, child_seed) -> np.ndarray:
     """SINR of one block of trials under either association strategy.
 
@@ -582,7 +572,7 @@ def _block_sinr(ws: _Workspace, params: SystemParams, window: Window, tab: _Fadi
     if n_ris < n_trials:
         signal[~has_ris] = eta_g0[~has_ris] * rng.standard_exponential(n_trials - n_ris)
     k_ris = rng.binomial(rest, params.p)
-    i_tot = _interference(rng, tab, params, n_trials, k_ris, rest - k_ris, low2, span2, ws)
+    i_tot = _interference(rng, table, params, n_trials, k_ris, rest - k_ris, low2, span2, ws)
     with np.errstate(divide="ignore"):    # noise-free, a trial with no interferer: inf
         sinr = signal / (i_tot + params.gamma_t_inv)
     if empty is not None:
@@ -620,14 +610,14 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     that cluster's own surface flag, so forced_ris must stay None.
     """
     config.check_strategy(strategy, forced_ris)
-    tab = None
+    table = None
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start
-        tab = _get_table(config.params.n_elements, config.params.fading, _TABLE_ROWS,
-                         _table_pad(config))
+        table = _get_table(config.params.n_elements, config.params.fading,
+                           _TABLE_ROWS + _table_pad(config))
     sizes = _block_plan(config)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    jobs = [(config.params, config.window, tab, strategy, forced_ris, n, child)
+    jobs = [(config.params, config.window, table, strategy, forced_ris, n, child)
             for n, child in zip(sizes, children)]
     samples = np.concatenate(_run_jobs(_run_block, jobs))
     samples.sort()
@@ -696,6 +686,7 @@ def sample_interferer_power(eta_gk: float, eta_hk: float, fading, n_elements: in
     mag2_direct, mag2_scatter, cross, _ = _table_columns(
         np.random.SeedSequence(seed), n_elements, fading, n_samples)
     eta = np.full((2, n_samples), [[eta_gk], [eta_hk]], dtype=_F32)
-    out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross).astype(float)
+    out = _surface_interferer_power(*eta, mag2_direct, mag2_scatter, cross,
+                                    np.empty_like(eta[0])).astype(float)
     out.sort()
     return EmpiricalDistribution(out)

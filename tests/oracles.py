@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
 
-from riscov import analytic
+from riscov import analytic, mcsim
 from riscov.analytic import SystemParams
 from riscov.fading import FadingParams
 from riscov.geometry import Window
@@ -223,16 +223,17 @@ def _f32_path_gain(x2: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(x2, np.float32(-0.5 * alpha))
 
 
-def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_trials: int,
-                         k_ris: np.ndarray, k_non: np.ndarray, low2, span2) -> np.ndarray:
+def interference_by_fsum(rng: np.random.Generator, table: np.ndarray, params: SystemParams,
+                         n_trials: int, k_ris: np.ndarray, k_non: np.ndarray,
+                         low2, span2) -> np.ndarray:
     """Per-trial interference sums, each an exactly rounded math.fsum of its weights.
 
-    Consumes rng as the simulator's kernel does (one table-window start for
-    a block with interferers, then per group the float32 radius uniforms;
-    the surface-free group reads the window's first rows, the surface group
-    the next) and builds each interferer's float32 weight from the plain
-    out-of-place expressions of the model, so a one-interferer trial must
-    match the kernel bit for bit.
+    Consumes rng as the simulator's kernel does (one table-window start in
+    [0, mcsim._TABLE_ROWS) for a block with interferers, then per group the
+    float32 radius uniforms; the surface-free group reads the window's first
+    rows, the surface group the next) and builds each interferer's float32
+    weight from the plain out-of-place expressions of the model, so a
+    one-interferer trial must match the kernel bit for bit.
     """
     f32 = np.float32
     pl = params.path
@@ -243,7 +244,7 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
     n_non, n_all = int(k_non.sum()), int(k_non.sum() + k_ris.sum())
     if n_all == 0:
         return total
-    window = int(rng.integers(0, tab.size)) + np.arange(n_all)
+    window = int(rng.integers(0, mcsim._TABLE_ROWS)) + np.arange(n_all)
     for k, surface, idx in ((k_non, False, window[:n_non]), (k_ris, True, window[n_non:])):
         m = int(k.sum())
         if m == 0:
@@ -252,13 +253,13 @@ def interference_by_fsum(rng: np.random.Generator, tab, params: SystemParams, n_
         r2 = np.maximum(np.repeat(low2, k) + np.repeat(span2, k) * u, f32(1e-6))
         if surface:
             eta_g = f32(pl.c_d) * _f32_path_gain(r2, pl.alpha)
-            d_r2 = r2 + f32(pl.d0**2) + f32(2.0 * pl.d0) * np.sqrt(r2) * tab.cos_offset[idx]
+            d_r2 = r2 + f32(pl.d0**2) + f32(2.0 * pl.d0) * np.sqrt(r2) * table[3, idx]
             d_r2 = np.maximum(d_r2, f32(1e-6))
             eta_h = f32(pl.c_r) * _f32_path_gain(f32(pl.d0**2) * d_r2, pl.alpha)
-            w = (eta_g * tab.mag2_direct[idx] + eta_h * tab.mag2_scatter[idx]
-                 + np.sqrt(eta_g * eta_h) * tab.cross[idx])
+            w = (eta_g * table[0, idx] + eta_h * table[1, idx]
+                 + np.sqrt(eta_g * eta_h) * table[2, idx])
         else:
-            w = f32(pl.c_d) * tab.mag2_direct[idx] * _f32_path_gain(r2, pl.alpha)
+            w = f32(pl.c_d) * table[0, idx] * _f32_path_gain(r2, pl.alpha)
         ends = np.cumsum(k)
         for t in range(n_trials):
             total[t] += math.fsum(w[ends[t] - k[t]:ends[t]].astype(float))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import logging
 import math
@@ -596,8 +597,9 @@ def test_fig8_analytic_columns_run_at_zero_density(tmp_path):
 @pytest.mark.parametrize("setting", ["interference_limited = 1", "lambda_t = 0",
                                      "strategy = nearest\ninterference_limited = 1"])
 @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
-def test_validate_config_agrees_with_run(tmp_path, capsys, scenario, setting):
-    """A config that validates also runs, and one that fails fails alike in both."""
+def test_validate_config_agrees_with_run(tmp_path, capsys, monkeypatch, scenario, setting):
+    """A config that validates also runs, and one that fails fails alike in both and in a
+    direct cli.run, which refuses before it computes a column."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(f"scenario = {scenario}\nmode = both\ntrials = 100\nwindow_radius = 300\n"
                    f"{setting}\n")
@@ -608,3 +610,23 @@ def test_validate_config_agrees_with_run(tmp_path, capsys, scenario, setting):
     validated = main(["validate-config", str(cfg)]), errors()
     ran = main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]), errors()
     assert validated == ran
+    if validated[0] == 0:
+        return
+    evaluated = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            evaluated.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("coverage_nearest_intlimited", "rate_nearest"):    # fig8's analytic columns
+        monkeypatch.setattr(analytic, name, recording(getattr(analytic, name)))
+    out = tmp_path / "direct.csv"
+    spec = dataclasses.replace(parse_config(cfg.read_text()), out=str(out))
+    with pytest.raises(ValueError) as refused:
+        cli.run(spec)
+    assert validated[1] == [f"error: {refused.value}"]
+    assert not out.exists()
+    if scenario == "fig8":
+        assert evaluated == []

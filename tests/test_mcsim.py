@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +171,7 @@ def test_samples_in_the_full_window_are_unchanged(monkeypatch, case):
     window_ends = []
     original = mcsim._interference
 
-    def recording(rng, tab, params, n_trials, k_ris, k_non, *rest):
+    def recording(rng, table, params, n_trials, k_ris, k_non, *rest):
         """_interference, noting where each block's window ends."""
         class StartRecorder:
             def __getattr__(self, name):
@@ -182,7 +181,7 @@ def test_samples_in_the_full_window_are_unchanged(monkeypatch, case):
                 start = rng.integers(*args)
                 window_ends.append(start + int(k_ris.sum() + k_non.sum()))
                 return start
-        return original(StartRecorder(), tab, params, n_trials, k_ris, k_non, *rest)
+        return original(StartRecorder(), table, params, n_trials, k_ris, k_non, *rest)
 
     monkeypatch.setattr(mcsim, "_interference", recording)
     cfg = make_config(trials=trials, seed=1, **params_kw)
@@ -273,11 +272,11 @@ def test_trial_blocks_pass_runs_test():
     cfg = make_config(trials=40_000, seed=5, window=1000.0, lambda_t=1e-4)
     sizes = mcsim._block_plan(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
-    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS,
-                           mcsim._table_pad(cfg))
+    table = mcsim._get_table(cfg.params.n_elements, cfg.params.fading,
+                             mcsim._TABLE_ROWS + mcsim._table_pad(cfg))
     means = []
     for n, child in zip(sizes, children):
-        sinr = mcsim._run_block((cfg.params, cfg.window, tab, "fixed", True, n, child))
+        sinr = mcsim._run_block((cfg.params, cfg.window, table, "fixed", True, n, child))
         means.append(np.log2(1.0 + sinr).mean())
     means = np.asarray(means)
     assert means.size >= 30
@@ -317,7 +316,7 @@ def test_nearest_serving_geometry_matches_cluster_sampler(monkeypatch):
 
     monkeypatch.setattr(mcsim, "_coherent_signal", recording_signal)
     monkeypatch.setattr(mcsim, "_interference",
-                        lambda rng, tab, params, n_trials, *rest: np.zeros(n_trials))
+                        lambda rng, table, params, n_trials, *rest: np.zeros(n_trials))
     mcsim._run_block((params, window, None, "nearest", None, n, 20261))
     (eta_g0, eta_h0), = recorded
     pl = params.path
@@ -376,7 +375,7 @@ def test_fixed_association_serves_the_configured_link(monkeypatch, forced_ris):
 
     monkeypatch.setattr(mcsim, "_coherent_signal", recording_signal)
     monkeypatch.setattr(mcsim, "_interference",
-                        lambda rng, tab, params, n_trials, *rest: np.zeros(n_trials))
+                        lambda rng, table, params, n_trials, *rest: np.zeros(n_trials))
     monkeypatch.setattr(np.random, "default_rng", UnitExponentials)
     sinr = mcsim._run_block((params, Window(1000.0), None, "fixed", forced_ris, n, 3))
     if forced_ris:
@@ -579,9 +578,21 @@ KERNEL_COUNTS = {
 }
 
 
+def built_table(n_elements: int, fading: FadingParams, rows: int) -> np.ndarray:
+    """The fading table _get_table returns, built without its cache file."""
+    return mcsim._table_columns(mcsim._table_root(n_elements, fading), n_elements, fading, rows)
+
+
 @pytest.fixture(scope="module")
-def kernel_table():
-    return mcsim._FadingTable(4, FadingParams(m_h=2.0, m_r=2.0), 1 << 12, 1 << 9)
+def kernel_columns():
+    return built_table(4, FadingParams(m_h=2.0, m_r=2.0), (1 << 12) + (1 << 9))
+
+
+@pytest.fixture
+def kernel_table(monkeypatch, kernel_columns):
+    """A table of 4096 window starts and a 512-row pad."""
+    monkeypatch.setattr(mcsim, "_TABLE_ROWS", 1 << 12)
+    return kernel_columns
 
 
 def kernel_inputs(alpha: float, bounds: str, n_trials: int):
@@ -595,14 +606,14 @@ def kernel_inputs(alpha: float, bounds: str, n_trials: int):
     return params, d2, rw2 - d2
 
 
-def kernel_and_oracle(tab, alpha, bounds, k_non, k_ris):
+def kernel_and_oracle(table, alpha, bounds, k_non, k_ris):
     k_non, k_ris = np.array(k_non), np.array(k_ris)
     n = k_non.size
     params, low2, span2 = kernel_inputs(alpha, bounds, n)
     rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
-    got = mcsim._interference(rng_kernel, tab, params, n, k_ris, k_non, low2, span2,
+    got = mcsim._interference(rng_kernel, table, params, n, k_ris, k_non, low2, span2,
                               mcsim._Workspace())
-    want = interference_by_fsum(rng_oracle, tab, params, n, k_ris, k_non, low2, span2)
+    want = interference_by_fsum(rng_oracle, table, params, n, k_ris, k_non, low2, span2)
     assert rng_kernel.random() == rng_oracle.random()       # same draws consumed
     return got, want
 
@@ -620,7 +631,7 @@ def test_interference_matches_fsum_oracle(kernel_table, alpha, bounds, case):
 
 
 @pytest.mark.parametrize("n_non,n_ris", [(37, 120), (200, 100), (0, 50), (50, 0)])
-def test_block_groups_read_disjoint_rows(n_non, n_ris):
+def test_block_groups_read_disjoint_rows(monkeypatch, n_non, n_ris):
     """One window start per block: the surface-free group reads its first rows, the
     surface group the next, one contiguous run inside the table.
 
@@ -628,21 +639,43 @@ def test_block_groups_read_disjoint_rows(n_non, n_ris):
     distance each one-interferer trial's sum is the index + 1 of the row it read.
     """
     size, pad = 4096, 1 << 9
-    ids = np.arange(1, size + pad + 1, dtype=np.float32)
-    zeros = np.zeros_like(ids)
-    tab = types.SimpleNamespace(size=size, mag2_direct=ids, mag2_scatter=zeros,
-                                cross=zeros, cos_offset=zeros)
+    monkeypatch.setattr(mcsim, "_TABLE_ROWS", size)
+    table = np.zeros((mcsim._TABLE_COLUMNS, size + pad), np.float32)
+    table[0] = np.arange(1, size + pad + 1)
     base = SystemParams.default()
     params = dataclasses.replace(base, path=dataclasses.replace(base.path, c_d=1.0))
     n = n_non + n_ris
     k_non = np.array([1] * n_non + [0] * n_ris)
-    got = mcsim._interference(np.random.default_rng(9), tab, params, n, 1 - k_non, k_non,
+    got = mcsim._interference(np.random.default_rng(9), table, params, n, 1 - k_non, k_non,
                               1.0, 0.0, mcsim._Workspace())
     rows = got.astype(int) - 1
     assert np.array_equal(rows + 1, got)
     assert rows[0] == np.random.default_rng(9).integers(0, size)   # the block's first draw
     assert np.all(np.diff(rows) == 1)
     assert rows[-1] < size + pad
+
+
+def test_a_window_past_the_table_end_raises(kernel_table):
+    """A block whose window runs past the table's end raises, whatever the group sizes.
+
+    From the last start, 4095, the 4608-row table holds 513 rows, and 512
+    surface-free plus 5 surface interferers need 517: the surface group's
+    slice would keep one row, which would broadcast over all five.
+    """
+    rng = np.random.default_rng(3)
+
+    class LastStart:
+        def __getattr__(self, name):
+            return getattr(rng, name)
+
+        def integers(self, low, high):
+            return high - 1
+
+    params, low2, span2 = kernel_inputs(2.5, "fixed", 2)
+    for k_non, k_ris in (([512, 0], [0, 5]), ([513, 0], [0, 5]), ([0, 0], [0, 514])):
+        with pytest.raises(ValueError, match="from row 4095 overrun the 4608-row fading table"):
+            mcsim._interference(LastStart(), kernel_table, params, 2, np.array(k_ris),
+                                np.array(k_non), low2, span2, mcsim._Workspace())
 
 
 @pytest.mark.parametrize("alpha", [2.5, 4.0, 3.0])
@@ -691,24 +724,21 @@ def fresh_tables():
     mcsim._get_table.cache_clear()
 
 
-def only_cached_table(cfg: McConfig) -> mcsim._FadingTable:
+def only_cached_table(cfg: McConfig) -> np.ndarray:
     """The one table the in-process cache holds, the one simulate_sinr(cfg) read."""
     info = mcsim._get_table.cache_info()
     assert info.currsize == 1
-    tab = mcsim._get_table(cfg.params.n_elements, cfg.params.fading, mcsim._TABLE_ROWS,
-                           mcsim._table_pad(cfg))
+    table = mcsim._get_table(cfg.params.n_elements, cfg.params.fading,
+                             mcsim._TABLE_ROWS + mcsim._table_pad(cfg))
     assert mcsim._get_table.cache_info().misses == info.misses     # a hit, not a new table
-    return tab
+    return table
 
 
-TABLE_COLUMNS = ("mag2_direct", "mag2_scatter", "cross", "cos_offset")
-
-
-def small_chunk_table(monkeypatch, cpus, size=4096, pad=5000):
+def small_chunk_table(monkeypatch, cpus, rows=4096 + 5000):
     """N = 4 table in chunks of 1024 rows: 9 chunks, the last one partial."""
     monkeypatch.setattr(mcsim, "_TABLE_CHUNK_ELEMENTS", 4096)
     use_cpus(monkeypatch, cpus)
-    return mcsim._FadingTable(4, FadingParams(m_h=1.5, m_r=2.5), size, pad)
+    return built_table(4, FadingParams(m_h=1.5, m_r=2.5), rows)
 
 
 def test_table_is_the_same_for_any_worker_count(monkeypatch):
@@ -717,15 +747,11 @@ def test_table_is_the_same_for_any_worker_count(monkeypatch):
     try:
         serial = small_chunk_table(monkeypatch, 1)
         for cpus in (2, 3, 12):
-            other = small_chunk_table(monkeypatch, cpus)
-            for name in TABLE_COLUMNS:
-                assert np.array_equal(getattr(other, name), getattr(serial, name)), \
-                    (cpus, name)
+            assert np.array_equal(small_chunk_table(monkeypatch, cpus), serial), cpus
     finally:
         sys.setswitchinterval(interval)
-    for name in TABLE_COLUMNS:
-        col = getattr(serial, name)
-        assert col.dtype == np.float32 and col.shape == (4096 + 5000,)
+    assert serial.dtype == np.float32 and serial.shape == (4, 4096 + 5000)
+    for col in serial:
         # no chunk repeats another's draws (the partial last chunk has 904 rows)
         heads = [col[lo:lo + 904] for lo in range(0, col.size, 1024)]
         assert not any(np.array_equal(a, b) for i, a in enumerate(heads) for b in heads[:i])
@@ -734,11 +760,8 @@ def test_table_is_the_same_for_any_worker_count(monkeypatch):
 def test_table_rows_do_not_depend_on_its_length(monkeypatch):
     """A chunk the table's end cuts short is drawn whole, so a shorter table is a prefix."""
     long = small_chunk_table(monkeypatch, 2)        # its last chunk holds 904 of 1024 rows
-    for size, pad in ((4096, 4000), (4096, 700), (1000, 0)):
-        short = small_chunk_table(monkeypatch, 2, size, pad)
-        for name in TABLE_COLUMNS:
-            assert np.array_equal(getattr(short, name), getattr(long, name)[:size + pad]), \
-                (size, pad, name)
+    for rows in (8096, 4796, 1000):
+        assert np.array_equal(small_chunk_table(monkeypatch, 2, rows), long[:, :rows]), rows
 
 
 def test_interferer_power_samples_combine_a_table_head(monkeypatch):
@@ -752,7 +775,8 @@ def test_interferer_power_samples_combine_a_table_head(monkeypatch):
     cols = mcsim._table_columns(np.random.SeedSequence(seed), n_elements, fading, n + step)
     eta_g, eta_h = 2e-3, 5e-4
     eta = np.full((2, n), [[eta_g], [eta_h]], dtype=np.float32)
-    want = np.sort(mcsim._surface_interferer_power(*eta, *cols[:3, :n]).astype(float))
+    want = np.sort(mcsim._surface_interferer_power(*eta, *cols[:3, :n], np.empty(n, np.float32))
+                   .astype(float))
     got = mcsim.sample_interferer_power(eta_g, eta_h, fading, n_elements, n, seed)
     assert got.sorted_samples.tobytes() == want.tobytes()
 
@@ -807,7 +831,7 @@ def test_table_pool_never_exceeds_the_chunk_count(monkeypatch):
     small_chunk_table(monkeypatch, 2)
     assert sizes == [9, 2]
     # a table of one chunk is built inline, in the calling thread
-    small_chunk_table(monkeypatch, 64, size=512, pad=512)
+    small_chunk_table(monkeypatch, 64, rows=1024)
     assert len(sizes) == 2
 
 
@@ -816,23 +840,23 @@ def test_table_build_peak_memory(monkeypatch):
     use_cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
-        tab = mcsim._FadingTable(32, FadingParams(m_h=2.0, m_r=2.0), 1 << 20, 1 << 19)
+        table = built_table(32, FadingParams(m_h=2.0, m_r=2.0), (1 << 20) + (1 << 19))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = 4 * tab.mag2_direct.nbytes
+    table_bytes = table.nbytes
     assert table_bytes == 4 * 4 * ((1 << 20) + (1 << 19))
     assert peak < 2 * table_bytes
 
 
 def test_table_stream_is_keyed_on_exact_shapes():
     """Shapes 2.0 and 2.1 once shared a stream (the key was int(8 m))."""
-    direct = [mcsim._FadingTable(4, FadingParams(m_h, m_r), 4096, 4096).mag2_direct
+    direct = [built_table(4, FadingParams(m_h, m_r), 8192)[0]
               for m_h, m_r in ((2.0, 2.0), (2.1, 2.0), (2.0, 2.1))]
     for i in range(3):
         for j in range(i):
             assert not np.array_equal(direct[i], direct[j]), (i, j)
-    same = mcsim._FadingTable(4, FadingParams(2, 2), 4096, 4096).mag2_direct
+    same = built_table(4, FadingParams(2, 2), 8192)[0]
     assert np.array_equal(same, direct[0])      # int and float shapes agree
 
 
@@ -843,13 +867,12 @@ def test_table_columns_meet_moment_identities(n_elements):
     Surface-free interferers read |g|^2 as their Rayleigh power, so its whole
     law is checked, by a KS test.
     """
-    tab = mcsim._FadingTable(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 16, 1 << 16)
-    for name, expect in (("mag2_direct", 1.0), ("mag2_scatter", float(n_elements)),
-                         ("cross", 0.0), ("cos_offset", 0.0)):
-        col = getattr(tab, name).astype(np.float64)
+    table = built_table(n_elements, FadingParams(m_h=1.5, m_r=2.5), 1 << 17)
+    for c, expect in enumerate((1.0, float(n_elements), 0.0, 0.0)):
+        col = table[c].astype(np.float64)
         se = col.std() / math.sqrt(col.size)
-        assert abs(col.mean() - expect) <= 4.0 * se, (name, col.mean(), se)
-    assert stats.kstest(tab.mag2_direct.astype(np.float64), "expon").pvalue > 0.01
+        assert abs(col.mean() - expect) <= 4.0 * se, (c, col.mean(), se)
+    assert stats.kstest(table[0].astype(np.float64), "expon").pvalue > 0.01
 
 
 def test_replica_spread_matches_binomial_width(monkeypatch, fresh_tables):
@@ -870,7 +893,7 @@ def test_replica_spread_matches_binomial_width(monkeypatch, fresh_tables):
         cfg = McConfig(trials=trials, seed=3100 + r, params=params, window=Window(500.0))
         estimates.append(estimate_coverage(simulate_sinr(cfg, "fixed", forced_ris=False),
                                            0.25)[0])
-        rows = only_cached_table(cfg).mag2_direct.size
+        rows = only_cached_table(cfg).shape[1]
         assert trials * params.lambda_t * cfg.window.area >= 5 * rows
     estimates = np.asarray(estimates)
     prob = estimates.mean()
@@ -901,6 +924,12 @@ def cached_files(cache_dir) -> set:
     return set(cache_dir.glob("*"))
 
 
+def stored_table(n_elements: int, fading: FadingParams, rows: int) -> np.ndarray:
+    """_get_table's table from the cache file, or built and saved there: never from memory."""
+    mcsim._get_table.cache_clear()
+    return mcsim._get_table(n_elements, fading, rows)
+
+
 def table_messages(caplog) -> list[str]:
     messages = (r.getMessage() for r in caplog.records)
     return [m for m in messages if m.startswith("fading table N=")]
@@ -917,18 +946,16 @@ def test_table_cache_cold_then_warm_gives_identical_samples(table_cache, caplog)
     assert built.startswith("fading table N=4 built in ") and built.endswith(f"saved to {path}")
     assert loaded.startswith(f"fading table N=4 loaded from {path} in ")
     assert cold.tobytes() == warm.tobytes()
-    tab = only_cached_table(cfg)
-    rows = tab.mag2_direct.size
-    fresh = mcsim._FadingTable(4, cfg.params.fading, tab.size, rows - tab.size)
-    for name in TABLE_COLUMNS:
-        assert getattr(tab, name).tobytes() == getattr(fresh, name).tobytes(), name
+    table = only_cached_table(cfg)
+    rows = table.shape[1]
+    assert table.tobytes() == built_table(4, cfg.params.fading, rows).tobytes()
     assert path.stat().st_size == 4 * 4 * rows + 32
     assert oct(path.parent.stat().st_mode & 0o777) == "0o700"
 
 
 def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
     fading = FadingParams(m_h=2.0, m_r=2.0)
-    good = mcsim._stored_columns(4, fading, 4096, 4096)
+    good = stored_table(4, fading, 8192)
     (path,) = cached_files(table_cache)
     saved = path.read_bytes()
 
@@ -945,7 +972,7 @@ def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
         path.write_bytes(raw)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="riscov"):
-            again = mcsim._stored_columns(4, fading, 4096, 4096)
+            again = stored_table(4, fading, 8192)
         assert [m.split(" in ")[0] for m in table_messages(caplog)] == [
             "fading table N=4 built"], case
         assert again.tobytes() == good.tobytes()
@@ -956,13 +983,13 @@ def test_table_cache_rebuilds_a_damaged_file(table_cache, caplog):
 def test_table_cache_rebuilds_when_chunk_zero_is_not_the_seeded_draw(table_cache, caplog):
     """A file whose digest holds but whose chunk 0 another numpy or CPU would draw."""
     fading = FadingParams(m_h=2.0, m_r=2.0)
-    good = mcsim._stored_columns(4, fading, 4096, 4096)
+    good = stored_table(4, fading, 8192)
     (path,) = cached_files(table_cache)
     other = good.copy()
     other[1, 7] = np.nextafter(other[1, 7], np.float32(np.inf))
     path.write_bytes(other.tobytes() + hashlib.sha256(other).digest())
     with caplog.at_level(logging.INFO, logger="riscov"):
-        again = mcsim._stored_columns(4, fading, 4096, 4096)
+        again = stored_table(4, fading, 8192)
     assert [m.split(" in ")[0] for m in table_messages(caplog)] == ["fading table N=4 built"]
     assert again.tobytes() == good.tobytes()
 
@@ -977,7 +1004,7 @@ def test_table_cache_in_an_uncreatable_place_still_runs(table_cache, tmp_path, m
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     with caplog.at_level(logging.INFO, logger="riscov"):
         got = simulate_sinr(cfg, "fixed", forced_ris=True).sorted_samples
-        mcsim._stored_columns(4, FadingParams(m_h=2.0, m_r=3.0), 64, 64)
+        stored_table(4, FadingParams(m_h=2.0, m_r=3.0), 128)
     assert got.tobytes() == expect.tobytes()
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].startswith("fading tables are not cached")
@@ -987,12 +1014,11 @@ def test_table_cache_in_an_uncreatable_place_still_runs(table_cache, tmp_path, m
 
 def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_path,
                                                                monkeypatch):
-    base = dict(n_elements=4, fading=FadingParams(m_h=2.0, m_r=2.0), size=64, pad=64)
+    base = dict(n_elements=4, fading=FadingParams(m_h=2.0, m_r=2.0), rows=128)
 
     def file_of(**changes) -> set:
         before = cached_files(table_cache)
-        args = {**base, **changes}
-        mcsim._stored_columns(args["n_elements"], args["fading"], args["size"], args["pad"])
+        stored_table(**{**base, **changes})
         return cached_files(table_cache) - before
 
     (first,) = file_of()
@@ -1001,7 +1027,7 @@ def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_p
     changes = {"N": dict(n_elements=5),
                "m_h": dict(fading=FadingParams(m_h=after_two, m_r=2.0)),
                "m_r": dict(fading=FadingParams(m_h=2.0, m_r=after_two)),
-               "size": dict(size=63, pad=65), "pad": dict(pad=65)}
+               "rows": dict(rows=129)}
     names = {first}
     for field_name, change in changes.items():
         moved = file_of(**change)
@@ -1025,7 +1051,7 @@ def test_table_cache_file_is_keyed_on_every_input_of_the_bits(table_cache, tmp_p
 def test_table_cache_deletes_tables_unused_for_a_week(table_cache):
     """Saving a table deletes cached tables whose mtime is a week old; a load refreshes it."""
     fading = FadingParams(m_h=2.0, m_r=2.0)
-    mcsim._stored_columns(4, fading, 64, 64)
+    stored_table(4, fading, 128)
     (used,) = cached_files(table_cache)
     now, week = time.time(), 7 * 86400
     stale = table_cache / "fading-n32-stale.f32"
@@ -1038,11 +1064,10 @@ def test_table_cache_deletes_tables_unused_for_a_week(table_cache):
         if not path.exists():
             path.write_bytes(b"")
         os.utime(path, (now - age, now - age))
-    mcsim._get_table.cache_clear()
-    mcsim._stored_columns(4, fading, 64, 64)        # a load: refreshed, nothing deleted
+    stored_table(4, fading, 128)        # a load: refreshed, nothing deleted
     assert used.stat().st_mtime >= now - 60
     assert stale.exists()
-    mcsim._stored_columns(4, fading, 64, 65)        # a save deletes the stale table
+    stored_table(4, fading, 129)        # a save deletes the stale table
     (saved,) = cached_files(table_cache) - {used, stale, recent, unrelated, stuck}
     assert cached_files(table_cache) == {used, recent, unrelated, stuck, saved}
 
