@@ -92,8 +92,9 @@ class SystemParams:
     interference_limited: bool = False
 
     def __post_init__(self):
-        if self.lambda_t < 0.0:
-            raise ValueError(f"transmitter density must be non-negative, got {self.lambda_t}")
+        if not 0.0 <= self.lambda_t < math.inf:
+            raise ValueError(f"transmitter density must be finite and non-negative, "
+                             f"got {self.lambda_t}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"association probability must be in [0, 1], got {self.p}")
         if self.n_elements < 1:
@@ -367,17 +368,14 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
 def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     """Closed-form nearest coverage for alpha = 4 (Gaussian-integral reduction).
 
-    The reduction divides by the noise term; without noise this returns the
+    The reduction divides by the noise term.  coverage_nearest refuses a
+    non-positive threshold or density, and without noise returns the
     noise-free closed form, coverage_nearest_intlimited.
     """
     if params.path.alpha != 4.0:
         raise ValueError("this closed form requires a path-loss exponent of 4")
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    if not params.lambda_t > 0.0:
-        raise ValueError("nearest association requires a positive transmitter density")
-    if params.interference_limited:
-        return coverage_nearest_intlimited(params, gamma_bar)
+    if params.interference_limited or not (gamma_bar > 0.0 and params.lambda_t > 0.0):
+        return coverage_nearest(params, gamma_bar)      # which refuses, or is noise-free
     lam_pi = math.pi * params.lambda_t
     total = 0.0
     for weight, fit, _ in _nearest_branches(params):

@@ -84,6 +84,9 @@ class RunSpec:
         if self.setting("strategy") not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.setting('strategy')!r}; "
                              f"choose from {', '.join(STRATEGIES)}")
+        if self.setting("interference_limited") not in (0, 1):
+            raise ValueError(f"interference_limited must be 0 or 1, "
+                             f"got {self.setting('interference_limited')!r}")
 
     def setting(self, key: str):
         return self.overrides.get(key, KEY_SPECS[key][2])
@@ -104,7 +107,7 @@ def build_params(spec: RunSpec, **extra) -> SystemParams:
         p_tx_w=dbm_to_watts(float(get("p_tx_dbm"))),
         noise_w=dbm_to_watts(float(get("noise_dbm"))),
         d_g0=float(get("d_g0")),
-        interference_limited=bool(int(get("interference_limited"))),
+        interference_limited=bool(get("interference_limited")),
     )
 
 
@@ -498,20 +501,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> RunSpec:
-    if args.config:
+    """The one run-spec loader: the config file's spec, or the defaults without one, and
+    for run the positional scenario, --mode, --out and the key flags on top."""
+    spec = RunSpec(scenario="custom")
+    if args.config is not None:
         with open(args.config) as fh:
             spec = parse_config(fh.read())
-        spec = replace(spec, scenario=args.scenario)
-    else:
-        spec = RunSpec(scenario=args.scenario)
-    overrides = dict(spec.overrides)
-    for key in KEY_SPECS:
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    mode = args.mode or spec.mode
-    out = args.out or spec.out
-    return RunSpec(scenario=args.scenario, overrides=overrides, out=out, mode=mode)
+    if args.command != "run":
+        return spec
+    flags = {key: getattr(args, key) for key in KEY_SPECS if getattr(args, key) is not None}
+    return RunSpec(scenario=args.scenario, overrides={**spec.overrides, **flags},
+                   out=args.out or spec.out, mode=args.mode or spec.mode)
 
 
 def main(argv=None) -> int:
@@ -525,11 +525,7 @@ def main(argv=None) -> int:
             for name, (_, help_text) in sorted(SCENARIOS.items()):
                 print(f"{name:8s} {help_text}")
             return 0
-        if args.command == "validate-config":
-            with open(args.config) as fh:
-                spec = parse_config(fh.read())
-        else:
-            spec = _spec_from_args(args)
+        spec = _spec_from_args(args)
         if args.command == "run":
             return run(spec)
         _check(spec)

@@ -65,5 +65,6 @@ class FadingParams:
     m_r: float
 
     def __post_init__(self):
-        if self.m_h < 0.5 or self.m_r < 0.5:
-            raise ValueError("Nakagami shape parameters must be at least 0.5")
+        if not (0.5 <= self.m_h < math.inf and 0.5 <= self.m_r < math.inf):
+            raise ValueError(f"Nakagami shape parameters must be finite and at least 0.5, "
+                             f"got m_h = {self.m_h}, m_r = {self.m_r}")

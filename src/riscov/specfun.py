@@ -20,27 +20,27 @@ __all__ = [
 ]
 
 
+def _regularized_gamma(name: str, kappa: float, x: float) -> float:
+    """scipy.special.<name>(kappa, x); a shape not > 0 or an argument not >= 0 is refused."""
+    if not kappa > 0.0:
+        raise ValueError(f"shape must be positive, got {kappa}")
+    if not x >= 0.0:
+        raise ValueError(f"argument must be non-negative, got {x}")
+    import scipy.special
+    return float(getattr(scipy.special, name)(kappa, x))
+
+
 def reg_upper_gamma(kappa: float, x: float) -> float:
     """Regularized upper incomplete gamma Gamma(kappa, x) / Gamma(kappa).
 
     Monotone non-increasing in x with value 1 at x = 0.
     """
-    if not kappa > 0.0:
-        raise ValueError(f"shape must be positive, got {kappa}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    from scipy.special import gammaincc
-    return float(gammaincc(kappa, x))
+    return _regularized_gamma("gammaincc", kappa, x)
 
 
 def reg_lower_gamma(kappa: float, x: float) -> float:
     """Regularized lower incomplete gamma, the CDF companion of reg_upper_gamma."""
-    if not kappa > 0.0:
-        raise ValueError(f"shape must be positive, got {kappa}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    from scipy.special import gammainc
-    return float(gammainc(kappa, x))
+    return _regularized_gamma("gammainc", kappa, x)
 
 
 def hyp2f1_cov(alpha: float, z):

@@ -61,6 +61,12 @@ def test_params_validation():
     SystemParams.default(p_tx_w=0.0, interference_limited=True)
 
 
+@pytest.mark.parametrize("lambda_t", [math.nan, math.inf])
+def test_params_refuse_a_density_that_is_not_finite(lambda_t):
+    with pytest.raises(ValueError, match="transmitter density must be finite and non-negative"):
+        SystemParams.default(lambda_t=lambda_t)
+
+
 def test_gamma_t_semantics(base_params):
     assert base_params.gamma_t_inv == pytest.approx(1e-10 / 1e-3)
     nf = SystemParams.default(interference_limited=True)
@@ -425,6 +431,27 @@ def test_noise_free_rate_nearest_ignores_its_flag():
 def test_coverage_nearest_alpha4_rejects_wrong_exponent(base_params):
     with pytest.raises(ValueError):
         coverage_nearest_alpha4(base_params, 1.0)
+
+
+@pytest.mark.parametrize("noise_free", [False, True])
+@pytest.mark.parametrize("alpha,gamma_bar,lambda_t,message", [
+    (2.5, 1.0, 1e-4, "this closed form requires a path-loss exponent of 4"),
+    (2.5, 0.0, 0.0, "this closed form requires a path-loss exponent of 4"),
+    (4.0, 0.0, 1e-4, "threshold must be positive, got 0.0"),
+    (4.0, -1.0, 0.0, "threshold must be positive, got -1.0"),
+    (4.0, math.nan, 1e-4, "threshold must be positive, got nan"),
+    (4.0, 1.0, 0.0, "nearest association requires a positive transmitter density"),
+])
+def test_coverage_nearest_alpha4_refuses_as_coverage_nearest(noise_free, alpha, gamma_bar,
+                                                            lambda_t, message):
+    """The exponent is checked first; then the threshold and the density, with or without
+    noise, as coverage_nearest checks them."""
+    path = dataclasses.replace(SystemParams.default().path, alpha=alpha)
+    params = SystemParams.default(lambda_t=lambda_t, path=path,
+                                  interference_limited=noise_free)
+    with pytest.raises(ValueError) as refused:
+        coverage_nearest_alpha4(params, gamma_bar)
+    assert str(refused.value) == message
 
 
 def test_coverage_nearest_alpha4_zero_threshold_limit():

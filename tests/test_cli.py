@@ -197,6 +197,45 @@ def test_validate_config_ok(tmp_path, capsys):
     assert "lambda_t = 5e-05" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--lambda-t", "nan"], "transmitter density must be finite and non-negative, got nan"),
+    (["--lambda-t", "inf"], "transmitter density must be finite and non-negative, got inf"),
+    (["--m-h", "nan"], "Nakagami shape parameters must be finite and at least 0.5, "
+                       "got m_h = nan, m_r = 2.0"),
+    (["--interference-limited", "7"], "interference_limited must be 0 or 1, got 7"),
+])
+@pytest.mark.parametrize("mode", MODES)
+def test_run_refuses_values_outside_the_model(tmp_path, capsys, flags, message, mode):
+    out = tmp_path / "x.csv"
+    assert main(["run", "custom", *flags, "--mode", mode, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_spec_takes_interference_limited_0_or_1():
+    for value in (0, 1, False, True):
+        RunSpec("fig4", {"interference_limited": value})
+    for value in (7, -1, 0.5, math.nan, "1"):
+        with pytest.raises(ValueError, match="interference_limited must be 0 or 1"):
+            RunSpec("fig4", {"interference_limited": value})
+
+
+def test_run_and_validate_config_load_a_config_alike(tmp_path):
+    """One loader: validate-config takes the file's spec as it stands; run puts its
+    scenario, --mode, --out and key flags on top, and uses the defaults without a file."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("scenario = fig4\nmode = analytic\nout = a.csv\nlambda_t = 1e-5\np = 0.2\n")
+    parser = cli._build_parser()
+    load = lambda argv: cli._spec_from_args(parser.parse_args(argv))
+    assert load(["validate-config", str(cfg)]) == parse_config(cfg.read_text())
+    assert load(["run", "fig5", "--config", str(cfg)]) == RunSpec(
+        "fig5", {"lambda_t": 1e-5, "p": 0.2}, out="a.csv", mode="analytic")
+    assert load(["run", "fig5", "--config", str(cfg), "--lambda-t", "1e-4", "--mode", "mc",
+                 "--out", "b.csv"]) == RunSpec("fig5", {"lambda_t": 1e-4, "p": 0.2},
+                                               out="b.csv", mode="mc")
+    assert load(["run", "fig5", "--p", "0.3"]) == RunSpec("fig5", {"p": 0.3})
+
+
 def test_build_params_units():
     spec = RunSpec(scenario="custom",
                    overrides={"c_d_db": -30.0, "noise_dbm": -70.0, "p_tx_dbm": 0.0})
@@ -595,11 +634,12 @@ def test_fig8_analytic_columns_run_at_zero_density(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["interference_limited = 1", "lambda_t = 0",
-                                     "strategy = nearest\ninterference_limited = 1"])
+                                     "strategy = nearest\ninterference_limited = 1",
+                                     "interference_limited = 7", "lambda_t = nan"])
 @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
 def test_validate_config_agrees_with_run(tmp_path, capsys, monkeypatch, scenario, setting):
     """A config that validates also runs, and one that fails fails alike in both and in a
-    direct cli.run, which refuses before it computes a column."""
+    direct cli.run of the parsed spec, which refuses before it computes a column."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(f"scenario = {scenario}\nmode = both\ntrials = 100\nwindow_radius = 300\n"
                    f"{setting}\n")
@@ -623,9 +663,8 @@ def test_validate_config_agrees_with_run(tmp_path, capsys, monkeypatch, scenario
     for name in ("coverage_nearest_intlimited", "rate_nearest"):    # fig8's analytic columns
         monkeypatch.setattr(analytic, name, recording(getattr(analytic, name)))
     out = tmp_path / "direct.csv"
-    spec = dataclasses.replace(parse_config(cfg.read_text()), out=str(out))
     with pytest.raises(ValueError) as refused:
-        cli.run(spec)
+        cli.run(dataclasses.replace(parse_config(cfg.read_text()), out=str(out)))
     assert validated[1] == [f"error: {refused.value}"]
     assert not out.exists()
     if scenario == "fig8":

@@ -30,6 +30,14 @@ def test_param_validation():
         FadingParams(m_h=0.4, m_r=1.0)
 
 
+@pytest.mark.parametrize("m_h,m_r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, math.inf)])
+def test_fading_params_refuse_shapes_that_are_not_finite(m_h, m_r):
+    with pytest.raises(ValueError, match="Nakagami shape parameters must be finite and at "
+                                         "least 0.5"):
+        FadingParams(m_h=m_h, m_r=m_r)
+
+
 # ---------------------------------------------------------------------------
 # path loss of the serving link: eta_g0 = c_d d_g0^-alpha,
 # eta_h0 = c_r (d0 d_r0)^-alpha with d_r0 = hypot(d_g0, d0)

@@ -117,6 +117,20 @@ def test_reg_upper_gamma_domain(kappa, x):
         reg_upper_gamma(kappa, x)
 
 
+@pytest.mark.parametrize("fn", [reg_upper_gamma, reg_lower_gamma])
+@pytest.mark.parametrize("kappa,x,message", [
+    (math.nan, 1.0, "shape must be positive, got nan"),
+    (0.0, 1.0, "shape must be positive, got 0.0"),
+    (2.0, math.nan, "argument must be non-negative, got nan"),
+    (2.0, -0.1, "argument must be non-negative, got -0.1"),
+])
+def test_reg_gamma_shares_one_domain_check(fn, kappa, x, message):
+    """Both regularized gammas refuse a NaN shape or argument like any other outside value."""
+    with pytest.raises(ValueError) as refused:
+        fn(kappa, x)
+    assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # erfc and the sine/cosine integrals, as the model evaluates them: the value
 # and first derivative of the jets jet_erfcx and jet_si_ci (tests/test_jets.py

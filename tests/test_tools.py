@@ -138,4 +138,41 @@ def test_bench_pairs_counts_src_lines_as_wc_does(bench_pairs, tmp_path, capsys):
     (tmp_path / "outside.py").write_text("nor\nthis\n")
     assert bench_pairs.src_lines(tmp_path) == {"pkg/a.py": 3, "pkg/sub/b.py": 1}
     bench_pairs.print_src_lines({"base": tmp_path})
-    assert capsys.readouterr().out == "base src/ lines: 4 (pkg/a.py 3, pkg/sub/b.py 1)\n"
+    assert capsys.readouterr().out == ("base src/ lines, wc -l / code: 4 / 4 "
+                                       "(pkg/a.py 3/2, pkg/sub/b.py 1/2)\n")
+
+
+CODE_SAMPLE = '''"""Module docstring,
+on two lines."""
+
+import math   # a comment after code
+
+
+# a comment line
+class Box:
+    """Class docstring."""
+
+    def area(self):
+        \'\'\'Function docstring,
+
+        with a blank line inside.\'\'\'
+        text = """a string that is
+no docstring"""
+        "a string statement after the first is no docstring"
+        return math.pi
+'''
+
+
+def test_bench_pairs_counts_code_lines_without_comments_or_docstrings(bench_pairs, tmp_path,
+                                                                      capsys):
+    """Code lines: import, class, def, the two lines of the assigned string, the later
+    string statement and the return; blank, comment-only and docstring lines are not."""
+    assert bench_pairs.code_lines(CODE_SAMPLE) == 7
+    assert bench_pairs.code_lines("") == 0
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(CODE_SAMPLE)
+    (pkg / "b.py").write_text("# only a comment\n\n")
+    bench_pairs.print_src_lines({"change": tmp_path})
+    assert capsys.readouterr().out == ("change src/ lines, wc -l / code: 20 / 7 "
+                                       "(pkg/a.py 18/7, pkg/b.py 2/0)\n")

@@ -9,8 +9,10 @@ directory, and both worktrees are removed on exit.  Pair i runs
 checkout's own sources, for the benchmark's own run length; the side that
 runs first alternates, so a drifting load falls on both sides alike.
 
-It first prints each side's ``src/`` line count, as ``wc -l`` counts it, in
-total and per module, so a change reads its line delta from the same report.
+It first prints each side's ``src/`` line count, as ``wc -l`` counts it, and
+its code-line count (lines that are not blank, not only a comment and not part
+of a docstring), in total and per module, so a change reads its line delta
+from the same report, with and without its comments and docstrings.
 For every end-to-end metric it prints each pair's ratio (change / base), the
 median ratio with a percentile-bootstrap 95 % interval, the pairs the change
 wins, each side's median and quartiles, and a verdict under the bound that
@@ -28,12 +30,15 @@ than of the base's, or a metric is worse beyond its bound, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import random
 import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
@@ -180,11 +185,33 @@ def src_lines(checkout: Path) -> dict[str, int]:
             for path in sorted(src.rglob("*.py"))}
 
 
+# tokens that make no line a code line
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: not blank, not only a comment, and not
+    part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def print_src_lines(sides: dict[str, Path]) -> None:
     for side, path in sides.items():
         lines = src_lines(path)
-        print(f"{side} src/ lines: {sum(lines.values())} (" + ", ".join(
-            f"{name} {n}" for name, n in lines.items()) + ")", flush=True)
+        code = {name: code_lines((path / "src" / name).read_text()) for name in lines}
+        print(f"{side} src/ lines, wc -l / code: {sum(lines.values())} / "
+              f"{sum(code.values())} (" + ", ".join(
+                  f"{name} {n}/{code[name]}" for name, n in lines.items()) + ")", flush=True)
 
 
 def count_diff(sides: dict[str, Path], workload: str, seed: int) -> None:
