@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -106,6 +106,11 @@ class SystemParams:
                 raise ValueError("transmit and noise powers must be positive "
                                  "unless the scenario is interference limited")
 
+    def check_nearest_density(self) -> None:
+        """Raise ValueError unless there are transmitters to associate with."""
+        if not self.lambda_t > 0.0:
+            raise ValueError("nearest association requires a positive transmitter density")
+
     # -- derived quantities --------------------------------------------------
     @property
     def gamma_t_inv(self) -> float:
@@ -157,13 +162,17 @@ def default_threshold_grid(n_points: int = 50, low_db: float = -20.0,
     return 10.0 ** (np.linspace(low_db, high_db, n_points) / 10.0)
 
 
+def _check_threshold(gamma_bar: float) -> None:
+    """Raise ValueError unless the SINR threshold is positive and finite."""
+    if not gamma_bar > 0.0:
+        raise ValueError(f"threshold must be positive, got {gamma_bar}")
+    if gamma_bar == math.inf:
+        raise ValueError("threshold must be finite, got inf")
+
+
 def _jet_order(fit: GammaFit) -> int:
     """Derivative-sum order of a fit: its shape rounded half up, at least 1, minus one."""
     return max(1, int(math.floor(fit.kappa + 0.5))) - 1
-
-
-def _csc(x: float) -> float:
-    return 1.0 / math.sin(x)
 
 
 @lru_cache(maxsize=256)
@@ -213,7 +222,7 @@ def _fixed_exponent(params: SystemParams, x: float) -> float:
     """
     a = params.path.alpha
     d = 2.0 / a
-    k = 2.0 * math.pi**2 * params.lambda_t * _csc(2.0 * math.pi / a) / a
+    k = 2.0 * math.pi**2 * params.lambda_t * (1.0 / math.sin(2.0 * math.pi / a)) / a
     return sum(k * weight * (gain * x) ** d for weight, gain in _tiers(params))
 
 
@@ -277,8 +286,7 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
     function is completely monotone, so the sum's terms share one sign and
     nothing cancels; an order-0 sum is the function's value.
     """
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
+    _check_threshold(gamma_bar)
     fit = _fixed_fit(params, with_ris)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
@@ -325,24 +333,36 @@ def _quad_checked(fn: Callable[[float], float], lo: float, hi: float,
     return out[0]
 
 
+def _nearest_branch_terms(params: SystemParams, gamma_bar: float
+                          ) -> Iterator[tuple[float, str, TaylorJet, float]]:
+    """(weight, name, H, q) of each association branch of nonzero weight.
+
+    Given the serving distance r, a branch's coverage is the derivative sum
+    at s = 1 of exp(-q r^alpha s - lambda_t pi r^2 H(s)).  H is the jet of
+    the weighted hypergeometric interference factor at gamma_bar/chi_bar
+    (_nearest_hyp_jets), and q = gamma_bar sigma^2 / (P c_d chi_bar) is the
+    noise slope, 0 without noise.  Every nearest coverage evaluator reads
+    both from here.
+    """
+    for weight, fit, name in _nearest_branches(params):
+        yield (weight, name, _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit)),
+               gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega))
+
+
 def _nearest_integrands(params: SystemParams, gamma_bar: float
                         ) -> list[tuple[float, Callable[[float], float], str]]:
     """(weight, integrand in u, name) of each association branch of nonzero weight.
 
     u = lambda_t pi r^2 folds the serving-distance density into a unit
-    exponential.  Each branch integrates the derivative sum of
-    exp(-q u^(alpha/2) s - u H(s)), exp_tail_sum(H, u, q u^(alpha/2)).  The
-    jet H and the noise slope q do not depend on u, so exp_tail_integrand
-    binds them, with alpha/2, into the function quad calls.
+    exponential, and the branch's noise slope becomes q' = q (lambda_t pi)^(-alpha/2).
+    Each branch integrates the derivative sum of exp(-q' u^(alpha/2) s - u H(s)),
+    exp_tail_sum(H, u, q' u^(alpha/2)).  H and q' do not depend on u, so
+    exp_tail_integrand binds them, with alpha/2, into the function quad calls.
     """
     half_a = 0.5 * params.path.alpha
     u_scale = (params.lambda_t * math.pi) ** -half_a
-    branches = []
-    for weight, fit, name in _nearest_branches(params):
-        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit))
-        noise = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega) * u_scale
-        branches.append((weight, exp_tail_integrand(hyp, noise, half_a), name))
-    return branches
+    return [(weight, exp_tail_integrand(hyp, q * u_scale, half_a), name)
+            for weight, name, hyp, q in _nearest_branch_terms(params, gamma_bar)]
 
 
 def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
@@ -352,10 +372,8 @@ def coverage_nearest(params: SystemParams, gamma_bar: float) -> float:
     and decays exponentially in u = lambda_t pi r^2 over [0, inf).  Without
     noise it returns the closed form, coverage_nearest_intlimited.
     """
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    if not params.lambda_t > 0.0:
-        raise ValueError("nearest association requires a positive transmitter density")
+    _check_threshold(gamma_bar)
+    params.check_nearest_density()
     if params.interference_limited:
         return coverage_nearest_intlimited(params, gamma_bar)
     total = 0.0
@@ -369,21 +387,19 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     """Closed-form nearest coverage for alpha = 4 (Gaussian-integral reduction).
 
     The reduction divides by the noise term.  coverage_nearest refuses a
-    non-positive threshold or density, and without noise returns the
-    noise-free closed form, coverage_nearest_intlimited.
+    bad threshold or density, and without noise returns the noise-free
+    closed form, coverage_nearest_intlimited.
     """
     if params.path.alpha != 4.0:
         raise ValueError("this closed form requires a path-loss exponent of 4")
-    if params.interference_limited or not (gamma_bar > 0.0 and params.lambda_t > 0.0):
+    if params.interference_limited or not params.lambda_t > 0.0:
         return coverage_nearest(params, gamma_bar)      # which refuses, or is noise-free
+    _check_threshold(gamma_bar)
     lam_pi = math.pi * params.lambda_t
     total = 0.0
-    for weight, fit, _ in _nearest_branches(params):
-        order = _jet_order(fit)
-        quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
-        inv_root = quad_coef**-0.5 * jet_spow(-0.5, order)       # 1/sqrt(quad_coef s)
-        x2 = lam_pi * _nearest_hyp_jets(params, gamma_bar, fit.omega, order)
-        kernel = math.sqrt(math.pi) * jet_erfcx(0.5 * x2 * inv_root) * inv_root
+    for weight, _, hyp, q in _nearest_branch_terms(params, gamma_bar):
+        inv_root = q**-0.5 * jet_spow(-0.5, hyp.order)       # 1/sqrt(q s)
+        kernel = math.sqrt(math.pi) * jet_erfcx(0.5 * (lam_pi * hyp) * inv_root) * inv_root
         val, _ = alternating_tail_sum(kernel)
         total += 0.5 * lam_pi * weight * val
     return min(max(total, 0.0), 1.0)
@@ -396,13 +412,9 @@ def coverage_nearest_intlimited(params: SystemParams, gamma_bar: float) -> float
     hypergeometric factor, whose derivative sum is evaluated with jets.
     That reciprocal is completely monotone, so nothing cancels in the sum.
     """
-    if not gamma_bar > 0.0:
-        raise ValueError(f"threshold must be positive, got {gamma_bar}")
-    total = 0.0
-    for weight, fit, _ in _nearest_branches(params):
-        hyp = _nearest_hyp_jets(params, gamma_bar, fit.omega, _jet_order(fit))
-        value, _ = alternating_tail_sum(jet_recip(hyp))
-        total += weight * min(max(value, 0.0), 1.0)
+    _check_threshold(gamma_bar)
+    total = sum(weight * min(max(alternating_tail_sum(jet_recip(hyp))[0], 0.0), 1.0)
+                for weight, _, hyp, _ in _nearest_branch_terms(params, gamma_bar))
     return min(max(total, 0.0), 1.0)
 
 

@@ -151,8 +151,7 @@ class McConfig:
         if strategy == "nearest":
             if forced_ris is not None:
                 raise ValueError("nearest association uses each cluster's own surface flag")
-            if not self.params.lambda_t > 0.0:
-                raise ValueError("nearest association requires a positive transmitter density")
+            self.params.check_nearest_density()
 
 
 @dataclass(frozen=True)

@@ -454,6 +454,38 @@ def test_coverage_nearest_alpha4_refuses_as_coverage_nearest(noise_free, alpha, 
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("noise_free", [False, True])
+@pytest.mark.parametrize("evaluator", [coverage_fixed_ris, coverage_fixed_noris,
+                                       coverage_nearest, coverage_nearest_alpha4,
+                                       coverage_nearest_intlimited])
+def test_coverage_refuses_an_infinite_threshold(evaluator, noise_free):
+    """An infinite threshold is refused as a non-positive one is; fixed coverage used to
+    return NaN there."""
+    path = dataclasses.replace(SystemParams.default().path, alpha=4.0)
+    params = SystemParams.default(path=path, interference_limited=noise_free)
+    with pytest.raises(ValueError) as refused:
+        evaluator(params, math.inf)
+    assert str(refused.value) == "threshold must be finite, got inf"
+
+
+def test_nearest_branch_terms_feed_every_nearest_evaluator():
+    """Each branch's H is _nearest_hyp_jets at its fit's scale and order, and q the noise
+    slope gamma_bar sigma^2 / (P c_d chi_bar); the bound integrands carry q times
+    (lambda_t pi)^(-alpha/2)."""
+    params = SystemParams.default(p=0.9)
+    gamma_bar = 2.0
+    terms = list(analytic._nearest_branch_terms(params, gamma_bar))
+    branches = analytic._nearest_branches(params)
+    assert [(w, name) for w, name, _, _ in terms] == [(w, name) for w, _, name in branches]
+    for (_, _, hyp, q), (_, fit, _) in zip(terms, branches):
+        order = analytic._jet_order(fit)
+        assert hyp == analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
+        assert q == pytest.approx(gamma_bar * params.noise_w
+                                  / (params.p_tx_w * params.path.c_d * fit.omega), rel=1e-14)
+    noise_free = dataclasses.replace(params, interference_limited=True)
+    assert {q for _, _, _, q in analytic._nearest_branch_terms(noise_free, gamma_bar)} == {0.0}
+
+
 def test_coverage_nearest_alpha4_zero_threshold_limit():
     path = dataclasses.replace(SystemParams.default().path, alpha=4.0)
     p = params_at(0.0, p=0.7, path=path)
