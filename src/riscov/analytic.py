@@ -101,10 +101,12 @@ class SystemParams:
             raise ValueError(f"element count must be at least 1, got {self.n_elements}")
         if not self.d_g0 > 0.0:
             raise ValueError(f"serving distance must be positive, got {self.d_g0}")
-        if not self.interference_limited:
-            if not (self.p_tx_w > 0.0 and self.noise_w > 0.0):
-                raise ValueError("transmit and noise powers must be positive "
-                                 "unless the scenario is interference limited")
+        if not (math.isfinite(self.p_tx_w) and math.isfinite(self.noise_w)):
+            raise ValueError(f"transmit and noise powers must be finite, "
+                             f"got {self.p_tx_w} and {self.noise_w}")
+        if not (self.interference_limited or self.p_tx_w > 0.0 and self.noise_w > 0.0):
+            raise ValueError("transmit and noise powers must be positive "
+                             "unless the scenario is interference limited")
 
     def check_nearest_density(self) -> None:
         """Raise ValueError unless there are transmitters to associate with."""

@@ -81,6 +81,9 @@ class RunSpec:
         for key in self.overrides:
             if key not in KEY_SPECS:
                 raise ValueError(f"unknown config key {key!r}")
+        for key, (_, typ, _) in KEY_SPECS.items():
+            if typ is float and not math.isfinite(float(self.setting(key))):
+                raise ValueError(f"{key} must be finite, got {self.setting(key)!r}")
         if self.setting("strategy") not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.setting('strategy')!r}; "
                              f"choose from {', '.join(STRATEGIES)}")

@@ -67,6 +67,16 @@ def test_params_refuse_a_density_that_is_not_finite(lambda_t):
         SystemParams.default(lambda_t=lambda_t)
 
 
+@pytest.mark.parametrize("interference_limited", [False, True])
+@pytest.mark.parametrize("field", ["p_tx_w", "noise_w"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_refuse_a_power_that_is_not_finite(field, value, interference_limited):
+    """Both powers must be finite, with noise or without; only their positivity is
+    noise-only (test_params_validation)."""
+    with pytest.raises(ValueError, match="transmit and noise powers must be finite"):
+        SystemParams.default(interference_limited=interference_limited, **{field: value})
+
+
 def test_gamma_t_semantics(base_params):
     assert base_params.gamma_t_inv == pytest.approx(1e-10 / 1e-3)
     nf = SystemParams.default(interference_limited=True)
@@ -466,24 +476,6 @@ def test_coverage_refuses_an_infinite_threshold(evaluator, noise_free):
     with pytest.raises(ValueError) as refused:
         evaluator(params, math.inf)
     assert str(refused.value) == "threshold must be finite, got inf"
-
-
-def test_nearest_branch_terms_feed_every_nearest_evaluator():
-    """Each branch's H is _nearest_hyp_jets at its fit's scale and order, and q the noise
-    slope gamma_bar sigma^2 / (P c_d chi_bar); the bound integrands carry q times
-    (lambda_t pi)^(-alpha/2)."""
-    params = SystemParams.default(p=0.9)
-    gamma_bar = 2.0
-    terms = list(analytic._nearest_branch_terms(params, gamma_bar))
-    branches = analytic._nearest_branches(params)
-    assert [(w, name) for w, name, _, _ in terms] == [(w, name) for w, _, name in branches]
-    for (_, _, hyp, q), (_, fit, _) in zip(terms, branches):
-        order = analytic._jet_order(fit)
-        assert hyp == analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
-        assert q == pytest.approx(gamma_bar * params.noise_w
-                                  / (params.p_tx_w * params.path.c_d * fit.omega), rel=1e-14)
-    noise_free = dataclasses.replace(params, interference_limited=True)
-    assert {q for _, _, _, q in analytic._nearest_branch_terms(noise_free, gamma_bar)} == {0.0}
 
 
 def test_coverage_nearest_alpha4_zero_threshold_limit():

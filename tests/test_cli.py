@@ -197,11 +197,38 @@ def test_validate_config_ok(tmp_path, capsys):
     assert "lambda_t = 5e-05" in out
 
 
+FLOAT_KEYS = [key for key, (_, typ, _) in cli.KEY_SPECS.items() if typ is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_must_be_finite(tmp_path, capsys, key, value):
+    """A non-finite float key is refused by name before any column is computed: by
+    validate-config, by run in every mode, and by a RunSpec built directly."""
+    message = f"{key} must be finite, got {float(value)!r}"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"scenario = fig4\n{key} = {value}\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "x.csv"
+    for mode in MODES:
+        # the flag comes last so that it overrides the small run's window; "=" keeps
+        # argparse from reading -inf as an option
+        assert main(["run", "fig4", "--mode", mode, "--trials", "100", "--window-radius", "300",
+                     "--out", str(out), f"--{key.replace('_', '-')}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    with pytest.raises(ValueError) as refused:
+        RunSpec("fig4", {key: float(value)})
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("flags,message", [
-    (["--lambda-t", "nan"], "transmitter density must be finite and non-negative, got nan"),
-    (["--lambda-t", "inf"], "transmitter density must be finite and non-negative, got inf"),
-    (["--m-h", "nan"], "Nakagami shape parameters must be finite and at least 0.5, "
-                       "got m_h = nan, m_r = 2.0"),
+    (["--lambda-t", "-1"], "transmitter density must be finite and non-negative, got -1.0"),
+    (["--lambda-t", "-0.0001"], "transmitter density must be finite and non-negative, "
+                                "got -0.0001"),
+    (["--m-h", "0.25"], "Nakagami shape parameters must be finite and at least 0.5, "
+                        "got m_h = 0.25, m_r = 2.0"),
     (["--interference-limited", "7"], "interference_limited must be 0 or 1, got 7"),
 ])
 @pytest.mark.parametrize("mode", MODES)

@@ -87,3 +87,53 @@ def test_coverage_nearest_alpha4_keeps_the_scale_law():
     assert relative_difference(analytic.coverage_nearest_alpha4(params, gamma_bar),
                                analytic.coverage_nearest_alpha4(scaled(params, 10.0), gamma_bar)
                                ) <= REL_TOL
+
+
+
+#: a reflected gain so small that N c_r d0^-alpha vanishes beside c_d: e1 is c_d exactly
+NEGLIGIBLE_C_R = 1e-300
+
+#: the surface-free nearest evaluators, as functions of (params, threshold)
+NEAREST = {
+    "coverage_nearest": analytic.coverage_nearest,
+    "coverage_nearest_intlimited": analytic.coverage_nearest_intlimited,
+    "rate_nearest(interference_limited=True)":
+        lambda params, _: analytic.rate_nearest(params, True),
+}
+
+#: (evaluator, p, gamma_bar) where p x + (1 - p) x rounds away from x: the one draw of the
+#: grid below whose value moves with p, by 1 ulp (see the strict xfail after the gate)
+P_ROUNDING_POINT = ("coverage_nearest_intlimited", 0.9, 0.1)
+
+
+def inert_surfaces(p, n_elements) -> SystemParams:
+    path = dataclasses.replace(SystemParams.default().path, c_r=NEGLIGIBLE_C_R)
+    return SystemParams.default(p=p, n_elements=n_elements, path=path)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from([0.0, 0.5, 0.9, 1.0]), n_elements=st.sampled_from([1, 8, 128]),
+       gamma_bar=st.sampled_from([0.1, 1.0, 10.0]))
+def test_a_negligible_reflected_gain_reduces_exactly(p, n_elements, gamma_bar):
+    """With c_r negligible every surface is inert: the surface evaluators equal the
+    surface-free ones and the nearest evaluators see neither N nor p, bit for bit."""
+    params = inert_surfaces(p, n_elements)
+    assert params.e1 == params.path.c_d
+    assert (analytic.coverage_fixed_ris(params, gamma_bar)
+            == analytic.coverage_fixed_noris(params, gamma_bar))
+    assert analytic.rate_fixed(params, True) == analytic.rate_fixed(params, False)
+    one_element = inert_surfaces(p, 1)
+    bare = inert_surfaces(0.0, 1)
+    for name, fn in NEAREST.items():
+        value = fn(params, gamma_bar)
+        assert value == fn(one_element, gamma_bar), name
+        if (name, p, gamma_bar) != P_ROUNDING_POINT:
+            assert value == fn(bare, gamma_bar), name
+
+
+@pytest.mark.xfail(strict=True, reason="0.9 H + (1 - 0.9) H rounds away from H, so the "
+                   "noise-free nearest coverage at p = 0.9 is 1 ulp above its p = 0 value")
+def test_coverage_nearest_intlimited_ignores_p_at_its_rounding_point():
+    name, p, gamma_bar = P_ROUNDING_POINT
+    assert NEAREST[name](inert_surfaces(p, 8), gamma_bar) == NEAREST[name](
+        inert_surfaces(0.0, 1), gamma_bar)
