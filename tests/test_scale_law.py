@@ -7,6 +7,10 @@ unchanged; the noise is too, and a scaled area holds as many transmitters.  So
 the law of every SINR, and with it every coverage and rate, is unchanged with
 noise or without, and no oracle is needed to check it (metamorphic testing:
 Chen et al., ACM Computing Surveys 51(1), 2018).
+
+The module also holds the model's exact reductions: with a negligible
+reflected gain every surface is inert, so the evaluators must reduce to the
+surface-free model bit for bit.
 """
 
 import dataclasses
@@ -89,11 +93,10 @@ def test_coverage_nearest_alpha4_keeps_the_scale_law():
                                ) <= REL_TOL
 
 
-
 #: a reflected gain so small that N c_r d0^-alpha vanishes beside c_d: e1 is c_d exactly
 NEGLIGIBLE_C_R = 1e-300
 
-#: the surface-free nearest evaluators, as functions of (params, threshold)
+#: the nearest evaluators, which see neither N nor p once every surface is inert
 NEAREST = {
     "coverage_nearest": analytic.coverage_nearest,
     "coverage_nearest_intlimited": analytic.coverage_nearest_intlimited,
