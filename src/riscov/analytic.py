@@ -42,7 +42,7 @@ import numpy as np
 from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
 from .jets import (TaylorJet, alternating_tail_sum, exp_tail_integrand, exp_tail_sum,
                    jet_erfcx, jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow)
-from .powerdist import GammaFit, signal_gamma_fit
+from .powerdist import GammaFit, _check_element_count, signal_gamma_fit
 from .specfun import hyp2f1_cov
 
 __all__ = [
@@ -97,10 +97,8 @@ class SystemParams:
                              f"got {self.lambda_t}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"association probability must be in [0, 1], got {self.p}")
-        if self.n_elements < 1:
-            raise ValueError(f"element count must be at least 1, got {self.n_elements}")
-        if not self.d_g0 > 0.0:
-            raise ValueError(f"serving distance must be positive, got {self.d_g0}")
+        _check_element_count(self.n_elements)
+        _check_serving_distance(self.d_g0)
         if not (math.isfinite(self.p_tx_w) and math.isfinite(self.noise_w)):
             raise ValueError(f"transmit and noise powers must be finite, "
                              f"got {self.p_tx_w} and {self.noise_w}")
@@ -162,6 +160,30 @@ def default_threshold_grid(n_points: int = 50, low_db: float = -20.0,
                            high_db: float = 40.0) -> np.ndarray:
     """Log-uniform threshold grid, by default 50 points over [-20, 40] dB."""
     return 10.0 ** (np.linspace(low_db, high_db, n_points) / 10.0)
+
+
+def _check_serving_distance(d_g0: float) -> None:
+    """Raise ValueError unless the serving distance is positive."""
+    if not d_g0 > 0.0:
+        raise ValueError(f"serving distance must be positive, got {d_g0}")
+
+
+def _check_transform_argument(s: float) -> None:
+    """Raise ValueError for a negative Laplace-transform argument."""
+    if s < 0.0:
+        raise ValueError(f"transform argument must be non-negative, got {s}")
+
+
+def _check_alpha4(params: SystemParams) -> None:
+    """Raise ValueError unless the path-loss exponent is 4, as the alpha = 4 closed forms need."""
+    if params.path.alpha != 4.0:
+        raise ValueError("this closed form requires a path-loss exponent of 4")
+
+
+def _check_noise_free_rate(params: SystemParams) -> None:
+    """Raise DivergenceError for a noise-free rate with no interferers: it is unbounded."""
+    if params.interference_limited and not params.lambda_t > 0.0:
+        raise DivergenceError("the noise-free rate is unbounded without interference")
 
 
 def _check_threshold(gamma_bar: float) -> None:
@@ -255,8 +277,7 @@ def _nearest_hyp_jets(params: SystemParams, gamma_bar: float, chi_bar: float,
 
 def laplace_fixed(params: SystemParams, s: float) -> float:
     """E[exp(-s I)] with interferers on the whole plane (fixed association)."""
-    if s < 0.0:
-        raise ValueError(f"transform argument must be non-negative, got {s}")
+    _check_transform_argument(s)
     return math.exp(-_fixed_exponent(params, s))
 
 
@@ -266,10 +287,8 @@ def laplace_nearest(params: SystemParams, s: float, d_g0: float) -> float:
     The exponent is pi lambda_t d_g0^2 (1 - H), H = _nearest_hyp at
     y = s c_d d_g0^-alpha.
     """
-    if s < 0.0:
-        raise ValueError(f"transform argument must be non-negative, got {s}")
-    if not d_g0 > 0.0:
-        raise ValueError(f"serving distance must be positive, got {d_g0}")
+    _check_transform_argument(s)
+    _check_serving_distance(d_g0)
     x = s * params.path.c_d * d_g0 ** -params.path.alpha
     return math.exp(math.pi * params.lambda_t * d_g0**2 * (1.0 - _nearest_hyp(params, x)))
 
@@ -392,8 +411,7 @@ def coverage_nearest_alpha4(params: SystemParams, gamma_bar: float) -> float:
     bad threshold or density, and without noise returns the noise-free
     closed form, coverage_nearest_intlimited.
     """
-    if params.path.alpha != 4.0:
-        raise ValueError("this closed form requires a path-loss exponent of 4")
+    _check_alpha4(params)
     if params.interference_limited or not params.lambda_t > 0.0:
         return coverage_nearest(params, gamma_bar)      # which refuses, or is noise-free
     _check_threshold(gamma_bar)
@@ -539,8 +557,7 @@ def rate_fixed(params: SystemParams, with_ris: bool) -> float:
 
     Hamdi's lemma with L(z) = exp(-z sigma^2/P) times laplace_fixed(z).
     """
-    if params.interference_limited and not params.lambda_t > 0.0:
-        raise DivergenceError("the noise-free rate is unbounded without interference")
+    _check_noise_free_rate(params)
 
     def laplace(z: np.ndarray) -> np.ndarray:
         return np.exp(-z * params.gamma_t_inv - _fixed_exponent(params, z))
@@ -554,12 +571,10 @@ def rate_fixed_alpha4_intlim(params: SystemParams, with_ris: bool) -> float:
     Uses the sine/cosine-integral kernel (pi - 2 Si(v)) sin(v) - 2 Ci(v) cos(v)
     evaluated on the square-root-in-s interference argument.
     """
-    if params.path.alpha != 4.0:
-        raise ValueError("this closed form requires a path-loss exponent of 4")
+    _check_alpha4(params)
     if not params.interference_limited:
         raise ValueError("this closed form applies to the interference-limited regime")
-    if not params.lambda_t > 0.0:
-        raise ValueError("the noise-free rate is unbounded without interference")
+    _check_noise_free_rate(params)
     fit = _fixed_fit(params, with_ris)
     v = _fixed_exponent(params, 1.0 / fit.omega) * jet_spow(0.5, _jet_order(fit))
     si, ci = jet_si_ci(v)

@@ -433,14 +433,17 @@ SCENARIOS = {
 def _check(spec: RunSpec) -> None:
     """Raise ValueError for a spec whose run would fail, before any column is computed.
 
-    Every mode makes the simulator's checks, and for the custom scenario a mode
-    with analytic columns evaluates its strategy once; a mode with MC columns
-    checks the simulator's strategy rules for custom and for fig8's nearest
+    Every mode builds the model and simulator parameters and converts the
+    threshold, which refuses a key outside the model or one whose linear value
+    or window area overflows a float.  For the custom scenario a mode with
+    analytic columns evaluates its strategy once; a mode with MC columns checks
+    the simulator's strategy rules for custom and for fig8's nearest
     association, and a noise-free fig6's windows, so a config that validates
     also runs.
     """
     params = build_params(spec)
     mc_config = _mc_config(spec, params, default_trials=1)
+    db_to_linear(float(spec.setting("gamma_bar_db")))     # refuses one that overflows
     if spec.scenario == "custom":
         strategy = str(spec.setting("strategy"))
         if spec.mode != "mc":

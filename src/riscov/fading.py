@@ -23,12 +23,21 @@ __all__ = [
 ]
 
 
+def _from_db(db: float, value: float, unit: str) -> float:
+    """10^(db / 10); the caller's value in unit is named if that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value:g} {unit} is out of range: its linear value "
+                         "overflows a float") from None
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return _from_db(db, db, "dB")
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return _from_db(dbm - 30.0, dbm, "dBm")
 
 
 def linear_to_db(linear: float) -> float:
@@ -37,6 +46,12 @@ def linear_to_db(linear: float) -> float:
 
 def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
+
+
+def _check_exponent(alpha: float) -> None:
+    """Raise ValueError unless the path-loss exponent exceeds 2, as every formula needs."""
+    if not alpha > 2.0:
+        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,7 @@ class PathLossParams:
     def __post_init__(self):
         if not self.c_d > 0.0 or not self.c_r > 0.0:
             raise ValueError("unit-distance gains must be positive")
-        if not self.alpha > 2.0:
-            raise ValueError(f"path-loss exponent must exceed 2, got {self.alpha}")
+        _check_exponent(self.alpha)
         if not self.d0 > 0.0:
             raise ValueError(f"transmitter-surface offset must be positive, got {self.d0}")
 

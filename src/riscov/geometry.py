@@ -23,6 +23,11 @@ class Window:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"window radius must be positive, got {self.radius}")
+        try:
+            self.area
+        except OverflowError:
+            raise ValueError(f"window radius {self.radius:g} m is out of range: its area "
+                             "overflows a float") from None
 
     @property
     def area(self) -> float:

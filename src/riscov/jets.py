@@ -45,7 +45,6 @@ from .specfun import hyp2f1_cov
 
 __all__ = [
     "TaylorJet",
-    "jet_variable",
     "jet_spow",
     "jet_exp",
     "jet_pow",
@@ -110,7 +109,9 @@ class TaylorJet:
         if isinstance(other, TaylorJet):
             _check_same_order(self, other)
             return other._c
-        return _const_array(float(other), self.order)
+        const = np.zeros(self._c.size)
+        const[0] = float(other)
+        return const
 
     def __add__(self, other):
         return _from_array(self._c + self._operand(other))
@@ -140,26 +141,12 @@ def _check_same_order(a: TaylorJet, b: TaylorJet) -> None:
         raise ValueError(f"jet order mismatch: {a.order} vs {b.order}")
 
 
-def _const_array(c: float, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    out[0] = c
-    return out
-
-
 def _from_array(a: np.ndarray) -> TaylorJet:
     """Jet that takes over a freshly computed float64 array without copying it."""
     jet = object.__new__(TaylorJet)
     a.setflags(write=False)
     jet._c = a
     return jet
-
-
-def jet_variable(order: int) -> TaylorJet:
-    """The identity function s, expanded around 1."""
-    out = _const_array(1.0, order)
-    if order >= 1:
-        out[1] = 1.0
-    return _from_array(out)
 
 
 def jet_spow(q: float, order: int) -> TaylorJet:
@@ -447,7 +434,7 @@ def exp_tail_integrand(g: TaylorJet, q: float, p: float):
 def exp_tail_sum(g: TaylorJet, y: float, x: float) -> float:
     """Alternating derivative sum at s = 1 of exp(-x s - y g(s)).
 
-    Equals alternating_tail_sum(jet_exp(-x * jet_variable(g.order) - y * g))[0],
+    Equals alternating_tail_sum(jet_exp(v))[0], v the jet of -x s - y g(s),
     whose exponent coefficients it forms bit for bit.  It is
     exp_tail_integrand(g, x, 0.0) at y: x y^0.0 is x exactly.  Up to
     _FLOAT_SUM_MAX_ORDER the recurrence and the sum run on Python floats,

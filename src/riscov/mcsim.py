@@ -87,6 +87,7 @@ import numpy as np
 from .analytic import SystemParams
 from .fading import FadingParams
 from .geometry import Window
+from .powerdist import _check_element_count
 
 __all__ = [
     "McConfig",
@@ -627,10 +628,15 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
 # Estimators
 # ---------------------------------------------------------------------------
 
-def estimate_coverage(dist: EmpiricalDistribution, gamma_bar: float) -> tuple[float, float]:
-    """Empirical P(SINR > gamma_bar) with its 95% binomial half-width."""
+def _check_sample_count(dist: EmpiricalDistribution) -> None:
+    """Raise ValueError for fewer than MIN_SAMPLES samples, too few to estimate from."""
     if dist.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {dist.n}")
+
+
+def estimate_coverage(dist: EmpiricalDistribution, gamma_bar: float) -> tuple[float, float]:
+    """Empirical P(SINR > gamma_bar) with its 95% binomial half-width."""
+    _check_sample_count(dist)
     prob = float(dist.ccdf(gamma_bar))
     return prob, dist.ci_halfwidth(prob)
 
@@ -641,8 +647,7 @@ def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
     A noise-free trial that draws no interferer has an infinite SINR, and
     the mean rate of such samples is unbounded, so they are refused.
     """
-    if dist.n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {dist.n}")
+    _check_sample_count(dist)
     infinite = int(np.count_nonzero(np.isinf(dist.sorted_samples)))
     if infinite:
         raise ValueError(f"{infinite} of {dist.n} SINR samples are infinite (noise-free trials "
@@ -657,8 +662,7 @@ def estimate_rate(dist: EmpiricalDistribution) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _check_sample_sizes(n_elements: int, n_samples: int) -> None:
-    if n_elements < 1:
-        raise ValueError(f"element count must be at least 1, got {n_elements}")
+    _check_element_count(n_elements)
     if n_samples < 1:
         raise ValueError(f"sample count must be at least 1, got {n_samples}")
 

@@ -71,10 +71,23 @@ def _mean_mag_factor(m: float) -> float:
     return math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) / math.sqrt(m)
 
 
-def sr_moments(fading: FadingParams, n_elements: int) -> tuple[float, float]:
-    """Mean and second raw moment of the coherent element-sum of magnitude products."""
+def _check_element_count(n_elements: int) -> None:
+    """Raise ValueError unless a surface has at least one element."""
     if n_elements < 1:
         raise ValueError(f"element count must be at least 1, got {n_elements}")
+
+
+def _check_gains(eta_g: float, eta_h: float) -> None:
+    """Raise ValueError unless the direct gain is positive and the reflected one not negative."""
+    if not eta_g > 0.0:
+        raise ValueError(f"direct gain must be positive, got {eta_g}")
+    if eta_h < 0.0:
+        raise ValueError(f"reflected gain must be non-negative, got {eta_h}")
+
+
+def sr_moments(fading: FadingParams, n_elements: int) -> tuple[float, float]:
+    """Mean and second raw moment of the coherent element-sum of magnitude products."""
+    _check_element_count(n_elements)
     f = _mean_mag_factor(fading.m_h) * _mean_mag_factor(fading.m_r)
     mean = n_elements * f
     second = n_elements + n_elements * (n_elements - 1) * f * f
@@ -97,10 +110,7 @@ def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
     Two-stage pipeline: third and fourth moments of the element-sum come
     from its fitted gamma.
     """
-    if not eta_g0 > 0.0:
-        raise ValueError(f"direct gain must be positive, got {eta_g0}")
-    if eta_h0 < 0.0:
-        raise ValueError(f"reflected gain must be non-negative, got {eta_h0}")
+    _check_gains(eta_g0, eta_h0)
     beta = math.sqrt(eta_h0 / eta_g0)
     mu_g = tuple(math.gamma(1.0 + 0.5 * q) for q in range(1, 5))
     if beta == 0.0:
@@ -145,8 +155,5 @@ def interferer_exp_param(eta_gk: float, eta_hk: float, n_elements: int) -> float
     scattered power to the direct term; a surface-free one has eta_hk = 0,
     which leaves the Rayleigh direct power alone.
     """
-    if not eta_gk > 0.0:
-        raise ValueError(f"direct gain must be positive, got {eta_gk}")
-    if eta_hk < 0.0:
-        raise ValueError(f"reflected gain must be non-negative, got {eta_hk}")
+    _check_gains(eta_gk, eta_hk)
     return 1.0 / (eta_gk + n_elements * eta_hk)

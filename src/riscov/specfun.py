@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fading import _check_exponent
+
 __all__ = [
     "reg_upper_gamma",
     "reg_lower_gamma",
@@ -51,8 +53,7 @@ def hyp2f1_cov(alpha: float, z):
     and grows like pi*d*csc(pi*d) * |z|^d as z -> -inf.  z may be a float,
     which gives a float, or an array, which gives an array.
     """
-    if not alpha > 2.0:
-        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
+    _check_exponent(alpha)
     positive = np.asarray(z) > 0.0
     if positive.any():
         raise ValueError(f"argument must be non-positive, got {np.max(z)}")

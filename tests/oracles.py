@@ -11,9 +11,9 @@ field on an annulus) in place of the jet-evaluated derivative sums.  The
 jet division recurrence and the alpha = 4 nearest closed form written on
 square-root, division and reciprocal jets are the formulations the jets
 module and coverage_nearest_alpha4 replaced; exp_tail_sum's exponent is
-built here as a jet, and the exponent-list loop is exp_tail_sum's float
-path as it was before it formed j a_j directly.  The
-fixed-association rate is an mpmath quadrature of Hamdi's integrand, and
+built here as a jet, from the identity jet that every test uses, and the
+exponent-list loop is exp_tail_sum's float path as it was before it formed
+j a_j directly.  The fixed-association rate is an mpmath quadrature of Hamdi's integrand, and
 the log-x quad is the adaptive reference for rate_from_coverage's
 trapezoid rule.
 """
@@ -32,7 +32,7 @@ from riscov import analytic, mcsim
 from riscov.analytic import SystemParams
 from riscov.fading import FadingParams
 from riscov.geometry import Window
-from riscov.jets import TaylorJet, jet_erfcx, jet_pow, jet_recip, jet_variable
+from riscov.jets import TaylorJet, jet_erfcx, jet_pow, jet_recip
 from riscov.mcsim import EmpiricalDistribution
 from riscov.powerdist import GammaFit, signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
@@ -266,6 +266,13 @@ def interference_by_fsum(rng: np.random.Generator, table: np.ndarray, params: Sy
     return total
 
 
+def identity_jet(order: int) -> TaylorJet:
+    """The identity function s around s = 1: coefficients exactly [1, 1, 0, ...]."""
+    coeffs = np.zeros(order + 1)
+    coeffs[:2] = 1.0
+    return TaylorJet(coeffs)
+
+
 def jet_div_by_recurrence(a: TaylorJet, b: TaylorJet) -> np.ndarray:
     """Coefficients of a/b by the division recurrence r_k = (a_k - sum_j b_j r_(k-j)) / b_0."""
     aa, bb = a.coeffs, b.coeffs
@@ -288,7 +295,7 @@ def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
     for weight, fit, _ in analytic._nearest_branches(params):
         order = analytic._jet_order(fit)
         quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
-        root = jet_pow(quad_coef * jet_variable(order), 0.5)
+        root = jet_pow(quad_coef * identity_jet(order), 0.5)
         x2 = lam_pi * analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
         arg = TaylorJet(jet_div_by_recurrence(x2, 2.0 * root))
         kernel = math.sqrt(math.pi) * jet_erfcx(arg) * jet_recip(root)
@@ -299,7 +306,7 @@ def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
 
 def exp_tail_sum_exponent(g: TaylorJet, y: float, x: float) -> TaylorJet:
     """The exponent jet -x s - y g(s) whose exp exp_tail_sum(g, y, x) sums."""
-    return TaylorJet(jet_variable(g.order).coeffs * -x - y * g.coeffs)
+    return TaylorJet(identity_jet(g.order).coeffs * -x - y * g.coeffs)
 
 
 def exp_tail_sum_by_exponent_list(g: TaylorJet, y: float, x: float) -> float:

@@ -11,8 +11,8 @@ from scipy.integrate import quad
 
 from oracles import (coverage_nearest_alpha4_by_root_jets, exp_tail_sum_exponent,
                      fixed_ris_coverage_by_sampling, nearest_intlimited_coverage_by_sampling,
-                     rate_fixed_by_mpmath, rate_from_coverage_by_log_quad, rounded_shape,
-                     sample_gpp)
+                     identity_jet, rate_fixed_by_mpmath, rate_from_coverage_by_log_quad,
+                     rounded_shape, sample_gpp)
 import riscov.analytic as analytic
 from riscov.analytic import (DivergenceError, QuadratureError, SystemParams,
                              coverage_fixed_noris, coverage_fixed_ris,
@@ -26,7 +26,7 @@ from riscov.fading import dbm_to_watts
 from riscov.geometry import Window
 from riscov import jets
 from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_exp,
-                         jet_hyp2f1_cov, jet_spow, jet_variable)
+                         jet_hyp2f1_cov, jet_spow)
 from riscov.powerdist import signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
 
@@ -534,14 +534,13 @@ def test_coverage_nearest_alpha4_matches_root_jet_formulation(n_elements, p):
 def test_jet_sums_match_high_order_differentiation(fig4_params):
     """Derivatives of the fixed-association exponent kernel vs mpmath."""
     p = fig4_params(1e-3)
-    from riscov.jets import jet_exp, jet_spow, jet_variable
     from riscov.powerdist import signal_gamma_fit
     fit = signal_gamma_fit(p.eta_g0, p.eta_h0, p.fading, p.n_elements)
     d = 2.0 / p.path.alpha
     k = 2 * math.pi**2 * p.lambda_t / math.sin(2 * math.pi / p.path.alpha) / p.path.alpha
     a = 1.0 * p.gamma_t_inv / fit.omega
     b = k * (p.p * (p.e1 / fit.omega) ** d + (1 - p.p) * (p.path.c_d / fit.omega) ** d)
-    jet = jet_exp(-a * jet_variable(6) - b * jet_spow(d, 6))
+    jet = jet_exp(-a * identity_jet(6) - b * jet_spow(d, 6))
     mp.mp.dps = 40
     f = lambda s: mp.exp(-a * s - b * s**d)
     for i in range(7):
@@ -567,7 +566,7 @@ def nearest_branches_by_jet_arithmetic(params: SystemParams, gamma_bar: float,
         for w, g in tiers:
             hyp = hyp + w * jet_hyp2f1_cov(a, -(g / cd) * gamma_bar / fit.omega, order)
         noise_coef = gamma_bar * params.gamma_t_inv / (cd * fit.omega) * u_scale
-        expo = -noise_coef * u**half_a * jet_variable(order) - u * hyp
+        expo = -noise_coef * u**half_a * identity_jet(order) - u * hyp
         out["surface"] = alternating_tail_sum(jet_exp(expo))[0]
     if params.p < 1.0:
         hyp_star = sum(w * hyp2f1_cov(a, -(g / cd) * gamma_bar) for w, g in tiers)
@@ -600,7 +599,7 @@ def test_hoisted_integrands_match_jet_arithmetic(alpha, n_elements, log_lambda, 
 
     fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, n_elements)
     order = rounded_shape(fit.kappa) - 1
-    v = (-(gamma_bar * params.gamma_t_inv / fit.omega) * jet_variable(order)
+    v = (-(gamma_bar * params.gamma_t_inv / fit.omega) * identity_jet(order)
          - analytic._fixed_exponent(params, gamma_bar / fit.omega)
          * jet_spow(2.0 / alpha, order))
     fixed = min(max(alternating_tail_sum(jet_exp(v))[0], 0.0), 1.0)

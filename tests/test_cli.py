@@ -223,8 +223,30 @@ def test_every_float_key_must_be_finite(tmp_path, capsys, key, value):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("p_tx_dbm", "4000", "4000 dBm is out of range: its linear value overflows a float"),
+    ("c_d_db", "4000", "4000 dB is out of range: its linear value overflows a float"),
+    ("window_radius", "1e200", "window radius 1e+200 m is out of range: its area overflows "
+                               "a float"),
+    ("gamma_bar_db", "4000", "4000 dB is out of range: its linear value overflows a float"),
+])
+def test_a_key_that_overflows_is_refused_by_value(tmp_path, capsys, key, value, message):
+    """A finite key whose linear value or window area overflows a float ends in one error
+    line that names the value, in validate-config and in every run mode."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"scenario = custom\n{key} = {value}\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "x.csv"
+    for mode in MODES:
+        assert main(["run", "custom", "--mode", mode, "--trials", "100", "--out", str(out),
+                     f"--{key.replace('_', '-')}", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
-    (["--lambda-t", "-1"], "transmitter density must be finite and non-negative, got -1.0"),
+    (["--lambda-t", "-1"],"transmitter density must be finite and non-negative, got -1.0"),
     (["--lambda-t", "-0.0001"], "transmitter density must be finite and non-negative, "
                                 "got -0.0001"),
     (["--m-h", "0.25"], "Nakagami shape parameters must be finite and at least 0.5, "

@@ -4,9 +4,12 @@ perfbench/spans.py wraps the functions a module lists in __all__, so a name
 listed there that no longer exists breaks the traced benchmark pass, and a
 public function left out of it is never traced.  The README's library
 example must keep importing, and importing riscov must not load scipy.
+Each refusal message is raised from one place, so an input rule has one
+owner that every other entry point calls.
 """
 
 import ast
+import collections
 import importlib
 import inspect
 import os
@@ -94,3 +97,27 @@ def test_simulating_never_loads_scipy_until_an_analytic_call():
     assert before == "False"
     assert after == "True"
     assert float(value) == coverage_nearest(SystemParams.default(p=0.9), 1.0)
+
+
+def _literal_text(node) -> str:
+    """The literal parts of a message expression: string constants, f-string text, sums."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(part) for part in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _literal_text(node.left) + _literal_text(node.right)
+    return ""
+
+
+def test_each_refusal_message_is_raised_from_one_place():
+    """Two raise sites of one message are one input rule written twice, which can drift."""
+    sites = collections.defaultdict(list)
+    for path in sorted((ROOT / "src" / "riscov").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = _literal_text(node.exc.args[0])
+                if message:
+                    sites[message].append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 50
+    assert {message: where for message, where in sites.items() if len(where) > 1} == {}

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from oracles import exp_tail_sum_by_exponent_list, exp_tail_sum_exponent, jet_div_by_recurrence
+from oracles import (exp_tail_sum_by_exponent_list, exp_tail_sum_exponent, identity_jet,
+                     jet_div_by_recurrence)
 from riscov import jets
 from riscov.analytic import SystemParams, _nearest_hyp_jets
 from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_div, jet_erfcx,
                          jet_exp, jet_hyp2f1_cov, jet_pow, jet_recip, jet_si_ci,
-                         jet_sin_cos, jet_spow, jet_variable)
+                         jet_sin_cos, jet_spow)
 
 
 def poly_jet(coeffs_at_one, order):
@@ -30,9 +31,10 @@ def poly_jet(coeffs_at_one, order):
 # ---------------------------------------------------------------------------
 
 def test_order_and_length():
-    j = jet_variable(5)
+    j = identity_jet(5)
     assert j.order == 5
     assert len(j.coeffs) == 6
+    assert np.array_equal(j.coeffs, jet_spow(1.0, 5).coeffs)     # s^1, up to signed zeros
 
 
 def test_rejects_empty():
@@ -68,12 +70,12 @@ def test_value_semantics():
     assert j != TaylorJet([1.0, -0.5])
     zero, negative_zero = TaylorJet([0.0]), TaylorJet([-0.0])
     assert zero == negative_zero and hash(zero) == hash(negative_zero)
-    assert len({j, same, jet_variable(2)}) == 2
+    assert len({j, same, identity_jet(2)}) == 2
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        jet_variable(3) * jet_variable(4)
+        identity_jet(3) * identity_jet(4)
 
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -108,7 +110,7 @@ def test_sqrt_squares_back():
 
 
 def test_pow_matches_spow_on_variable():
-    assert np.allclose(jet_pow(jet_variable(6), 0.8).coeffs,
+    assert np.allclose(jet_pow(identity_jet(6), 0.8).coeffs,
                        jet_spow(0.8, 6).coeffs, atol=1e-14)
 
 
@@ -126,7 +128,7 @@ def test_div_matches_division_recurrence():
 
 def test_jet_exp_linear():
     a = 0.7
-    j = jet_exp(a * jet_variable(3))
+    j = jet_exp(a * identity_jet(3))
     expect = math.exp(a) * np.array([1.0, a, a * a / 2.0, a**3 / 6.0])
     assert np.allclose(j.coeffs, expect, rtol=1e-14)
 
@@ -205,7 +207,7 @@ def test_high_order_exp_and_recip_vs_mpmath(order):
     their coefficients alternate in sign and no recurrence sum cancels:
     each coefficient keeps its relative accuracy.
     """
-    v = -2.0 * jet_variable(order) - 5.0 * jet_spow(0.8, order)
+    v = -2.0 * identity_jet(order) - 5.0 * jet_spow(0.8, order)
     assert np.allclose(jet_exp(v).coeffs, _mp_exp_coeffs(v.coeffs), rtol=1e-12, atol=0.0)
     f = 1.0 + 3.0 * jet_spow(0.8, order)
     assert np.allclose(jet_recip(f).coeffs, _mp_recip_coeffs(f.coeffs), rtol=1e-12, atol=0.0)
@@ -216,7 +218,7 @@ def test_high_order_exp_and_recip_vs_mpmath(order):
        y=st.floats(0.1, 5.0), d=st.floats(0.34, 0.98))
 def test_blocked_solves_match_one_block(order, block, x, y, d):
     """Any block size gives the single-solve coefficients up to rounding."""
-    v = -x * jet_variable(order) - y * jet_spow(d, order)
+    v = -x * identity_jet(order) - y * jet_spow(d, order)
     f = 1.0 + y * jet_spow(d, order)
     whole_exp, whole_recip = jet_exp(v).coeffs, jet_recip(f).coeffs
     with pytest.MonkeyPatch.context() as mp_ctx:
@@ -230,7 +232,7 @@ def test_jet_exp_at_order_3638_holds_no_square_matrix():
 
     A dense 3639 x 3639 solve alone needs 106 MB.
     """
-    v = -0.3 * jet_variable(3638) - 2.0 * jet_spow(0.8, 3638)
+    v = -0.3 * identity_jet(3638) - 2.0 * jet_spow(0.8, 3638)
     expect = jet_exp(v).coeffs          # the first call also binds scipy's dtrsv
     tracemalloc.start()
     try:
@@ -244,7 +246,7 @@ def test_jet_exp_at_order_3638_holds_no_square_matrix():
 
 def test_jet_exp_of_an_underflowed_value_is_zero():
     """exp(a_0) below the smallest double gives zero coefficients, not NaN."""
-    v = -800.0 * jet_variable(1000) - 5.0 * jet_spow(0.8, 1000)
+    v = -800.0 * identity_jet(1000) - 5.0 * jet_spow(0.8, 1000)
     assert not np.any(jet_exp(v).coeffs)
 
 
@@ -356,7 +358,7 @@ def _mp_jet(fn, order):
 
 
 def test_jet_erfcx_vs_mpmath():
-    u = 0.7 * jet_spow(0.5, 6) + 0.3 * jet_variable(6)
+    u = 0.7 * jet_spow(0.5, 6) + 0.3 * identity_jet(6)
     got = jet_erfcx(u).coeffs
     ref = _mp_jet(lambda s: mp.exp((0.7 * mp.sqrt(s) + 0.3 * s) ** 2)
                   * mp.erfc(0.7 * mp.sqrt(s) + 0.3 * s), 6)
@@ -400,7 +402,7 @@ def test_jet_sin_cos_vs_mpmath():
 
 
 def test_jet_si_ci_vs_mpmath():
-    u = 0.9 * jet_spow(0.5, 6) + 0.4 * jet_variable(6)
+    u = 0.9 * jet_spow(0.5, 6) + 0.4 * identity_jet(6)
     sij, cij = jet_si_ci(u)
     ref_si = _mp_jet(lambda s: mp.si(0.9 * mp.sqrt(s) + 0.4 * s), 6)
     ref_ci = _mp_jet(lambda s: mp.ci(0.9 * mp.sqrt(s) + 0.4 * s), 6)
@@ -431,7 +433,7 @@ def test_jet_hyp2f1_rejects_positive():
 @pytest.mark.parametrize("n,a", [(1, 0.5), (4, 2.0), (24, 17.0), (40, 30.0)])
 def test_alternating_sum_reproduces_gamma_tail(n, a):
     """sum_{i<n} (-1)^i/i! d^i/ds^i e^{-a s} |_{s=1} = Q(n, a) exactly."""
-    j = jet_exp(-a * jet_variable(n - 1))
+    j = jet_exp(-a * identity_jet(n - 1))
     val, ratio = alternating_tail_sum(j)
     assert val == pytest.approx(float(sp.gammaincc(n, a)), rel=1e-12)
     assert ratio >= 1.0
