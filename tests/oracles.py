@@ -13,9 +13,9 @@ square-root, division and reciprocal jets are the formulations the jets
 module and coverage_nearest_alpha4 replaced; exp_tail_sum's exponent is
 built here as a jet, from the identity jet that every test uses, and the
 exponent-list loop is exp_tail_sum's float path as it was before it formed
-j a_j directly.  The fixed-association rate is an mpmath quadrature of Hamdi's integrand, and
-the log-x quad is the adaptive reference for rate_from_coverage's
-trapezoid rule.
+j a_j directly.  The fixed-association rate is an mpmath quadrature of
+Hamdi's integrand, and the log-x quad is the adaptive reference for
+rate_from_coverage's trapezoid rule.
 """
 
 from __future__ import annotations

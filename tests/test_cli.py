@@ -246,7 +246,7 @@ def test_a_key_that_overflows_is_refused_by_value(tmp_path, capsys, key, value, 
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--lambda-t", "-1"],"transmitter density must be finite and non-negative, got -1.0"),
+    (["--lambda-t", "-1"], "transmitter density must be finite and non-negative, got -1.0"),
     (["--lambda-t", "-0.0001"], "transmitter density must be finite and non-negative, "
                                 "got -0.0001"),
     (["--m-h", "0.25"], "Nakagami shape parameters must be finite and at least 0.5, "
