@@ -562,10 +562,13 @@ def test_fixed_mc_csv_bytes_are_unchanged(tmp_path, run_id):
 
 # sha256 of `riscov run <args> --mode mc` CSVs that read no interference-kernel draws:
 # fig3 reads the first three fading-table columns through sample_interferer_power,
-# and at zero density the simulator builds no table and sums no interference.
+# fig2 draws only serving signals through sample_signal_power, and at zero density
+# the simulator builds no table and sums no interference.
 KERNEL_FREE_MC_CSV_SHA256 = {
     "fig3": (["fig3", "--trials", "3000"],
              "1b6a934e9e0f304ee20b11abb3e1bd95832275d09bb445cede7a15015884c1a3"),
+    "fig2": (["fig2", "--trials", "200"],
+             "d0f7bf581e8f4c973b2b3a0ac364778c339dd7f99f2ce182a43eda550e78d023"),
     "fixed_ris-lambda0": (["custom", "--strategy", "fixed_ris", "--lambda-t", "0",
                            "--trials", "2000"],
                           "81bdce2b38aaacb34235a519272d4885e1e690a2e222c5496895c59df74bf0f2"),
@@ -628,6 +631,78 @@ def test_fixed_sweep_summary_lines_are_unchanged(tmp_path, capsys, fig, mode):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith(f"{fig} ")]
     assert lines == FIXED_SWEEP_SUMMARIES[fig, mode]
+
+
+# Every scenario's `--mode both` run in a small window: sha256 of its CSV and its exact
+# summary lines (the "wrote ... to <path>" line aside).  The test runs over every
+# registered scenario, so a scenario added without a pin fails.
+BOTH_MODE_PINS = {
+    "custom": ("40d08da029d38123056c1233b4b41eb352bc047c4b0e38918cde5f1c4344e14f",
+               ["custom strategy=fixed_ris: evaluated 50 thresholds"]),
+    "fig2": ("2c736a52928d72d09226b2515bffa14f0e44e0cd96654c78adfd5842d22819c7",
+             [f"fig2 m={m} N={n}: {kind} CCDF crosses 0.8 at {db} dB"
+              for (m, n), pair in {
+                  (1, 16): ("-52.02", "-51.86"), (1, 32): ("-46.52", "-46.57"),
+                  (1, 64): ("-40.75", "-40.68"), (2, 16): ("-50.84", "-50.75"),
+                  (2, 32): ("-45.33", "-45.41"), (2, 64): ("-39.54", "-39.47"),
+                  (4, 16): ("-50.20", "-50.33"), (4, 32): ("-44.69", "-44.71"),
+                  (4, 64): ("-38.91", "-38.97")}.items()
+              for kind, db in zip(("analytic", "mc"), pair)]),
+    "fig3": ("fe5f4d429090ca353540ffdef62699f7e5839b33f6c22fd3ef3892f784a97fa9",
+             ["fig3 N=16: max |model - empirical| = 0.0260",
+              "fig3 N=32: max |model - empirical| = 0.0382",
+              "fig3 N=64: max |model - empirical| = 0.0484"]),
+    "fig4": ("12306c675d78a2eeace751ecee1563cc22402a087235044cfcdf2464be264006",
+             ["fig4 lambda_t=0.001: analytic coverage 0.9 at -12.55 dBm",
+              "fig4 lambda_t=0.001: mc coverage 0.000..0.885",
+              "fig4 lambda_t=0.0001: analytic coverage 0.9 at -24.00 dBm",
+              "fig4 lambda_t=0.0001: mc coverage 0.000..0.990",
+              "fig4 lambda_t=1e-05: analytic coverage 0.9 at -24.11 dBm",
+              "fig4 lambda_t=1e-05: mc coverage 0.000..1.000",
+              "fig4 lambda_t=0: analytic coverage 0.9 at -24.12 dBm",
+              "fig4 lambda_t=0: mc coverage 0.000..1.000"]),
+    "fig5": ("9570dd321edd52d27640940b0262b9ae9d06ab27efd4ed953a5349919382935e",
+             ["fig5 lambda_t=0.0001: analytic coverage 0.9 at n/a",
+              "fig5 lambda_t=0.0001: mc coverage 0.000..0.510",
+              "fig5 lambda_t=1e-05: analytic coverage 0.9 at 11.51 dBm",
+              "fig5 lambda_t=1e-05: mc coverage 0.000..0.935",
+              "fig5 lambda_t=1e-06: analytic coverage 0.9 at 2.79 dBm",
+              "fig5 lambda_t=1e-06: mc coverage 0.000..0.990",
+              "fig5 lambda_t=0: analytic coverage 0.9 at 2.35 dBm",
+              "fig5 lambda_t=0: mc coverage 0.000..1.000"]),
+    "fig6": ("04a6f8d3307d4ff3a8ce8ff41c974494c82b7b6cbe39dbe7c793bc34c96029f0",
+             ["fig6 lambda_t=1e-06: analytic rate 0.050..8.390",
+              "fig6 lambda_t=1e-06: mc rate 0.050..8.411",
+              "fig6 lambda_t=1e-05: analytic rate 0.050..7.915",
+              "fig6 lambda_t=1e-05: mc rate 0.051..7.971",
+              "fig6 lambda_t=0.0001: analytic rate 0.050..5.673",
+              "fig6 lambda_t=0.0001: mc rate 0.051..5.966"]),
+    "fig7": ("b0db930163794bbeea835b4055468fc07f649f8df5ebb08e442f1b60ed445acc",
+             ["fig7 lambda_t=1e-05 alpha=2.5: high-power analytic coverage 0.9035061246967792",
+              "fig7 lambda_t=1e-05 alpha=2.5: mc coverage 0.000..0.895",
+              "fig7 lambda_t=5e-05 alpha=2.5: high-power analytic coverage 0.9036538763861867",
+              "fig7 lambda_t=5e-05 alpha=2.5: mc coverage 0.000..0.880",
+              "fig7 lambda_t=0.0001 alpha=2.5: high-power analytic coverage 0.9036670419990206",
+              "fig7 lambda_t=0.0001 alpha=2.5: mc coverage 0.000..0.885",
+              "fig7 lambda_t=0.001 alpha=2.5: high-power analytic coverage 0.9036760509054436",
+              "fig7 lambda_t=0.001 alpha=2.5: mc coverage 0.055..0.885",
+              "fig7 lambda_t=0.0001 alpha=4: high-power analytic coverage 0.9007453356254439",
+              "fig7 lambda_t=0.0001 alpha=4: mc coverage 0.000..0.870"]),
+    "fig8": ("adc6d102a78a6bcfa8c8d460c3d9ce9ac5a2a153645422ebb779e2c831b3ad54",
+             ["fig8: coverage and rate versus association probability "
+              "(noise-free analytics, gamma_t = 1e8 simulation)"]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_both_mode_csv_and_summary_are_unchanged(tmp_path, capsys, scenario):
+    digest, summaries = BOTH_MODE_PINS[scenario]
+    out = tmp_path / "out.csv"
+    assert main(["run", scenario, "--mode", "both", "--trials", "200", "--window-radius", "300",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [*summaries, f"wrote {len(read_csv(out))} rows to {out}"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
