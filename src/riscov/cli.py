@@ -17,6 +17,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,8 +32,8 @@ __all__ = ["RunSpec", "main", "run", "parse_config", "render_config", "build_par
 MODES = ("analytic", "mc", "both")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
-#: custom-scenario strategy -> simulate_sinr's strategy and forced_ris; each also names
-#: the analytic.coverage_<strategy> function.
+#: strategy of custom, fig4 (fixed_ris) and fig5 (fixed_noris) -> simulate_sinr's strategy
+#: and forced_ris; each also names the analytic.coverage_<strategy> function.
 STRATEGIES = {"fixed_ris": ("fixed", True), "fixed_noris": ("fixed", False),
               "nearest": ("nearest", None), "nearest_alpha4": ("nearest", None)}
 
@@ -179,9 +180,7 @@ def render_config(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 def _crossing_db(x_db: np.ndarray, values: np.ndarray, level: float) -> float | None:
@@ -191,6 +190,11 @@ def _crossing_db(x_db: np.ndarray, values: np.ndarray, level: float) -> float | 
         if (lo - level) * (hi - level) <= 0.0 and lo != hi:
             return float(x_db[i - 1] + (level - lo) * (x_db[i] - x_db[i - 1]) / (hi - lo))
     return None
+
+
+def _column_rows(cells: dict, columns: dict) -> list[dict]:
+    """One row per index of the equal-length columns {name: values}, each with the cells."""
+    return [{**cells, **dict(zip(columns, values))} for values in zip(*columns.values())]
 
 
 def _scenario_fig2(spec: RunSpec):
@@ -204,10 +208,10 @@ def _scenario_fig2(spec: RunSpec):
         for n_el in (16, 32, 64):
             params = build_params(spec, m_h=m, m_r=m, n_elements=n_el)
             ccdfs = {}
-            if spec.mode in ("analytic", "both"):
+            if spec.mode != "mc":
                 fit = signal_gamma_fit(params.eta_g0, params.eta_h0, params.fading, n_el)
                 ccdfs["analytic"] = np.array([signal_ccdf(fit, x) for x in x_lin])
-            if spec.mode in ("mc", "both"):
+            if spec.mode != "analytic":
                 dist = mcsim.sample_signal_power(params.eta_g0, params.eta_h0,
                                                  params.fading, n_el, trials,
                                                  int(spec.setting("seed")) + n_el + int(m))
@@ -217,9 +221,8 @@ def _scenario_fig2(spec: RunSpec):
                 summaries.append(f"fig2 m={m:g} N={n_el}: " + (
                     f"{kind} CCDF crosses 0.8 at {cross:.2f} dB" if cross is not None
                     else f"no {kind} 0.8 crossing on grid"))
-            blank = [""] * len(x_db)
-            rows += [[n_el, m, *r] for r in zip(x_db, ccdfs.get("analytic", blank),
-                                                ccdfs.get("mc", blank))]
+            rows += _column_rows({"n_elements": n_el, "m": m}, {
+                "x_db": x_db, **{f"ccdf_{kind}": ccdf for kind, ccdf in ccdfs.items()}})
     return ["n_elements", "m", "x_db", "ccdf_analytic", "ccdf_mc"], rows, summaries
 
 
@@ -228,7 +231,6 @@ def _scenario_fig3(spec: RunSpec):
     rows, summaries = [], []
     x_db = np.arange(-60.0, -19.9, 0.5)
     x_lin = 10.0 ** (x_db / 10.0)
-    do_mc = spec.mode in ("mc", "both")
     trials = _trials(spec, 200_000)
     from .powerdist import interferer_exp_param
     for n_el in (16, 32, 64):
@@ -236,77 +238,79 @@ def _scenario_fig3(spec: RunSpec):
         eta_g, eta_h = params.eta_g0, params.eta_h0   # mirrored interferer geometry
         zeta = interferer_exp_param(eta_g, eta_h, n_el)
         model = np.exp(-zeta * x_lin)
-        emp = np.full_like(model, np.nan)
-        if do_mc:
+        columns = {"x_db": x_db}
+        if spec.mode != "mc":
+            columns["ccdf_exp_model"] = model
+        if spec.mode != "analytic":
             dist = mcsim.sample_interferer_power(eta_g, eta_h, params.fading, n_el,
                                                  trials, int(spec.setting("seed")) + n_el)
-            emp = dist.ccdf(x_lin)
-        for i in range(len(x_db)):
-            rows.append([n_el, x_db[i],
-                         model[i] if spec.mode != "mc" else "",
-                         emp[i] if do_mc else ""])
-        if do_mc:
-            dev = float(np.nanmax(np.abs(model - emp)))
+            columns["ccdf_mc"] = dist.ccdf(x_lin)
+            dev = float(np.nanmax(np.abs(model - columns["ccdf_mc"])))
             summaries.append(f"fig3 N={n_el}: max |model - empirical| = {dev:.4f}")
         else:
             summaries.append(f"fig3 N={n_el}: exponential parameter {zeta:.6g}")
+        rows += _column_rows({"n_elements": n_el}, columns)
     return ["n_elements", "x_db", "ccdf_exp_model", "ccdf_mc"], rows, summaries
 
 
-def _power_sweep(spec: RunSpec, curves, p_grid, default_trials: int, analytic_fn, mc_fn):
-    """Rows [p_dbm, *keys, analytic, mc, mc_ci] of curves over a transmit-power grid, and
-    each curve's computed values {"analytic": [...], "mc": [...]}.
+def _sweep(spec: RunSpec, curves, points, default_trials: int, analytic_fn, mc_fn):
+    """Rows of curves over points as {column: cell} dicts, and each curve's own rows.
 
-    curves holds (key cells, build_params overrides) pairs.  The k-th point's analytic
-    cell is analytic_fn(params), and its MC cells are mc_fn(config) seeded seed + k.
-    Both look their evaluators up at call time, so a wrapped function is the one called.
+    curves and points hold (row cells, build_params overrides) pairs.  A row
+    holds its point's and its curve's cells, the cells of analytic_fn(params)
+    unless the mode is mc, and those of mc_fn(config) unless it is analytic;
+    the k-th point's config is seeded seed + k.  Both functions return dicts of
+    cells and look their evaluators up at call time, so a wrapped function is
+    the one called.
     """
-    rows, values = [], []
-    for keys, overrides in curves:
-        curve = {"analytic": [], "mc": []}
-        for k, p_dbm in enumerate(p_grid):
-            params = build_params(spec, p_tx_dbm=p_dbm, **overrides)
-            ana = mc = ci = ""
+    per_curve = []
+    for curve_cells, curve_overrides in curves:
+        per_curve.append([])
+        for k, (cells, overrides) in enumerate(points):
+            params = build_params(spec, **curve_overrides, **overrides)
+            row = {**cells, **curve_cells}
             if spec.mode != "mc":
-                ana = analytic_fn(params)
-                curve["analytic"].append(ana)
+                row.update(analytic_fn(params))
             if spec.mode != "analytic":
-                mc, ci = mc_fn(_mc_config(spec, params, default_trials, seed_offset=k))
-                curve["mc"].append(mc)
-            rows.append([p_dbm, *keys, ana, mc, ci])
-        values.append(curve)
-    return rows, values
+                row.update(mc_fn(_mc_config(spec, params, default_trials, seed_offset=k)))
+            per_curve[-1].append(row)
+    return [row for curve in per_curve for row in curve], per_curve
 
 
-def _coverage_power_sweep(spec: RunSpec, with_ris: bool, lambdas, p_grid_dbm,
-                          default_trials: int):
+def _power_points(p_grid_dbm):
+    return [({"p_dbm": p_dbm}, {"p_tx_dbm": p_dbm}) for p_dbm in p_grid_dbm]
+
+
+def _coverage_cells(dist: mcsim.EmpiricalDistribution, gamma_bar: float) -> dict:
+    return dict(zip(("coverage_mc", "mc_ci"), mcsim.estimate_coverage(dist, gamma_bar)))
+
+
+def _span(label: str, curve, column: str) -> str:
+    """A curve's summary line: the first..last cell of its column, a quantity_kind name."""
+    quantity, kind = column.split("_")
+    return f"{label}: {kind} {quantity} {curve[0][column]:.3f}..{curve[-1][column]:.3f}"
+
+
+def _scenario_fixed_coverage(spec: RunSpec, strategy: str, lambdas, p_grid_dbm):
+    """Fixed-association coverage of one custom strategy over transmit power."""
     gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
-    rows, curves = _power_sweep(
-        spec, [((lam,), {"lambda_t": lam}) for lam in lambdas], p_grid_dbm, default_trials,
-        lambda params: (analytic.coverage_fixed_ris if with_ris
-                        else analytic.coverage_fixed_noris)(params, gamma_bar),
-        lambda cfg: mcsim.estimate_coverage(
-            mcsim.simulate_sinr(cfg, "fixed", forced_ris=with_ris), gamma_bar))
+    rows, curves = _sweep(
+        spec, [({"lambda_t": lam}, {"lambda_t": lam}) for lam in lambdas],
+        _power_points(p_grid_dbm), 4000,
+        lambda params: {"coverage_analytic":
+                        getattr(analytic, f"coverage_{strategy}")(params, gamma_bar)},
+        lambda cfg: _coverage_cells(mcsim.simulate_sinr(cfg, *STRATEGIES[strategy]), gamma_bar))
     summaries = []
     for lam, curve in zip(lambdas, curves):
         label = f"{spec.scenario} lambda_t={lam:g}"
-        if curve["analytic"]:
-            cross = _crossing_db(np.asarray(p_grid_dbm), np.asarray(curve["analytic"]), 0.9)
+        if spec.mode != "mc":
+            cross = _crossing_db(np.asarray(p_grid_dbm),
+                                 np.array([row["coverage_analytic"] for row in curve]), 0.9)
             summaries.append(f"{label}: analytic coverage 0.9 at "
                              + (f"{cross:.2f} dBm" if cross is not None else "n/a"))
-        if curve["mc"]:
-            summaries.append(f"{label}: mc coverage {curve['mc'][0]:.3f}..{curve['mc'][-1]:.3f}")
+        if spec.mode != "analytic":
+            summaries.append(_span(label, curve, "coverage_mc"))
     return ["p_dbm", "lambda_t", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
-
-
-def _scenario_fig4(spec: RunSpec):
-    return _coverage_power_sweep(spec, True, (1e-3, 1e-4, 1e-5, 0.0),
-                                 np.arange(-40.0, 0.1, 2.0), 4000)
-
-
-def _scenario_fig5(spec: RunSpec):
-    return _coverage_power_sweep(spec, False, (1e-4, 1e-5, 1e-6, 0.0),
-                                 np.arange(-20.0, 30.1, 2.0), 4000)
 
 
 _FIG6_LAMBDAS = (1e-6, 1e-5, 1e-4)
@@ -317,13 +321,15 @@ _EMPTY_WINDOW_RISK = 1e-3
 
 
 def _scenario_fig6(spec: RunSpec):
-    rows, curves = _power_sweep(
-        spec, [((lam,), {"lambda_t": lam}) for lam in _FIG6_LAMBDAS], _FIG6_P_GRID,
-        _FIG6_TRIALS, lambda params: analytic.rate_fixed(params, with_ris=True),
-        lambda cfg: mcsim.estimate_rate(mcsim.simulate_sinr(cfg, "fixed", forced_ris=True)))
-    summaries = [f"fig6 lambda_t={lam:g}: {kind} rate {vals[0]:.3f}..{vals[-1]:.3f}"
+    rows, curves = _sweep(
+        spec, [({"lambda_t": lam}, {"lambda_t": lam}) for lam in _FIG6_LAMBDAS],
+        _power_points(_FIG6_P_GRID), _FIG6_TRIALS,
+        lambda params: {"rate_analytic": analytic.rate_fixed(params, with_ris=True)},
+        lambda cfg: dict(zip(("rate_mc", "mc_ci"), mcsim.estimate_rate(
+            mcsim.simulate_sinr(cfg, "fixed", forced_ris=True)))))
+    summaries = [_span(f"fig6 lambda_t={lam:g}", curve, column)
                  for lam, curve in zip(_FIG6_LAMBDAS, curves)
-                 for kind, vals in curve.items() if vals]
+                 for column in ("rate_analytic", "rate_mc") if column in curve[0]]
     return ["p_dbm", "lambda_t", "rate_analytic", "rate_mc", "mc_ci"], rows, summaries
 
 
@@ -347,82 +353,76 @@ def _check_fig6_windows(spec: RunSpec, window: Window) -> None:
 def _scenario_fig7(spec: RunSpec):
     gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
     families = [(lam, 2.5) for lam in (1e-5, 5e-5, 1e-4, 1e-3)] + [(1e-4, 4.0)]
-    rows, curves = _power_sweep(
-        spec, [(fam, {"lambda_t": fam[0], "alpha": fam[1], "p": 0.9}) for fam in families],
-        np.arange(-40.0, 30.1, 2.0), 2000,
-        lambda params: (analytic.coverage_nearest_alpha4 if params.path.alpha == 4.0
-                        else analytic.coverage_nearest)(params, gamma_bar),
-        lambda cfg: mcsim.estimate_coverage(mcsim.simulate_sinr(cfg, "nearest"), gamma_bar))
+    rows, curves = _sweep(
+        spec, [({"lambda_t": lam, "alpha": alpha}, {"lambda_t": lam, "alpha": alpha, "p": 0.9})
+               for lam, alpha in families],
+        _power_points(np.arange(-40.0, 30.1, 2.0)), 2000,
+        lambda params: {"coverage_analytic": (
+            analytic.coverage_nearest_alpha4 if params.path.alpha == 4.0
+            else analytic.coverage_nearest)(params, gamma_bar)},
+        lambda cfg: _coverage_cells(mcsim.simulate_sinr(cfg, "nearest"), gamma_bar))
     summaries = []
     for (lam, alpha), curve in zip(families, curves):
         label = f"fig7 lambda_t={lam:g} alpha={alpha:g}"
-        if curve["analytic"]:
-            summaries.append(f"{label}: high-power analytic coverage {curve['analytic'][-1]}")
-        if curve["mc"]:
-            summaries.append(f"{label}: mc coverage {curve['mc'][0]:.3f}..{curve['mc'][-1]:.3f}")
-    return ["p_dbm", "lambda_t", "alpha", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
+        if spec.mode != "mc":
+            summaries.append(f"{label}: high-power analytic coverage "
+                             f"{curve[-1]['coverage_analytic']}")
+        if spec.mode != "analytic":
+            summaries.append(_span(label, curve, "coverage_mc"))
+    columns = ["p_dbm", "lambda_t", "alpha", "coverage_analytic", "coverage_mc", "mc_ci"]
+    return columns, rows, summaries
 
 
 def _scenario_fig8(spec: RunSpec):
-    rows, summaries = [], []
     gamma_bar = db_to_linear(float(spec.setting("gamma_bar_db")))
-    do_mc = spec.mode in ("mc", "both")
-    do_ana = spec.mode in ("analytic", "both")
-    for k, p_assoc in enumerate(np.arange(0.1, 0.91, 0.1)):
-        params = build_params(spec, p=round(float(p_assoc), 3),
-                              interference_limited=1)
-        cov = rate = mc_cov = mc_rate = ci = ""
-        if do_ana:
-            cov = analytic.coverage_nearest_intlimited(params, gamma_bar)
-            rate = analytic.rate_nearest(params, interference_limited=True)
-        if do_mc:
-            # simulate at a large but finite transmit SNR (gamma_t = 1e8)
-            mc_params = replace(params, interference_limited=False,
-                                p_tx_w=dbm_to_watts(10.0))
-            cfg = _mc_config(spec, mc_params, 20_000, seed_offset=k)
-            dist = mcsim.simulate_sinr(cfg, "nearest")
-            mc_cov, ci = mcsim.estimate_coverage(dist, gamma_bar)
-            mc_rate, _ = mcsim.estimate_rate(dist)
-        rows.append([round(float(p_assoc), 3), cov, mc_cov, ci, rate, mc_rate])
-    summaries.append("fig8: coverage and rate versus association probability "
-                     "(noise-free analytics, gamma_t = 1e8 simulation)")
-    return ["p", "coverage_analytic", "coverage_mc", "mc_ci",
-            "rate_analytic", "rate_mc"], rows, summaries
+
+    def simulate(cfg):
+        # simulate at a large but finite transmit SNR (gamma_t = 1e8)
+        params = replace(cfg.params, interference_limited=False, p_tx_w=dbm_to_watts(10.0))
+        dist = mcsim.simulate_sinr(replace(cfg, params=params), "nearest")
+        return {**_coverage_cells(dist, gamma_bar), "rate_mc": mcsim.estimate_rate(dist)[0]}
+
+    p_grid = [round(float(p), 3) for p in np.arange(0.1, 0.91, 0.1)]
+    rows, _ = _sweep(
+        spec, [({}, {"interference_limited": 1})], [({"p": p}, {"p": p}) for p in p_grid], 20_000,
+        lambda params: {
+            "coverage_analytic": analytic.coverage_nearest_intlimited(params, gamma_bar),
+            "rate_analytic": analytic.rate_nearest(params, interference_limited=True)},
+        simulate)
+    return (["p", "coverage_analytic", "coverage_mc", "mc_ci", "rate_analytic", "rate_mc"], rows,
+            ["fig8: coverage and rate versus association probability "
+             "(noise-free analytics, gamma_t = 1e8 simulation)"])
 
 
 def _scenario_custom(spec: RunSpec):
-    rows, summaries = [], []
     params = build_params(spec)
     strategy = str(spec.setting("strategy"))
     grid = analytic.default_threshold_grid()
-    do_mc = spec.mode in ("mc", "both")
-    do_ana = spec.mode in ("analytic", "both")
-    ana = [""] * len(grid)
-    if do_ana:
+    columns = {"gamma_bar_db": [10.0 * math.log10(g) for g in grid]}
+    if spec.mode != "mc":
         # looked up at call time so a wrapped analytic function is the one called
         coverage = getattr(analytic, f"coverage_{strategy}")
-        ana = [float(coverage(params, float(g))) for g in grid]
-    mc = [""] * len(grid)
-    ci = [""] * len(grid)
-    if do_mc:
-        cfg = _mc_config(spec, params, 20_000)
-        dist = mcsim.simulate_sinr(cfg, *STRATEGIES[strategy])
-        pairs = [mcsim.estimate_coverage(dist, float(g)) for g in grid]
-        mc = [p for p, _ in pairs]
-        ci = [c for _, c in pairs]
-    for i, g in enumerate(grid):
-        rows.append([10.0 * math.log10(g), ana[i], mc[i], ci[i]])
-    summaries.append(f"custom strategy={strategy}: evaluated "
-                     f"{len(grid)} thresholds")
-    return ["gamma_bar_db", "coverage_analytic", "coverage_mc", "mc_ci"], rows, summaries
+        columns["coverage_analytic"] = [float(coverage(params, float(g))) for g in grid]
+    if spec.mode != "analytic":
+        dist = mcsim.simulate_sinr(_mc_config(spec, params, 20_000), *STRATEGIES[strategy])
+        columns["coverage_mc"], columns["mc_ci"] = zip(
+            *(mcsim.estimate_coverage(dist, float(g)) for g in grid))
+    return (["gamma_bar_db", "coverage_analytic", "coverage_mc", "mc_ci"],
+            _column_rows({}, columns),
+            [f"custom strategy={strategy}: evaluated {len(grid)} thresholds"])
 
 
-#: scenario id -> (function returning columns, rows and summaries; one-line help)
+#: scenario id -> (function returning columns, rows as {column: cell} dicts and summaries;
+#: one-line help)
 SCENARIOS = {
     "fig2": (_scenario_fig2, "signal-power CCDF vs gamma fit, m x N families"),
     "fig3": (_scenario_fig3, "per-interferer power CCDF vs exponential model"),
-    "fig4": (_scenario_fig4, "fixed association with surface: coverage vs transmit power"),
-    "fig5": (_scenario_fig5, "fixed association without surface: coverage vs transmit power"),
+    "fig4": (partial(_scenario_fixed_coverage, strategy="fixed_ris",
+                     lambdas=(1e-3, 1e-4, 1e-5, 0.0), p_grid_dbm=np.arange(-40.0, 0.1, 2.0)),
+             "fixed association with surface: coverage vs transmit power"),
+    "fig5": (partial(_scenario_fixed_coverage, strategy="fixed_noris",
+                     lambdas=(1e-4, 1e-5, 1e-6, 0.0), p_grid_dbm=np.arange(-20.0, 30.1, 2.0)),
+             "fixed association without surface: coverage vs transmit power"),
     "fig6": (_scenario_fig6, "fixed association: rate vs transmit power"),
     "fig7": (_scenario_fig7, "nearest association: coverage vs transmit power"),
     "fig8": (_scenario_fig8, "nearest association, noise-free: coverage and rate vs p"),
@@ -465,8 +465,7 @@ def run(spec: RunSpec) -> int:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows([_fmt(row.get(column, "")) for column in columns] for row in rows)
     for line in summaries:
         print(line)
     print(f"wrote {len(rows)} rows to {out}")

@@ -705,6 +705,28 @@ def test_both_mode_csv_and_summary_are_unchanged(tmp_path, capsys, scenario):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fig,strategy", [("fig4", "fixed_ris"), ("fig5", "fixed_noris")])
+def test_fixed_sweeps_look_their_strategy_up_at_call_time(tmp_path, monkeypatch, fig, strategy):
+    """fig4 and fig5 evaluate analytic.coverage_<strategy> and simulate STRATEGIES[strategy],
+    both looked up when the run computes, so a wrapped evaluator is the one called."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[1:]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(analytic, f"coverage_{strategy}",
+                        recording("analytic", getattr(analytic, f"coverage_{strategy}")))
+    monkeypatch.setattr(mcsim, "simulate_sinr", recording("mc", mcsim.simulate_sinr))
+    assert main(["run", fig, "--mode", "both", "--trials", "100", "--window-radius", "300",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    rows = read_csv(tmp_path / "x.csv")
+    assert [name for name, _ in calls] == ["analytic", "mc"] * len(rows)
+    assert {args for name, args in calls if name == "mc"} == {STRATEGIES[strategy]}
+
+
 def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
     """Without noise the transmit power cancels, so each curve is the density-free
     coverage_nearest_intlimited value, whichever evaluator its exponent picks."""
