@@ -99,6 +99,8 @@ class SystemParams:
             raise ValueError(f"association probability must be in [0, 1], got {self.p}")
         _check_element_count(self.n_elements)
         _check_serving_distance(self.d_g0)
+        if self.eta_g0 == 0.0:
+            raise ValueError(f"d_g0 = {self.d_g0:g} m is out of range: its direct gain underflows")
         if not (math.isfinite(self.p_tx_w) and math.isfinite(self.noise_w)):
             raise ValueError(f"transmit and noise powers must be finite, "
                              f"got {self.p_tx_w} and {self.noise_w}")

@@ -15,6 +15,7 @@ import argparse
 import csv
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -95,6 +96,11 @@ class RunSpec:
     def setting(self, key: str):
         return self.overrides.get(key, KEY_SPECS[key][2])
 
+    @property
+    def out_path(self) -> str:
+        """The CSV path: out, or <scenario>.csv in the working directory."""
+        return self.out or f"{self.scenario}.csv"
+
 
 def build_params(spec: RunSpec, **extra) -> SystemParams:
     """SystemParams from a run spec, with call-site keyword overrides."""
@@ -141,6 +147,7 @@ def parse_config(text: str) -> RunSpec:
     mode = "both"
     out = None
     overrides: dict = {}
+    seen: dict[str, int] = {}       # key -> the line that first set it
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,6 +155,8 @@ def parse_config(text: str) -> RunSpec:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if seen.setdefault(key, ln) != ln:
+            raise ValueError(f"line {ln}: {key} is already set on line {seen[key]}")
         if key == "scenario":
             scenario = value
         elif key == "mode":
@@ -434,8 +443,10 @@ def _check(spec: RunSpec) -> None:
     """Raise ValueError for a spec whose run would fail, before any column is computed.
 
     Every mode builds the model and simulator parameters and converts the
-    threshold, which refuses a key outside the model or one whose linear value
-    or window area overflows a float.  For the custom scenario a mode with
+    threshold, which refuses a key outside the model, one whose window area or
+    linear value overflows a float, or a finite one whose linear value
+    underflows to 0; and it refuses an output path in a directory that does
+    not exist.  For the custom scenario a mode with
     analytic columns evaluates its strategy once; a mode with MC columns checks
     the simulator's strategy rules for custom and for fig8's nearest
     association, and a noise-free fig6's windows, so a config that validates
@@ -443,7 +454,9 @@ def _check(spec: RunSpec) -> None:
     """
     params = build_params(spec)
     mc_config = _mc_config(spec, params, default_trials=1)
-    db_to_linear(float(spec.setting("gamma_bar_db")))     # refuses one that overflows
+    db_to_linear(float(spec.setting("gamma_bar_db")))     # refuses one out of range
+    if not os.path.isdir(os.path.dirname(spec.out_path) or "."):
+        raise ValueError(f"cannot write {spec.out_path}: its directory does not exist")
     if spec.scenario == "custom":
         strategy = str(spec.setting("strategy"))
         if spec.mode != "mc":
@@ -461,14 +474,13 @@ def run(spec: RunSpec) -> int:
     """Check a run spec, then execute it: write its CSV artifact and print curve summaries."""
     _check(spec)
     columns, rows, summaries = SCENARIOS[spec.scenario][0](spec)
-    out = spec.out or f"{spec.scenario}.csv"
-    with open(out, "w", newline="") as fh:
+    with open(spec.out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         w.writerows([_fmt(row.get(column, "")) for column in columns] for row in rows)
     for line in summaries:
         print(line)
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {len(rows)} rows to {spec.out_path}")
     return 0
 
 

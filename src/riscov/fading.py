@@ -24,12 +24,16 @@ __all__ = [
 
 
 def _from_db(db: float, value: float, unit: str) -> float:
-    """10^(db / 10); the caller's value in unit is named if that overflows a float."""
+    """10^(db / 10); the caller's value in unit is named if that overflows a float, or
+    if it is finite and underflows to 0."""
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"{value:g} {unit} is out of range: its linear value "
                          "overflows a float") from None
+    if linear == 0.0 and math.isfinite(db):
+        raise ValueError(f"{value:g} {unit} is out of range: its linear value underflows to 0")
+    return linear
 
 
 def db_to_linear(db: float) -> float:

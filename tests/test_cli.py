@@ -229,10 +229,16 @@ def test_every_float_key_must_be_finite(tmp_path, capsys, key, value):
     ("window_radius", "1e200", "window radius 1e+200 m is out of range: its area overflows "
                                "a float"),
     ("gamma_bar_db", "4000", "4000 dB is out of range: its linear value overflows a float"),
+    ("d_g0", "1e200", "d_g0 = 1e+200 m is out of range: its direct gain underflows"),
+    ("c_r_db", "-4000", "-4000 dB is out of range: its linear value underflows to 0"),
+    ("p_tx_dbm", "-4000", "-4000 dBm is out of range: its linear value underflows to 0"),
+    ("noise_dbm", "-4000", "-4000 dBm is out of range: its linear value underflows to 0"),
+    ("gamma_bar_db", "-4000", "-4000 dB is out of range: its linear value underflows to 0"),
 ])
 def test_a_key_that_overflows_is_refused_by_value(tmp_path, capsys, key, value, message):
-    """A finite key whose linear value or window area overflows a float ends in one error
-    line that names the value, in validate-config and in every run mode."""
+    """A finite key whose linear value or window area overflows a float, or whose linear
+    value or serving gain underflows to 0, ends in one error line that names the key or
+    the value, in validate-config and in every run mode."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(f"scenario = custom\n{key} = {value}\n")
     assert main(["validate-config", str(cfg)]) == 1
@@ -243,6 +249,55 @@ def test_a_key_that_overflows_is_refused_by_value(tmp_path, capsys, key, value, 
                      f"--{key.replace('_', '-')}", value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("lambda_t", "1e-5"), ("mode", "mc"),
+                                       ("scenario", "fig5"), ("out", "b.csv")])
+def test_a_key_given_twice_is_refused(tmp_path, capsys, key, value):
+    """A config file sets each key once; a second line naming it is refused with both lines."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"scenario = fig4\nmode = analytic\nlambda_t = 1e-4\nout = a.csv\n"
+                   f"# a comment\n{key} = {value}\n")
+    first = {"scenario": 1, "mode": 2, "lambda_t": 3, "out": 4}[key]
+    message = f"error: line 6: {key} is already set on line {first}\n"
+    assert main(["validate-config", str(cfg)]) == 1
+    assert capsys.readouterr().err == message
+    out = tmp_path / "x.csv"
+    for mode in MODES:
+        assert main(["run", "fig4", "--config", str(cfg), "--mode", mode,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["fig7", "custom"])
+def test_an_output_path_without_its_directory_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                                scenario):
+    """An --out in a directory that does not exist is refused before any column is computed,
+    by every run mode and by validate-config, and no file is written."""
+    evaluated = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            evaluated.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("coverage_nearest", "coverage_nearest_alpha4", "coverage_fixed_ris"):
+        monkeypatch.setattr(analytic, name, recording(getattr(analytic, name)))
+    monkeypatch.setattr(mcsim, "simulate_sinr", recording(mcsim.simulate_sinr))
+    out = tmp_path / "missing_dir" / "x.csv"
+    message = f"error: cannot write {out}: its directory does not exist\n"
+    for mode in MODES:
+        assert main(["run", scenario, "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"scenario = {scenario}\nout = {out}\n")
+    assert main(["validate-config", str(cfg)]) == 1
+    assert capsys.readouterr().err == message
+    assert evaluated == []
+    assert not out.parent.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.cfg"]
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -15,6 +15,24 @@ def test_unit_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_unit_conversions_refuse_a_finite_value_that_underflows():
+    assert 0.0 < db_to_linear(-3100.0) < 1e-300        # subnormal, not 0: kept
+    assert db_to_linear(-math.inf) == 0.0               # an infinite value is not refused
+    for convert, value, unit in ((db_to_linear, -4000.0, "dB"), (dbm_to_watts, -4000.0, "dBm"),
+                                 (db_to_linear, -1e300, "dB")):
+        with pytest.raises(ValueError) as refused:
+            convert(value)
+        assert str(refused.value) == (f"{value:g} {unit} is out of range: its linear value "
+                                      f"underflows to 0")
+
+
+def test_params_refuse_a_serving_link_whose_direct_gain_underflows():
+    with pytest.raises(ValueError) as refused:
+        SystemParams.default(d_g0=1e200)
+    assert str(refused.value) == "d_g0 = 1e+200 m is out of range: its direct gain underflows"
+    assert SystemParams.default(d_g0=1e100).eta_g0 > 0.0
+
+
 def _params(alpha=2.5, c=1e-3, d0=3.0, d_g0=20.0) -> SystemParams:
     """Baseline scenario with the given exponent, unit gains, offset and serving distance."""
     return SystemParams.default(path=PathLossParams(c_d=c, c_r=c, alpha=alpha, d0=d0),
