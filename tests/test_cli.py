@@ -20,6 +20,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def recording(calls: list, fn):
+    """fn, wrapped to append (its name, its positional arguments) to calls on each call."""
+    def wrapped(*args, **kwargs):
+        calls.append((fn.__name__, args))
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
@@ -276,16 +284,9 @@ def test_an_output_path_without_its_directory_is_refused_first(tmp_path, capsys,
     """An --out in a directory that does not exist is refused before any column is computed,
     by every run mode and by validate-config, and no file is written."""
     evaluated = []
-
-    def recording(fn):
-        def wrapped(*args, **kwargs):
-            evaluated.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapped
-
     for name in ("coverage_nearest", "coverage_nearest_alpha4", "coverage_fixed_ris"):
-        monkeypatch.setattr(analytic, name, recording(getattr(analytic, name)))
-    monkeypatch.setattr(mcsim, "simulate_sinr", recording(mcsim.simulate_sinr))
+        monkeypatch.setattr(analytic, name, recording(evaluated, getattr(analytic, name)))
+    monkeypatch.setattr(mcsim, "simulate_sinr", recording(evaluated, mcsim.simulate_sinr))
     out = tmp_path / "missing_dir" / "x.csv"
     message = f"error: cannot write {out}: its directory does not exist\n"
     for mode in MODES:
@@ -765,21 +766,14 @@ def test_fixed_sweeps_look_their_strategy_up_at_call_time(tmp_path, monkeypatch,
     """fig4 and fig5 evaluate analytic.coverage_<strategy> and simulate STRATEGIES[strategy],
     both looked up when the run computes, so a wrapped evaluator is the one called."""
     calls = []
-
-    def recording(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, args[1:]))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(analytic, f"coverage_{strategy}",
-                        recording("analytic", getattr(analytic, f"coverage_{strategy}")))
-    monkeypatch.setattr(mcsim, "simulate_sinr", recording("mc", mcsim.simulate_sinr))
+    evaluator = f"coverage_{strategy}"
+    monkeypatch.setattr(analytic, evaluator, recording(calls, getattr(analytic, evaluator)))
+    monkeypatch.setattr(mcsim, "simulate_sinr", recording(calls, mcsim.simulate_sinr))
     assert main(["run", fig, "--mode", "both", "--trials", "100", "--window-radius", "300",
                  "--out", str(tmp_path / "x.csv")]) == 0
     rows = read_csv(tmp_path / "x.csv")
-    assert [name for name, _ in calls] == ["analytic", "mc"] * len(rows)
-    assert {args for name, args in calls if name == "mc"} == {STRATEGIES[strategy]}
+    assert [name for name, _ in calls] == [evaluator, "simulate_sinr"] * len(rows)
+    assert {args[1:] for name, args in calls if name == "simulate_sinr"} == {STRATEGIES[strategy]}
 
 
 def test_run_fig7_noise_free_is_flat_at_the_intlimited_coverage(tmp_path):
@@ -854,15 +848,8 @@ def test_validate_config_agrees_with_run(tmp_path, capsys, monkeypatch, scenario
     if validated[0] == 0:
         return
     evaluated = []
-
-    def recording(fn):
-        def wrapped(*args, **kwargs):
-            evaluated.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapped
-
     for name in ("coverage_nearest_intlimited", "rate_nearest"):    # fig8's analytic columns
-        monkeypatch.setattr(analytic, name, recording(getattr(analytic, name)))
+        monkeypatch.setattr(analytic, name, recording(evaluated, getattr(analytic, name)))
     out = tmp_path / "direct.csv"
     with pytest.raises(ValueError) as refused:
         cli.run(dataclasses.replace(parse_config(cfg.read_text()), out=str(out)))
