@@ -21,16 +21,19 @@ BLAS kernels:
   scipy.linalg.blas; the terms earlier blocks feed into a block are one
   np.correlate, a ddot per row.  dtrsv takes each row's sum with OpenBLAS's
   ddot kernel, so within its 64-row panels a coefficient rounds as a ddot
-  recurrence would round it.
-* jet_sin_cos, jet_si_ci and jet_erfcx take theirs with ndarray.dot, the
-  BLAS ddot.
+  recurrence would round it.  jet_sin_cos is exp(i u), jet_exp's system in
+  complex arithmetic: ztrsv, and np.correlate's complex dot per row.
+* The product of two jets is one np.convolve, a ddot per coefficient.
+  jet_si_ci and jet_pow are integrals, each one such product with u'
+  (_integral); jet_pow exponentiates its integral with jet_exp.
+* jet_erfcx takes its sums with ndarray.dot, the BLAS ddot.
 OpenBLAS's AVX-512 ddot rounds a length-2 sum as one fused multiply-add,
 where its Haswell and Prescott kernels add the products in order.
 exp_tail_integrand and exp_tail_sum run orders up to 32 on Python floats,
 which never fuse: each jet length has a straight-line kernel, generated
 from integer indices and compiled on first use, that does the recurrence's
 float operations one by one in a fixed order, so its bits do not depend on
-the CPU.  scipy (erfcx, Si/Ci, dtrsv) is imported on the first call that
+the CPU.  scipy (erfcx, Si/Ci, trsv) is imported on the first call that
 needs it, not at module import, so a simulator process never loads scipy.
 """
 
@@ -66,10 +69,6 @@ _TINY = np.finfo(float).tiny
 # 85, 91 and 143 us with blocks of 64, 128, 256 and 512, and a 512 block's
 # 1.6 MB matrix raised the analytic benchmark's peak RSS by 1.7 MB.
 _SOLVE_BLOCK = 128
-
-# scipy.linalg.blas's dtrsv, bound by the first triangular solve
-_dtrsv = None
-
 
 class TaylorJet:
     """Coefficients c[i] = f^(i)(1)/i!, i = 0..order, of a function around s = 1.
@@ -161,76 +160,76 @@ def jet_spow(q: float, order: int) -> TaylorJet:
 def _lower_triangle(low: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m x m column-major matrix with low[i - j - 1] at (i, j), i > j, and its diagonal.
 
-    The diagonal is a writable view.  Row r of the (m, m + 1) buffer is
-    (diagonal, low[:m - 1], 0); read as one m x m column-major array, entry
-    (i, j) of the lower triangle is element i - j of that pattern.  The
-    strict upper triangle holds wrapped-around values, which a
-    lower-triangular dtrsv never reads.
+    The matrix has low's dtype, and the diagonal is a writable view.  Row r
+    of the (m, m + 1) buffer is (diagonal, low[:m - 1], 0); read as one
+    m x m column-major array, entry (i, j) of the lower triangle is element
+    i - j of that pattern.  The strict upper triangle holds wrapped-around
+    values, which a lower-triangular trsv never reads.
     """
-    buf = np.empty((m, m + 1))
+    buf = np.empty((m, m + 1), dtype=low.dtype)
     buf[:, 1:m] = low[: m - 1]
     buf[:, m] = 0.0
     return buf.reshape(-1)[: m * m].reshape(m, m).T, buf[:, 0]
 
 
-def _triangular_solve(low: np.ndarray, diag: np.ndarray, head: float) -> np.ndarray:
+def _triangular_solve(low: np.ndarray, diag: np.ndarray, head: complex) -> np.ndarray:
     """x with diag[k] x_k + sum_{j=1..k} low[j-1] x_(k-j) = (head if k == 0 else 0).
 
-    The solve runs on y = x reversed, where the system is upper triangular,
-    so dtrsv (lower, transposed) takes each row's dot product from x_(k-1)
-    down to x_0, the order of the recurrence.  The first block takes the
-    remainder of n over _SOLVE_BLOCK.  Each later block's right-hand side is
-    the correlation of low with the x already solved: one np.correlate, a
-    ddot per row, which OpenBLAS runs on one thread at these lengths.  (A
-    dgemv runs on OpenBLAS's thread pool: with 512-coefficient blocks on a
-    loaded 2-core box it took 37 ms of a 41 ms order-3638 solve, where
-    np.correlate took about 1 ms.)  An underflowed head gives zeros, not NaN.
+    x has low's dtype: the BLAS trsv for it is dtrsv for float64 and ztrsv
+    for complex128.  The solve runs on y = x reversed, where the system is
+    upper triangular, so trsv (lower, transposed) takes each row's dot
+    product from x_(k-1) down to x_0, the order of the recurrence.  The
+    first block takes the remainder of n over _SOLVE_BLOCK.  Each later
+    block's right-hand side is the correlation of low with the x already
+    solved: one np.correlate, a dot per row, which OpenBLAS runs on one
+    thread at these lengths.  (A dgemv runs on OpenBLAS's thread pool: with
+    512-coefficient blocks on a loaded 2-core box it took 37 ms of a 41 ms
+    order-3638 solve, where np.correlate took about 1 ms.)  np.correlate
+    conjugates its second argument, so it is given the conjugate of y, which
+    for real y is y itself.  An underflowed head gives zeros, not NaN.
     """
-    global _dtrsv
-    if _dtrsv is None:
-        from scipy.linalg.blas import dtrsv as _dtrsv
+    from scipy.linalg.blas import get_blas_funcs
+    trsv = get_blas_funcs("trsv", (low,))
     n = low.size + 1
-    y = np.zeros(n)
+    y = np.zeros(n, dtype=low.dtype)
     y[-1] = head
     first = (n - 1) % _SOLVE_BLOCK + 1
     tri, tri_diag = _lower_triangle(low, first)
     tri_diag[:] = diag[first - 1 :: -1]
-    _dtrsv(tri, y, offx=n - first, lower=1, trans=1, overwrite_x=1)
+    trsv(tri, y, offx=n - first, lower=1, trans=1, overwrite_x=1)
     b = _SOLVE_BLOCK
     if n > first:
         tri, tri_diag = _lower_triangle(low, b)
     for s in range(first, n, b):
         # y[n - s:] is (x_(s-1), ..., x_0); row r of the block gets
         # -sum_t low[r + t] y[n - s + t], stored at y[n - s - 1 - r]
-        np.negative(np.correlate(low[: s + b - 1], y[n - s :])[::-1], out=y[n - s - b : n - s])
+        np.negative(np.correlate(low[: s + b - 1], y[n - s :].conj())[::-1],
+                    out=y[n - s - b : n - s])
         tri_diag[:] = diag[s + b - 1 : s - 1 : -1]
-        _dtrsv(tri, y, offx=n - s - b, lower=1, trans=1, overwrite_x=1)
+        trsv(tri, y, offx=n - s - b, lower=1, trans=1, overwrite_x=1)
     return y[::-1].copy()
+
+
+def _exp_solve(a: np.ndarray, head: complex) -> np.ndarray:
+    """e with k e_k = sum_{j=1..k} j a_j e_(k-j) and e_0 = head, in a's dtype: exp(a)."""
+    k = np.arange(float(a.size))
+    low = a[1:] * -k[1:]
+    k[0] = 1.0
+    return _triangular_solve(low, k, head)
 
 
 def jet_exp(v: TaylorJet) -> TaylorJet:
     """exp of a jet.  Solves k e_k = sum_{j=1..k} j a_j e_(k-j), e_0 = exp(a_0)."""
     a = v.coeffs
-    k = np.arange(float(a.size))
-    low = a[1:] * -k[1:]
-    k[0] = 1.0
-    return _from_array(_triangular_solve(low, k, math.exp(a[0])))
+    return _from_array(_exp_solve(a, math.exp(a[0])))
 
 
 def jet_pow(f: TaylorJet, q: float) -> TaylorJet:
-    """f^q for real q; needs f(1) > 0."""
-    a = f.coeffs
-    n = f.order + 1
-    if a[0] <= 0.0:
+    """f^q for real q, as f(1)^q exp(q integral of f'/f); needs f(1) > 0."""
+    a0 = float(f.coeffs[0])
+    if a0 <= 0.0:
         raise ValueError("jet_pow requires a positive leading coefficient")
-    p = np.empty(n)
-    p[0] = a[0] ** q
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += ((q + 1.0) * j - k) * a[j] * p[k - j]
-        p[k] = acc / (k * a[0])
-    return _from_array(p)
+    return jet_exp(_integral(0.0, jet_recip(f), f) * q) * a0**q
 
 
 def jet_recip(f: TaylorJet) -> TaylorJet:
@@ -247,43 +246,40 @@ def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
 
 
 def jet_sin_cos(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
-    """sin(u(s)) and cos(u(s)) by the coupled first-order recurrence."""
+    """sin(u(s)) and cos(u(s)): the imaginary and real parts of exp(i u(s)).
+
+    jet_exp's system for the exponent i u, solved in complex arithmetic.
+    """
     a = u.coeffs
-    n = u.order + 1
-    s = np.empty(n)
-    c = np.empty(n)
-    s[0], c[0] = math.sin(a[0]), math.cos(a[0])
-    ja = a[1:] * np.arange(1.0, n)
-    for k in range(1, n):
-        s[k] = np.dot(ja[:k], c[k - 1 :: -1]) / k
-        c[k] = -np.dot(ja[:k], s[k - 1 :: -1]) / k
-    return _from_array(s), _from_array(c)
+    e = _exp_solve(a * 1j, complex(math.cos(a[0]), math.sin(a[0])))
+    return _from_array(e.imag.copy()), _from_array(e.real.copy())
+
+
+def _integral(c0: float, g: TaylorJet, u: TaylorJet) -> TaylorJet:
+    """c0 + the integral of g u' from s = 1, at u's order.
+
+    One jet product p = g u' (u' truncated, since its last coefficient would
+    need u's next one); coefficient k of the integral is p_(k-1) / k.
+    """
+    a = u.coeffs
+    k = np.arange(1.0, a.size)
+    du = np.zeros(a.size)
+    du[:-1] = a[1:] * k
+    p = (g * _from_array(du)).coeffs
+    return _from_array(np.concatenate(([c0], p[:-1] / k)))
 
 
 def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
-    """Si(u(s)) and Ci(u(s)); needs u(1) > 0.
-
-    Built from Si' = sin(x)/x and Ci' = cos(x)/x composed with u, then
-    integrated coefficientwise.
-    """
-    a = u.coeffs
-    if a[0] <= 0.0:
+    """Si(u(s)) and Ci(u(s)) as integrals of Si' = sin(x)/x and Ci' = cos(x)/x
+    composed with u; needs u(1) > 0."""
+    a0 = u.coeffs[0]
+    if a0 <= 0.0:
         raise ValueError("jet_si_ci requires u(1) > 0")
-    n = u.order + 1
+    from scipy.special import sici
+    si0, ci0 = sici(a0)
     sj, cj = jet_sin_cos(u)
     inv = jet_recip(u)
-    ds = (sj * inv).coeffs
-    dc = (cj * inv).coeffs
-    si = np.empty(n)
-    ci = np.empty(n)
-    from scipy.special import sici
-    si0, ci0 = sici(a[0])
-    si[0], ci[0] = si0, ci0
-    ja = a[1:] * np.arange(1.0, n)
-    for k in range(1, n):
-        si[k] = np.dot(ds[:k], ja[:k][::-1]) / k
-        ci[k] = np.dot(dc[:k], ja[:k][::-1]) / k
-    return _from_array(si), _from_array(ci)
+    return _integral(si0, sj * inv, u), _integral(ci0, cj * inv, u)
 
 
 def jet_erfcx(u: TaylorJet) -> TaylorJet:
