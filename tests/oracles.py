@@ -8,9 +8,9 @@ the CCDF integral is the coverage-to-rate identity on an empirical
 distribution.  The two coverage samplers draw the interference load
 directly (a positive stable variable by Kanter's method, and a Poisson
 field on an annulus) in place of the jet-evaluated derivative sums.  The
-jet division recurrence and the alpha = 4 nearest closed form written on
-square-root, division and reciprocal jets are the formulations the jets
-module and coverage_nearest_alpha4 replaced; exp_tail_sum's exponent is
+jet division, power, sin/cos and Si/Ci recurrences and the alpha = 4
+nearest closed form written on square-root, division and reciprocal jets
+are the formulations the jets module and coverage_nearest_alpha4 replaced; exp_tail_sum's exponent is
 built here as a jet, from the identity jet that every test uses, and the
 exponent-list loop is exp_tail_sum's float path as it was before it formed
 j a_j directly.  The fixed-association rate is an mpmath quadrature of
@@ -32,7 +32,7 @@ from riscov import analytic, mcsim
 from riscov.analytic import SystemParams
 from riscov.fading import FadingParams
 from riscov.geometry import Window
-from riscov.jets import TaylorJet, jet_erfcx, jet_pow, jet_recip
+from riscov.jets import TaylorJet, jet_erfcx, jet_recip
 from riscov.mcsim import EmpiricalDistribution
 from riscov.powerdist import GammaFit, signal_gamma_fit
 from riscov.specfun import hyp2f1_cov
@@ -283,6 +283,61 @@ def jet_div_by_recurrence(a: TaylorJet, b: TaylorJet) -> np.ndarray:
     return r
 
 
+def jet_pow_by_recurrence(f: TaylorJet, q: float) -> TaylorJet:
+    """f^q for real q by the power recurrence k a_0 p_k = sum_j ((q + 1) j - k) a_j p_(k-j)."""
+    a = f.coeffs
+    n = f.order + 1
+    if a[0] <= 0.0:
+        raise ValueError("jet_pow requires a positive leading coefficient")
+    p = np.empty(n)
+    p[0] = a[0] ** q
+    for k in range(1, n):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += ((q + 1.0) * j - k) * a[j] * p[k - j]
+        p[k] = acc / (k * a[0])
+    return TaylorJet(p)
+
+
+def jet_sin_cos_by_recurrence(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
+    """sin(u(s)) and cos(u(s)) by the coupled first-order recurrence."""
+    a = u.coeffs
+    n = u.order + 1
+    s = np.empty(n)
+    c = np.empty(n)
+    s[0], c[0] = math.sin(a[0]), math.cos(a[0])
+    ja = a[1:] * np.arange(1.0, n)
+    for k in range(1, n):
+        s[k] = np.dot(ja[:k], c[k - 1 :: -1]) / k
+        c[k] = -np.dot(ja[:k], s[k - 1 :: -1]) / k
+    return TaylorJet(s), TaylorJet(c)
+
+
+def jet_si_ci_by_recurrence(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
+    """Si(u(s)) and Ci(u(s)); needs u(1) > 0.
+
+    Built from Si' = sin(x)/x and Ci' = cos(x)/x composed with u, then
+    integrated coefficientwise.
+    """
+    a = u.coeffs
+    if a[0] <= 0.0:
+        raise ValueError("jet_si_ci requires u(1) > 0")
+    n = u.order + 1
+    sj, cj = jet_sin_cos_by_recurrence(u)
+    inv = jet_recip(u)
+    ds = (sj * inv).coeffs
+    dc = (cj * inv).coeffs
+    si = np.empty(n)
+    ci = np.empty(n)
+    si0, ci0 = sp.sici(a[0])
+    si[0], ci[0] = si0, ci0
+    ja = a[1:] * np.arange(1.0, n)
+    for k in range(1, n):
+        si[k] = np.dot(ds[:k], ja[:k][::-1]) / k
+        ci[k] = np.dot(dc[:k], ja[:k][::-1]) / k
+    return TaylorJet(si), TaylorJet(ci)
+
+
 def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
                                          ) -> tuple[float, float]:
     """coverage_nearest_alpha4 with sqrt(x1) for x1 = q s taken as a jet power.
@@ -295,7 +350,7 @@ def coverage_nearest_alpha4_by_root_jets(params: SystemParams, gamma_bar: float
     for weight, fit, _ in analytic._nearest_branches(params):
         order = analytic._jet_order(fit)
         quad_coef = gamma_bar * params.gamma_t_inv / (params.path.c_d * fit.omega)
-        root = jet_pow(quad_coef * identity_jet(order), 0.5)
+        root = jet_pow_by_recurrence(quad_coef * identity_jet(order), 0.5)
         x2 = lam_pi * analytic._nearest_hyp_jets(params, gamma_bar, fit.omega, order)
         arg = TaylorJet(jet_div_by_recurrence(x2, 2.0 * root))
         kernel = math.sqrt(math.pi) * jet_erfcx(arg) * jet_recip(root)

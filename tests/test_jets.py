@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from oracles import (exp_tail_sum_by_exponent_list, exp_tail_sum_exponent, identity_jet,
-                     jet_div_by_recurrence)
+                     jet_div_by_recurrence, jet_pow_by_recurrence, jet_si_ci_by_recurrence,
+                     jet_sin_cos_by_recurrence)
 from riscov import jets
 from riscov.analytic import SystemParams, _nearest_hyp_jets
 from riscov.jets import (TaylorJet, alternating_tail_sum, exp_tail_sum, jet_div, jet_erfcx,
@@ -408,6 +409,39 @@ def test_jet_si_ci_vs_mpmath():
     ref_ci = _mp_jet(lambda s: mp.ci(0.9 * mp.sqrt(s) + 0.4 * s), 6)
     assert np.allclose(sij.coeffs, ref_si, rtol=1e-11, atol=1e-15)
     assert np.allclose(cij.coeffs, ref_ci, rtol=1e-11, atol=1e-15)
+
+
+@pytest.mark.parametrize("fn,ref", [
+    (lambda s: mp.sin(40 * mp.sqrt(s)), lambda u: jet_sin_cos(u)[0]),
+    (lambda s: mp.cos(40 * mp.sqrt(s)), lambda u: jet_sin_cos(u)[1]),
+    (lambda s: mp.si(40 * mp.sqrt(s)), lambda u: jet_si_ci(u)[0]),
+    (lambda s: mp.ci(40 * mp.sqrt(s)), lambda u: jet_si_ci(u)[1]),
+], ids=["sin", "cos", "Si", "Ci"])
+def test_sin_cos_si_ci_at_large_argument_vs_mpmath(fn, ref):
+    """u(1) = 40: the coefficients grow to about 1e5 by order 10 and still match."""
+    order = 10
+    want = np.array(_mp_jet(fn, order))
+    got = ref(40.0 * jet_spow(0.5, order)).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _root_jet(c, order):
+    return TaylorJet(c * jet_spow(0.5, order).coeffs)
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0, 7.0, 40.0])
+@pytest.mark.parametrize("order", [4, 24, 107, 449, 3638])
+def test_sin_cos_si_ci_and_pow_match_their_recurrences(order, c):
+    """jet_sin_cos (exp(iu) by the triangular solve), jet_si_ci and jet_pow (integrals by
+    one Cauchy product) against the recurrences they replaced, to roundoff of the
+    largest coefficient, at the model's jet orders up to N = 4096."""
+    u = _root_jet(c, order)
+    pairs = [*zip(jet_sin_cos(u), jet_sin_cos_by_recurrence(u)),
+             *zip(jet_si_ci(u), jet_si_ci_by_recurrence(u)),
+             (jet_pow(u, 0.5), jet_pow_by_recurrence(u, 0.5))]
+    for got, want in pairs:
+        want = want.coeffs
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("alpha,c", [(2.5, -37.3), (4.0, -0.8), (3.0, -1e5), (2.2, -0.02)])

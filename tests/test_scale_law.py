@@ -82,6 +82,19 @@ def test_evaluators_keep_the_scale_law(alpha, n_elements, log_lambda, p_tx_dbm, 
             assert relative_difference(value, twin_value) <= REL_TOL, (name, value, twin_value)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(n_elements=st.integers(1, 128), log_lambda=st.floats(-6.0, -3.0), p=st.floats(0.0, 1.0),
+       log_c=st.floats(-2.0, 2.0), with_ris=st.booleans())
+def test_the_alpha4_closed_form_rate_keeps_the_scale_law(n_elements, log_lambda, p, log_c,
+                                                        with_ris):
+    """rate_fixed_alpha4_intlim's Si/Ci and sin/cos jets, noise-free at alpha = 4."""
+    params = dataclasses.replace(model(4.0, n_elements, 10.0**log_lambda, 0.0, p),
+                                 interference_limited=True)
+    value = analytic.rate_fixed_alpha4_intlim(params, with_ris)
+    twin_value = analytic.rate_fixed_alpha4_intlim(scaled(params, 10.0**log_c), with_ris)
+    assert relative_difference(value, twin_value) <= REL_TOL, (value, twin_value)
+
+
 @pytest.mark.xfail(strict=True, reason="the forward erfcx recurrence is unstable at large "
                    "argument, so the alpha = 4 form misses the law by about 1e-7 here; "
                    "ROADMAP open item 2(c)")
