@@ -446,7 +446,7 @@ def _check(spec: RunSpec) -> None:
     threshold, which refuses a key outside the model, one whose window area or
     linear value overflows a float, or a finite one whose linear value
     underflows to 0; and it refuses an output path in a directory that does
-    not exist.  For the custom scenario a mode with
+    not exist or one that is a directory.  For the custom scenario a mode with
     analytic columns evaluates its strategy once; a mode with MC columns checks
     the simulator's strategy rules for custom and for fig8's nearest
     association, and a noise-free fig6's windows, so a config that validates
@@ -457,6 +457,8 @@ def _check(spec: RunSpec) -> None:
     db_to_linear(float(spec.setting("gamma_bar_db")))     # refuses one out of range
     if not os.path.isdir(os.path.dirname(spec.out_path) or "."):
         raise ValueError(f"cannot write {spec.out_path}: its directory does not exist")
+    if os.path.isdir(spec.out_path):
+        raise ValueError(f"cannot write {spec.out_path}: it is a directory")
     if spec.scenario == "custom":
         strategy = str(spec.setting("strategy"))
         if spec.mode != "mc":

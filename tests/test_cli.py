@@ -278,17 +278,14 @@ def test_a_key_given_twice_is_refused(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario", ["fig7", "custom"])
-def test_an_output_path_without_its_directory_is_refused_first(tmp_path, capsys, monkeypatch,
-                                                                scenario):
-    """An --out in a directory that does not exist is refused before any column is computed,
-    by every run mode and by validate-config, and no file is written."""
+def refused_first(tmp_path, capsys, monkeypatch, scenario, out, message):
+    """Every run mode and validate-config refuse out with message, before any evaluator
+    or simulation runs."""
     evaluated = []
-    for name in ("coverage_nearest", "coverage_nearest_alpha4", "coverage_fixed_ris"):
+    for name in ("coverage_nearest", "coverage_nearest_alpha4", "coverage_fixed_ris",
+                 "coverage_nearest_intlimited", "rate_nearest"):
         monkeypatch.setattr(analytic, name, recording(evaluated, getattr(analytic, name)))
     monkeypatch.setattr(mcsim, "simulate_sinr", recording(evaluated, mcsim.simulate_sinr))
-    out = tmp_path / "missing_dir" / "x.csv"
-    message = f"error: cannot write {out}: its directory does not exist\n"
     for mode in MODES:
         assert main(["run", scenario, "--mode", mode, "--out", str(out)]) == 1
         assert capsys.readouterr().err == message
@@ -297,8 +294,31 @@ def test_an_output_path_without_its_directory_is_refused_first(tmp_path, capsys,
     assert main(["validate-config", str(cfg)]) == 1
     assert capsys.readouterr().err == message
     assert evaluated == []
+
+
+@pytest.mark.parametrize("scenario", ["fig7", "custom"])
+def test_an_output_path_without_its_directory_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                                scenario):
+    """An --out in a directory that does not exist is refused before any column is computed,
+    by every run mode and by validate-config, and no file is written."""
+    out = tmp_path / "missing_dir" / "x.csv"
+    refused_first(tmp_path, capsys, monkeypatch, scenario, out,
+                  f"error: cannot write {out}: its directory does not exist\n")
     assert not out.parent.exists()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["x.cfg"]
+
+
+@pytest.mark.parametrize("scenario", ["fig8", "custom"])
+def test_an_output_path_that_is_a_directory_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                              scenario):
+    """An --out naming an existing directory is refused before any column is computed, by
+    every run mode and by validate-config, and nothing is written into it."""
+    out = tmp_path / "out_dir"
+    out.mkdir()
+    refused_first(tmp_path, capsys, monkeypatch, scenario, out,
+                  f"error: cannot write {out}: it is a directory\n")
+    assert list(out.iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out_dir", "x.cfg"]
 
 
 @pytest.mark.parametrize("flags,message", [
