@@ -73,6 +73,9 @@ class PathLossParams:
         _check_exponent(self.alpha)
         if not self.d0 > 0.0:
             raise ValueError(f"transmitter-surface offset must be positive, got {self.d0}")
+        for name in ("c_d", "c_r", "alpha", "d0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"path-loss {name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ the rule on the same refused inputs, expecting one exception type and one
 message, word for word.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,14 @@ def test_element_count_must_be_at_least_1(entry, n):
 def test_path_loss_exponent_must_exceed_2(entry, alpha):
     assert refusal(lambda: entry(alpha)) == (
         ValueError, f"path-loss exponent must exceed 2, got {alpha}")
+
+
+@pytest.mark.parametrize("field", ["c_d", "c_r", "alpha", "d0"])
+def test_path_loss_fields_must_be_finite(field):
+    """An infinite field passes each positivity rule, so it is refused by name: c_d = inf
+    used to end in a NaN quadrature error, c_r = inf in the gamma fit, d0 = inf nowhere."""
+    assert refusal(lambda: dataclasses.replace(BASE.path, **{field: math.inf})) == (
+        ValueError, f"path-loss {field} must be finite, got inf")
 
 
 @pytest.mark.parametrize("n", [1, 99])
