@@ -136,10 +136,13 @@ def test_bench_pairs_counts_src_lines_as_wc_does(bench_pairs, tmp_path, capsys):
     (pkg / "sub" / "b.py").write_text("z = 3\nw = 4")
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "outside.py").write_text("nor\nthis\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracles.py").write_text("# moved here\ndef f():\n    return 1\n")
     assert bench_pairs.src_lines(tmp_path) == {"pkg/a.py": 3, "pkg/sub/b.py": 1}
     bench_pairs.print_src_lines({"base": tmp_path})
     assert capsys.readouterr().out == ("base src/ lines, wc -l / code: 4 / 4 "
-                                       "(pkg/a.py 3/2, pkg/sub/b.py 1/2)\n")
+                                       "(pkg/a.py 3/2, pkg/sub/b.py 1/2); "
+                                       "tests/oracles.py 3/2\n")
 
 
 CODE_SAMPLE = '''"""Module docstring,
@@ -173,6 +176,8 @@ def test_bench_pairs_counts_code_lines_without_comments_or_docstrings(bench_pair
     pkg.mkdir(parents=True)
     (pkg / "a.py").write_text(CODE_SAMPLE)
     (pkg / "b.py").write_text("# only a comment\n\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracles.py").write_text(CODE_SAMPLE)
     bench_pairs.print_src_lines({"change": tmp_path})
     assert capsys.readouterr().out == ("change src/ lines, wc -l / code: 20 / 7 "
-                                       "(pkg/a.py 18/7, pkg/b.py 2/0)\n")
+                                       "(pkg/a.py 18/7, pkg/b.py 2/0); tests/oracles.py 18/7\n")

@@ -12,7 +12,9 @@ runs first alternates, so a drifting load falls on both sides alike.
 It first prints each side's ``src/`` line count, as ``wc -l`` counts it, and
 its code-line count (lines that are not blank, not only a comment and not part
 of a docstring), in total and per module, so a change reads its line delta
-from the same report, with and without its comments and docstrings.
+from the same report, with and without its comments and docstrings.  The
+same line ends with both counts of ``tests/oracles.py``, so code moved from
+``src/`` into the test oracles shows as moved, not as removed.
 For every end-to-end metric it prints each pair's ratio (change / base), the
 median ratio with a percentile-bootstrap 95 % interval, the pairs the change
 wins, each side's median and quartiles, and a verdict under the bound that
@@ -185,6 +187,9 @@ def src_lines(checkout: Path) -> dict[str, int]:
             for path in sorted(src.rglob("*.py"))}
 
 
+# the test oracles, counted beside src/: code moved there from src/ is no reduction
+ORACLES = "tests/oracles.py"
+
 # tokens that make no line a code line
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER}
@@ -209,9 +214,12 @@ def print_src_lines(sides: dict[str, Path]) -> None:
     for side, path in sides.items():
         lines = src_lines(path)
         code = {name: code_lines((path / "src" / name).read_text()) for name in lines}
+        oracles = (path / ORACLES).read_text()
+        newlines = oracles.count("\n")
         print(f"{side} src/ lines, wc -l / code: {sum(lines.values())} / "
               f"{sum(code.values())} (" + ", ".join(
-                  f"{name} {n}/{code[name]}" for name, n in lines.items()) + ")", flush=True)
+                  f"{name} {n}/{code[name]}" for name, n in lines.items()) + "); "
+              f"{ORACLES} {newlines}/{code_lines(oracles)}", flush=True)
 
 
 def count_diff(sides: dict[str, Path], workload: str, seed: int) -> None:
