@@ -445,8 +445,8 @@ def _check(spec: RunSpec) -> None:
     Every mode builds the model and simulator parameters and converts the
     threshold, which refuses a key outside the model, one whose window area or
     linear value overflows a float, or a finite one whose linear value
-    underflows to 0; and it refuses an output path in a directory that does
-    not exist or one that is a directory.  For the custom scenario a mode with
+    underflows to 0; and it refuses an output path that is a directory or
+    lies in a directory that does not exist.  For the custom scenario a mode with
     analytic columns evaluates its strategy once; a mode with MC columns checks
     the simulator's strategy rules for custom and for fig8's nearest
     association, and a noise-free fig6's windows, so a config that validates
