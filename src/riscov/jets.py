@@ -263,15 +263,15 @@ def _integral(c0: float, g: TaylorJet, u: TaylorJet) -> TaylorJet:
     """
     a = u.coeffs
     k = np.arange(1.0, a.size)
-    du = np.zeros(a.size)
-    du[:-1] = a[1:] * k
-    p = (g * _from_array(du)).coeffs
+    p = (g * _from_array(np.append(a[1:] * k, 0.0))).coeffs
     return _from_array(np.concatenate(([c0], p[:-1] / k)))
 
 
 def jet_si_ci(u: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
-    """Si(u(s)) and Ci(u(s)) as integrals of Si' = sin(x)/x and Ci' = cos(x)/x
-    composed with u; needs u(1) > 0."""
+    """Si(u(s)) and Ci(u(s)); needs u(1) > 0.
+
+    The integrals (_integral) of Si' = sin(x)/x and Ci' = cos(x)/x composed with u.
+    """
     a0 = u.coeffs[0]
     if a0 <= 0.0:
         raise ValueError("jet_si_ci requires u(1) > 0")
