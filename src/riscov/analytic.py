@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .fading import FadingParams, PathLossParams, dbm_to_watts, db_to_linear
+from .fading import FadingParams, PathLossParams, _in_range, dbm_to_watts, db_to_linear
 from .jets import (TaylorJet, alternating_tail_sum, exp_tail_integrand, exp_tail_sum,
                    jet_erfcx, jet_hyp2f1_cov, jet_recip, jet_si_ci, jet_sin_cos, jet_spow)
 from .powerdist import GammaFit, _check_element_count, signal_gamma_fit
@@ -78,7 +78,8 @@ class SystemParams:
 
     Powers are linear watts; gains are linear.  The user density enters no
     expression (only the typical user at the origin matters), so it is not
-    a field.
+    a field.  The derived gains eta_g0, eta_h0 and e1 and the signal fits,
+    built here and cached, must stay within a float's range (fading._in_range).
     """
 
     lambda_t: float
@@ -99,14 +100,16 @@ class SystemParams:
             raise ValueError(f"association probability must be in [0, 1], got {self.p}")
         _check_element_count(self.n_elements)
         _check_serving_distance(self.d_g0)
-        if self.eta_g0 == 0.0:
-            raise ValueError(f"d_g0 = {self.d_g0:g} m is out of range: its direct gain underflows")
+        what = f"{self.path} at d_g0 = {self.d_g0:g} m and n_elements = {self.n_elements}"
+        for name in ("eta_g0", "eta_h0", "e1"):
+            _in_range(what, f"gain {name}", lambda: getattr(self, name))
         if not (math.isfinite(self.p_tx_w) and math.isfinite(self.noise_w)):
             raise ValueError(f"transmit and noise powers must be finite, "
                              f"got {self.p_tx_w} and {self.noise_w}")
         if not (self.interference_limited or self.p_tx_w > 0.0 and self.noise_w > 0.0):
             raise ValueError("transmit and noise powers must be positive "
                              "unless the scenario is interference limited")
+        _fixed_fit(self, True), _nearest_branches(self)     # cached; refuse a fit out of range
 
     def check_nearest_density(self) -> None:
         """Raise ValueError unless there are transmitters to associate with."""

@@ -23,17 +23,27 @@ __all__ = [
 ]
 
 
-def _from_db(db: float, value: float, unit: str) -> float:
-    """10^(db / 10); the caller's value in unit is named if that overflows a float, or
-    if it is finite and underflows to 0."""
+def _in_range(what: str, quantity: str, compute, zero_ok: bool = False):
+    """compute(), refused as out of range, by what and its quantity, if it overflows a float
+    (raises OverflowError or is not finite) or is 0 and zero_ok is false; a tuple is
+    refused if any of its values is.  Every derived quantity that can leave a float's
+    range is computed through here."""
     try:
-        linear = 10.0 ** (db / 10.0)
+        value = compute()
     except OverflowError:
-        raise ValueError(f"{value:g} {unit} is out of range: its linear value "
-                         "overflows a float") from None
-    if linear == 0.0 and math.isfinite(db):
-        raise ValueError(f"{value:g} {unit} is out of range: its linear value underflows to 0")
-    return linear
+        value = math.inf
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} is out of range: its {quantity} overflows a float")
+    if 0.0 in values and not zero_ok:
+        raise ValueError(f"{what} is out of range: its {quantity} underflows to 0")
+    return value
+
+
+def _from_db(db: float, value: float, unit: str) -> float:
+    """10^(db / 10), refused by the caller's value in unit if out of range; db = -inf gives 0."""
+    return _in_range(f"{value:g} {unit}", "linear value", lambda: 10.0 ** (db / 10.0),
+                     zero_ok=db == -math.inf)
 
 
 def db_to_linear(db: float) -> float:
@@ -73,9 +83,6 @@ class PathLossParams:
         _check_exponent(self.alpha)
         if not self.d0 > 0.0:
             raise ValueError(f"transmitter-surface offset must be positive, got {self.d0}")
-        for name in ("c_d", "c_r", "alpha", "d0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"path-loss {name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

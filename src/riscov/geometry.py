@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fading import _in_range
+
 __all__ = ["Window"]
 
 
@@ -23,11 +25,7 @@ class Window:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"window radius must be positive, got {self.radius}")
-        try:
-            self.area
-        except OverflowError:
-            raise ValueError(f"window radius {self.radius:g} m is out of range: its area "
-                             "overflows a float") from None
+        _in_range(f"window radius {self.radius:g} m", "area", lambda: self.area)
 
     @property
     def area(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fading import FadingParams
+from .fading import FadingParams, _in_range
 from .specfun import reg_upper_gamma
 
 __all__ = [
@@ -111,19 +111,19 @@ def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
     from its fitted gamma.
     """
     _check_gains(eta_g0, eta_h0)
+    what = f"{fading} at eta_g0 = {eta_g0:g}, eta_h0 = {eta_h0:g} and N = {n_elements}"
     beta = math.sqrt(eta_h0 / eta_g0)
     mu_g = tuple(math.gamma(1.0 + 0.5 * q) for q in range(1, 5))
     if beta == 0.0:
         mu_s = (0.0, 0.0, 0.0, 0.0)
     else:
-        fit = sr_gamma_fit(fading, n_elements)
-        mu_s = tuple(
+        mu_s = _in_range(what, "element-sum moment", lambda: tuple(
             fit.omega**q * math.exp(math.lgamma(q + fit.kappa) - math.lgamma(fit.kappa))
-            for q in range(1, 5)
-        )
-    chi1 = mu_g[1] + 2.0 * beta * mu_g[0] * mu_s[0] + beta**2 * mu_s[1]
-    chi2 = (mu_g[3] + 4.0 * beta * mu_g[2] * mu_s[0] + 6.0 * beta**2 * mu_g[1] * mu_s[1]
-            + 4.0 * beta**3 * mu_g[0] * mu_s[2] + beta**4 * mu_s[3])
+            for fit in [sr_gamma_fit(fading, n_elements)] for q in range(1, 5)))
+    chi1, chi2 = _in_range(what, "signal moment", lambda: (
+        mu_g[1] + 2.0 * beta * mu_g[0] * mu_s[0] + beta**2 * mu_s[1],
+        mu_g[3] + 4.0 * beta * mu_g[2] * mu_s[0] + 6.0 * beta**2 * mu_g[1] * mu_s[1]
+        + 4.0 * beta**3 * mu_g[0] * mu_s[2] + beta**4 * mu_s[3]))
     return SignalMoments(beta, chi1, chi2, mu_g, mu_s)
 
 

@@ -237,7 +237,8 @@ def test_every_float_key_must_be_finite(tmp_path, capsys, key, value):
     ("window_radius", "1e200", "window radius 1e+200 m is out of range: its area overflows "
                                "a float"),
     ("gamma_bar_db", "4000", "4000 dB is out of range: its linear value overflows a float"),
-    ("d_g0", "1e200", "d_g0 = 1e+200 m is out of range: its direct gain underflows"),
+    ("d_g0", "1e200", "PathLossParams(c_d=0.001, c_r=0.001, alpha=2.5, d0=3.0) at d_g0 = 1e+200 m "
+                      "and n_elements = 32 is out of range: its gain eta_g0 underflows to 0"),
     ("c_r_db", "-4000", "-4000 dB is out of range: its linear value underflows to 0"),
     ("p_tx_dbm", "-4000", "-4000 dBm is out of range: its linear value underflows to 0"),
     ("noise_dbm", "-4000", "-4000 dBm is out of range: its linear value underflows to 0"),
@@ -255,6 +256,42 @@ def test_a_key_that_overflows_is_refused_by_value(tmp_path, capsys, key, value, 
     for mode in MODES:
         assert main(["run", "custom", "--mode", mode, "--trials", "100", "--out", str(out),
                      f"--{key.replace('_', '-')}", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+_FIT = "FadingParams(m_h={}, m_r={}) at eta_g0 = 5.59017e-07, eta_h0 = {} and N = 32"
+_LOSS = "PathLossParams(c_d=0.001, c_r=0.001, alpha={}, d0=3.0) at d_g0 = {} m and n_elements = 32"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("d0", "1e-120", _FIT.format(2.0, 2.0, "5.59017e+293") + " is out of range: its signal "
+                                                             "moment overflows a float"),
+    ("d_g0", "1e-300", _LOSS.format(2.5, "1e-300") + " is out of range: its gain eta_g0 "
+                                                     "overflows a float"),
+    ("m_h", "1e300", _FIT.format("1e+300", 2.0, "3.48773e-08")
+     + " is out of range: its element-sum moment overflows a float"),
+    ("m_r", "1e300", _FIT.format(2.0, "1e+300", "3.48773e-08")
+     + " is out of range: its element-sum moment overflows a float"),
+    ("c_r_db", "3000", _FIT.format(2.0, 2.0, "3.48773e+295") + " is out of range: its signal "
+                                                              "moment overflows a float"),
+    ("alpha", "1e300", _LOSS.format("1e+300", 20) + " is out of range: its gain eta_g0 "
+                                                    "underflows to 0"),
+], ids=["d0", "d_g0", "m_h", "m_r", "c_r_db", "alpha"])
+def test_a_derived_quantity_out_of_range_is_refused_in_every_mode(tmp_path, capsys, key, value,
+                                                                  message):
+    """A key whose serving gains or signal fit leave a float's range ends in one error line
+    that names the quantity and the values it comes from: from validate-config in every
+    mode, since SystemParams builds the fits, and from every run mode.  Before, the first
+    five ended in an OverflowError traceback, and mc mode validated d0 = 1e-120 and
+    c_r_db = 3000; alpha = 1e300 was refused as d_g0 = 20 m being out of range."""
+    cfg, out = tmp_path / "x.cfg", tmp_path / "x.csv"
+    for mode in MODES:
+        cfg.write_text(f"scenario = custom\nmode = {mode}\n{key} = {value}\n")
+        assert main(["validate-config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["run", "custom", "--mode", mode, "--trials", "100", "--window-radius", "300",
+                     "--out", str(out), f"--{key.replace('_', '-')}", value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -29,7 +29,9 @@ def test_unit_conversions_refuse_a_finite_value_that_underflows():
 def test_params_refuse_a_serving_link_whose_direct_gain_underflows():
     with pytest.raises(ValueError) as refused:
         SystemParams.default(d_g0=1e200)
-    assert str(refused.value) == "d_g0 = 1e+200 m is out of range: its direct gain underflows"
+    assert str(refused.value) == ("PathLossParams(c_d=0.001, c_r=0.001, alpha=2.5, d0=3.0) at "
+                                  "d_g0 = 1e+200 m and n_elements = 32 is out of range: its gain "
+                                  "eta_g0 underflows to 0")
     assert SystemParams.default(d_g0=1e100).eta_g0 > 0.0
 
 

@@ -119,10 +119,17 @@ def test_path_loss_exponent_must_exceed_2(entry, alpha):
 
 @pytest.mark.parametrize("field", ["c_d", "c_r", "alpha", "d0"])
 def test_path_loss_fields_must_be_finite(field):
-    """An infinite field passes each positivity rule, so it is refused by name: c_d = inf
-    used to end in a NaN quadrature error, c_r = inf in the gamma fit, d0 = inf nowhere."""
-    assert refusal(lambda: dataclasses.replace(BASE.path, **{field: math.inf})) == (
-        ValueError, f"path-loss {field} must be finite, got inf")
+    """An infinite field passes each positivity rule; the serving gain it makes infinite
+    or 0 is refused by SystemParams, naming the fields: c_d = inf used to end in a NaN
+    quadrature error, c_r = inf in the gamma fit, d0 = inf nowhere."""
+    gain, verb = {"c_d": ("eta_g0", "overflows a float"),
+                  "c_r": ("eta_h0", "overflows a float"),
+                  "alpha": ("eta_g0", "underflows to 0"),
+                  "d0": ("eta_h0", "underflows to 0")}[field]
+    pl = dataclasses.replace(BASE.path, **{field: math.inf})
+    assert refusal(lambda: SystemParams.default(path=pl)) == (
+        ValueError, f"{pl} at d_g0 = 20 m and n_elements = 32 is out of range: "
+                    f"its gain {gain} {verb}")
 
 
 @pytest.mark.parametrize("n", [1, 99])
@@ -152,3 +159,4 @@ def test_direct_gain_must_be_positive(entry, eta_g):
 def test_reflected_gain_must_be_non_negative(entry, eta_h):
     assert refusal(lambda: entry(1e-6, eta_h)) == (
         ValueError, f"reflected gain must be non-negative, got {eta_h}")
+
