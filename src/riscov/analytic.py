@@ -310,12 +310,16 @@ def _coverage_fixed(params: SystemParams, gamma_bar: float, with_ris: bool) -> f
     fitted signal parameters.  exp_tail_sum evaluates it on the kernel that
     exp_tail_integrand binds for the nearest-association integrands.  The
     function is completely monotone, so the sum's terms share one sign and
-    nothing cancels; an order-0 sum is the function's value.
+    nothing cancels; an order-0 sum is the function's value.  Where x or y
+    overflows to inf the function and all its derivatives are 0, and so is
+    the coverage (the kernel would form inf * 0).
     """
     _check_threshold(gamma_bar)
     fit = _fixed_fit(params, with_ris)
     noise_slope = gamma_bar * params.gamma_t_inv / fit.omega
     tier = _fixed_exponent(params, gamma_bar / fit.omega)
+    if tier + noise_slope == math.inf:
+        return 0.0
     value = exp_tail_sum(_fixed_power_jet(params.path.alpha, _jet_order(fit)), tier, noise_slope)
     return min(max(value, 0.0), 1.0)
 

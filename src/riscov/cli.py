@@ -446,14 +446,19 @@ def _check(spec: RunSpec) -> None:
     threshold, which refuses a key outside the model, one whose window area or
     linear value overflows a float, or a finite one whose linear value
     underflows to 0; and it refuses an output path that is a directory or
-    lies in a directory that does not exist.  For the custom scenario a mode with
-    analytic columns evaluates its strategy once; a mode with MC columns checks
-    the simulator's strategy rules for custom and for fig8's nearest
-    association, and a noise-free fig6's windows, so a config that validates
-    also runs.
+    lies in a directory that does not exist.  A mode with MC columns checks the
+    simulator's work budgets and float32 gain range (mcsim._check_work, which
+    simulate_sinr also calls, at the most trials a scenario defaults to).  For
+    the custom scenario a mode with analytic columns evaluates its strategy
+    once; a mode with MC columns checks the simulator's strategy rules for
+    custom and for fig8's nearest association, and a noise-free fig6's
+    windows, so a config that validates also runs.
     """
     params = build_params(spec)
-    mc_config = _mc_config(spec, params, default_trials=1)
+    # custom's and fig8's default, the most trials any scenario hands to simulate_sinr
+    mc_config = _mc_config(spec, params, default_trials=20_000)
+    if spec.mode != "analytic":
+        mcsim._check_work(mc_config)
     db_to_linear(float(spec.setting("gamma_bar_db")))     # refuses one out of range
     if not os.path.isdir(os.path.dirname(spec.out_path) or "."):
         raise ValueError(f"cannot write {spec.out_path}: its directory does not exist")

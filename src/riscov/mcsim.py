@@ -118,6 +118,13 @@ _TABLE_COLUMNS = 4          # |g|^2, |T|^2, 2 Re(g T*), cos(phi); see _get_table
 _WORKSPACE_STEP = 1 << 20   # workspace bytes round up to whole MiB, so they rarely regrow
 _CACHE_MAX_IDLE_S = 7 * 86400   # saving a table deletes cached ones unused this long
 MIN_SAMPLES = 100           # the estimators refuse fewer samples
+# Work budgets of one simulate_sinr call (see _check_work).  Expected interferers a trial:
+# at 2^21 the fading table holds 3.2 M rows (51 MB).  Random draws, N x table rows plus
+# trials x (N + lambda |W|): on a 2-core x86-64 box a table's element draws ran at 3.2e7/s
+# (N = 128, 5.3 s) and acceptance criterion 2's two simulations, 8.7e9 draws, took 62 s.
+_MAX_INTERFERERS = 1 << 21
+_MAX_DRAWS = 1 << 34
+_F32_HEADROOM = 2.0**20     # room in float32 for the fading factors that scale a gain
 DEFAULT_WINDOW = Window(5000.0)     # the baseline 5 km disk
 
 
@@ -591,6 +598,43 @@ def _table_pad(config: McConfig) -> int:
     return math.ceil(m + 32.0 * math.sqrt(m))
 
 
+def _check_work(config: McConfig) -> None:
+    """Raise ValueError for a simulation above the work budgets, or whose interferer gains
+    leave float32's range in the interference kernel.
+
+    In logs: g and h are the direct and reflected gains at 1 m, c_d and
+    c_r d0^-alpha.  At the 1 mm radius floor the kernel's largest values, each
+    gain with _F32_HEADROOM for its fading factors and their product (it takes
+    sqrt(eta_g eta_h)), must stay below float32's maximum.  Where the window
+    expects its first interferer, pi r^2 = |W| / max(lambda_t |W|, 1), the
+    smaller gain and the product must stay normal floats; below that they
+    lose their bits, and a trial's interference with them.  Without
+    interferers (lambda_t = 0) the kernel does not run.
+    """
+    params, pl = config.params, config.params.path
+    load, n = params.lambda_t * config.window.area, params.n_elements
+    if load > _MAX_INTERFERERS:
+        raise ValueError(f"lambda_t = {params.lambda_t:g} on a {config.window.radius:g} m window "
+                         f"expects {load:.3g} interferers a trial, over the budget of "
+                         f"{_MAX_INTERFERERS}")
+    draws = n * (_TABLE_ROWS + _table_pad(config)) + config.trials * (n + load)
+    if draws > _MAX_DRAWS:
+        raise ValueError(f"n_elements = {n}, trials = {config.trials} and {load:.3g} interferers "
+                         f"a trial make {draws:.3g} random draws, over the budget of "
+                         f"{_MAX_DRAWS:.3g}")
+    g, h = math.log(pl.c_d), math.log(pl.c_r) - pl.alpha * math.log(pl.d0)
+    near = -0.5 * pl.alpha * math.log(_R2_FLOOR)
+    far = 0.5 * pl.alpha * math.log(math.pi * max(load, 1.0) / config.window.area)
+    lowest = min(g, h, g + h + far) + far
+    highest = max(g + h + near, max(g, h) + math.log(_F32_HEADROOM)) + near
+    f32 = np.finfo(_F32)
+    if load and not (math.log(f32.tiny) < lowest and highest < math.log(f32.max)):
+        raise ValueError(f"c_d = {pl.c_d:g}, c_r = {pl.c_r:g}, d0 = {pl.d0:g} m, alpha = "
+                         f"{pl.alpha:g} and lambda_t = {params.lambda_t:g} on a "
+                         f"{config.window.radius:g} m window give interferer gains outside "
+                         f"float32's range")
+
+
 def _block_plan(config: McConfig) -> list[int]:
     rows_per_trial = max(config.params.lambda_t * config.window.area, 1.0)
     per_block = int(max(1, min(_MAX_BLOCK_TRIALS, _BLOCK_TARGET_ROWS // rows_per_trial)))
@@ -610,6 +654,7 @@ def simulate_sinr(config: McConfig, strategy: str = "fixed",
     that cluster's own surface flag, so forced_ris must stay None.
     """
     config.check_strategy(strategy, forced_ris)
+    _check_work(config)
     table = None
     if config.params.lambda_t > 0.0:
         # build (or fetch) the shared fading table before the threads start

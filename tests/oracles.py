@@ -291,11 +291,9 @@ def jet_pow_by_recurrence(f: TaylorJet, q: float) -> TaylorJet:
         raise ValueError("jet_pow requires a positive leading coefficient")
     p = np.empty(n)
     p[0] = a[0] ** q
+    qj = (q + 1.0) * np.arange(1.0, n)
     for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += ((q + 1.0) * j - k) * a[j] * p[k - j]
-        p[k] = acc / (k * a[0])
+        p[k] = np.dot((qj[:k] - k) * a[1 : k + 1], p[k - 1 :: -1]) / (k * a[0])
     return TaylorJet(p)
 
 

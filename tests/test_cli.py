@@ -296,6 +296,58 @@ def test_a_derived_quantity_out_of_range_is_refused_in_every_mode(tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("window_radius", "1e6", "lambda_t = 0.0001 on a 1e+06 m window expects 3.14e+08 "
+                             "interferers a trial, over the budget of 2097152"),
+    ("n_elements", "100000", "n_elements = 100000, trials = 20000 and 7.85e+03 interferers a "
+                             "trial make 1.35e+11 random draws, over the budget of 1.72e+10"),
+])
+def test_a_simulation_over_the_work_budget_is_refused_in_modes_with_mc_columns(
+        tmp_path, capsys, key, value, message):
+    """window_radius = 1e6 planned a 4.7 GiB fading table and n_elements = 100000 an hour of
+    table draws, and both validated; the budgets refuse them in mc and both modes, and
+    analytic mode, which simulates nothing, still takes them."""
+    cfg, out = tmp_path / "x.cfg", tmp_path / "x.csv"
+    for mode in MODES:
+        cfg.write_text(f"scenario = custom\nmode = {mode}\n{key} = {value}\n")
+        refused = mode != "analytic"
+        assert main(["validate-config", str(cfg)]) == refused
+        assert capsys.readouterr().err == (f"error: {message}\n" if refused else "")
+        if refused:
+            assert main(["run", "custom", "--mode", mode, "--out", str(out),
+                         f"--{key.replace('_', '-')}", value]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["fixed_ris", "nearest"])
+def test_scaled_gains_are_refused_or_keep_the_coverage_counts(tmp_path, capsys, strategy):
+    """Without noise the SINR does not depend on a gain scale common to c_d and c_r, so a
+    scaled run either is refused (its float32 interferer gains would overflow or lose their
+    bits) or gives the unscaled run's coverage column exactly.  Before, c_d_db = c_r_db =
+    250 read 0.56 at 14.3 dB where the unscaled run reads 0.925, and 300 and 400 read 1."""
+    out = tmp_path / "x.csv"
+
+    def coverage(db):
+        out.unlink(missing_ok=True)
+        code = main(["run", "custom", "--mode", "mc", "--strategy", strategy, "--trials", "200",
+                     "--window-radius", "300", "--interference-limited", "1", "--c-d-db", db,
+                     "--c-r-db", db, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code:
+            assert re.fullmatch(r"error: c_d = [^\n]* give interferer gains outside float32's "
+                                r"range\n", err) and not out.exists(), db
+            return None
+        return [row["coverage_mc"] for row in read_csv(out)]
+
+    unscaled = coverage("-30")
+    ran = {db for db in ("-400", "-250", "-190", "-150", "-100", "-50", "0", "50", "100", "120",
+                         "190", "250", "300", "400") if coverage(db) is not None}
+    for db in ran:
+        assert coverage(db) == unscaled, db
+    assert {"-100", "0", "100"} <= ran and not {"-400", "250", "300", "400"} & ran
+
+
 @pytest.mark.parametrize("key,value", [("lambda_t", "1e-5"), ("mode", "mc"),
                                        ("scenario", "fig5"), ("out", "b.csv")])
 def test_a_key_given_twice_is_refused(tmp_path, capsys, key, value):

@@ -121,3 +121,25 @@ def test_each_refusal_message_is_raised_from_one_place():
                     sites[message].append(f"{path.name}:{node.lineno}")
     assert len(sites) > 50
     assert {message: where for message, where in sites.items() if len(where) > 1} == {}
+
+
+def _handled_names(handler: ast.ExceptHandler) -> set[str]:
+    """The exception class names an except clause names, alone or in a tuple."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {node.id for node in types if isinstance(node, ast.Name)}
+
+
+def test_overflow_is_caught_only_by_the_out_of_range_owner():
+    """One function turns an OverflowError into a refusal, fading._in_range; a second
+    except OverflowError is the out-of-range rule written twice, with its own wording."""
+    sites = []
+    for path in sorted((ROOT / "src" / "riscov").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost enclosing function: ast.walk visits outer functions first
+        owner = {id(node): f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        sites += [owner.get(id(node), f"{path.stem} (module level)") for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler)
+                  and "OverflowError" in _handled_names(node)]
+    assert sites == ["fading._in_range"]

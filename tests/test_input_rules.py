@@ -9,12 +9,16 @@ the rule on the same refused inputs, expecting one exception type and one
 message, word for word.
 """
 
+import csv
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from riscov.cli import KEY_SPECS, STRATEGIES, main
 from riscov.analytic import (DivergenceError, SystemParams, coverage_nearest_alpha4,
                              laplace_fixed, laplace_nearest, rate_fixed,
                              rate_fixed_alpha4_intlim)
@@ -160,3 +164,69 @@ def test_reflected_gain_must_be_non_negative(entry, eta_h):
     assert refusal(lambda: entry(1e-6, eta_h)) == (
         ValueError, f"reflected gain must be non-negative, got {eta_h}")
 
+
+# ---------------------------------------------------------------------------
+# A generated sweep of every config key over its edges and the float extremes
+# ---------------------------------------------------------------------------
+
+#: the domain edges of each KEY_SPECS key, the bounds its rules name (none for a key that
+#: is unbounded), and for the string key its choices
+EDGES = {"lambda_t": [0.0], "p": [0.0, 1.0], "n_elements": [1], "alpha": [2.0], "c_d_db": [],
+         "c_r_db": [], "d0": [0.0], "d_g0": [0.0], "m_h": [0.5], "m_r": [0.5], "p_tx_dbm": [],
+         "noise_dbm": [], "interference_limited": [0, 1], "gamma_bar_db": [],
+         "window_radius": [0.0], "trials": [0, 100], "seed": [0], "strategy": list(STRATEGIES)}
+
+#: the settings every sweep run makes, unless it sweeps that key: a small simulation
+SMALL_MC = {"trials": 100, "window_radius": 300.0}
+
+
+def sweep_values(key: str) -> list:
+    """A float key's edges, 1 ulp either side of them, and +-5e-324, +-1e-300, +-1e300 and
+    +-max float; an int key's edges, 1 either side, 2**31 and 2**63 - 1; a string key's
+    choices and one unknown value."""
+    typ, edges = KEY_SPECS[key][1], EDGES[key]
+    if typ is float:
+        return sorted({v for e in edges for v in (math.nextafter(e, -math.inf), e,
+                                                  math.nextafter(e, math.inf))}
+                      | {sign * x for sign in (1.0, -1.0)
+                         for x in (5e-324, 1e-300, 1e300, sys.float_info.max)})
+    if typ is int:
+        return sorted({v for e in edges for v in (e - 1, e, e + 1)} | {2**31, 2**63 - 1})
+    return [*edges, "bogus"]
+
+
+def test_the_sweep_covers_every_key():
+    assert EDGES.keys() == KEY_SPECS.keys()
+    assert len(sweep_values("p")) == 12 and len(sweep_values("trials")) == 8
+
+
+@pytest.mark.parametrize("key", list(KEY_SPECS))
+def test_every_key_value_is_refused_in_one_line_or_runs_to_finite_values(tmp_path, capsys, key):
+    """Each value of the sweep, in a custom config of mode analytic and of mode mc (with
+    SMALL_MC), is either refused by validate-config and by run alike, with one error
+    line and no CSV, or validated and run to 50 rows of finite values whose coverages lie
+    in [0, 1].  No value ends in a traceback."""
+    cfg, out = tmp_path / "x.cfg", tmp_path / "x.csv"
+    settings = "".join(f"{k} = {v}\n" for k, v in SMALL_MC.items() if k != key)
+    for value in sweep_values(key):
+        for mode in ("analytic", "mc"):
+            where = f"{key} = {value!r} in mode {mode}"
+            cfg.write_text(f"scenario = custom\nmode = {mode}\nout = {out}\n{settings}"
+                           f"{key} = {value!r}\n".replace("'", ""))
+            out.unlink(missing_ok=True)
+            try:
+                validated, refusal = main(["validate-config", str(cfg)]), capsys.readouterr().err
+                ran, err = main(["run", "custom", "--config", str(cfg)]), capsys.readouterr().err
+            except Exception as exc:        # a traceback from the command line
+                pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+            assert (validated, refusal) == (ran, err), where
+            if ran:
+                assert re.fullmatch(r"error: [^\n]+\n", err) and not out.exists(), where
+                continue
+            rows = list(csv.DictReader(out.open()))
+            assert len(rows) == 50, where
+            for row in rows:
+                cells = {name: float(cell) for name, cell in row.items() if cell}
+                assert all(map(math.isfinite, cells.values())), (where, row)
+                assert all(0.0 <= cells[name] <= 1.0 for name in cells
+                           if name.startswith("coverage")), (where, row)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,37 @@ def test_sr_gamma_fit_ks_distance():
     empirical = np.arange(1, s.size + 1) / s.size
     ks = np.max(np.abs(model - empirical))
     assert ks <= 0.01
+
+
+def _mp_element_sum_fit(m: float, n_elements: int) -> tuple[float, float]:
+    """Shape and scale of the element-sum fit at m_h = m_r = m, from 50-digit mpmath moments."""
+    with mp.workdps(50):
+        m = mp.mpf(m)
+        f2 = (mp.gamma(m + mp.mpf(1) / 2) / (mp.gamma(m) * mp.sqrt(m))) ** 2
+        mean = n_elements * f2
+        var = n_elements + n_elements * (n_elements - 1) * f2**2 - mean**2
+        return float(mean**2 / var), float(var / mean)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.5])
+def test_sr_gamma_fit_matches_mpmath(m):
+    fit = sr_gamma_fit(FadingParams(m, m), 32)
+    kappa, omega = _mp_element_sum_fit(m, 32)
+    assert fit.kappa == pytest.approx(kappa, rel=1e-13)
+    assert fit.omega == pytest.approx(omega, rel=1e-13)
+
+
+@pytest.mark.xfail(strict=True, reason="_mean_mag_factor takes lgamma(m + 1/2) - lgamma(m), "
+                   "which cancels at large m, and the variance N (1 - f^2) of the element sum "
+                   "is formed as a difference of nearly equal moments")
+def test_sr_gamma_fit_matches_mpmath_at_large_shapes():
+    """At N = 32 the shape is 1.9e-4 off at m = 1e5, 5.8e-3 at 1e6 and 71 % at 1e7, with
+    no error raised (1e-6 already at m = 1e4)."""
+    for m in (1e5, 1e6, 1e7):
+        fit = sr_gamma_fit(FadingParams(m, m), 32)
+        kappa, omega = _mp_element_sum_fit(m, 32)
+        assert fit.kappa == pytest.approx(kappa, rel=1e-9)
+        assert fit.omega == pytest.approx(omega, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
