@@ -116,7 +116,7 @@ def signal_moments(eta_g0: float, eta_h0: float, fading: FadingParams,
     mu_g = tuple(math.gamma(1.0 + 0.5 * q) for q in range(1, 5))
     if beta == 0.0:
         mu_s = (0.0, 0.0, 0.0, 0.0)
-    else:
+    else:       # the fit is formed inside the call, so its lgamma overflow is refused too
         mu_s = _in_range(what, "element-sum moment", lambda: tuple(
             fit.omega**q * math.exp(math.lgamma(q + fit.kappa) - math.lgamma(fit.kappa))
             for fit in [sr_gamma_fit(fading, n_elements)] for q in range(1, 5)))
